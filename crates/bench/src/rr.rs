@@ -484,15 +484,17 @@ fn run_scenario(sc: Scenario, fault: &FaultConfig, session: &Arc<Session>) -> Ru
     let run = build(sc, fault, session);
 
     // Trace-id watermarks bracket the run: every id the run allocates is
-    // strictly between them, so spans from earlier (or parallel,
-    // lock-excluded) activity are filtered out of the capture.
+    // strictly between them, so this thread's earlier spans are filtered
+    // out of the capture. Every call of a scenario runs on this thread, so
+    // only its ring is read: a parallel test calling while the recorder is
+    // on records into its own thread's ring.
     let lo = TraceId::next().raw();
     obs::flight::enable();
     let (ok, err) = drive(&run, sc);
     obs::flight::disable();
     let hi = TraceId::next().raw();
 
-    let mut spans: Vec<SpanRecord> = obs::flight::snapshot()
+    let mut spans: Vec<SpanRecord> = obs::flight::thread_snapshot()
         .into_iter()
         .filter(|s| s.trace.raw() > lo && s.trace.raw() < hi)
         .collect();

@@ -28,7 +28,7 @@ use crate::wire::{decode, decode_checked, encode_vec, Value, WireError};
 pub const MODULA2_SLOWDOWN: u64 = 4;
 
 /// An error raised by stub execution.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum StubError {
     /// Encoding/decoding or conformance failure.
     Wire(WireError),

@@ -41,6 +41,7 @@ use kernel::Domain;
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::CallError;
+use crate::index_stack::IndexStack;
 
 /// How A-stack regions are mapped at bind time.
 ///
@@ -146,86 +147,6 @@ impl LinkageSlot {
     }
 }
 
-/// A lock-free Treiber LIFO of primary A-stack indices.
-///
-/// `head` packs an ABA-prevention version in the upper 32 bits and
-/// `index + 1` in the lower 32 (0 = empty). Successor links live in the
-/// set-wide `links` array, indexed by A-stack index; classes own disjoint
-/// index ranges, so they never touch each other's links. The version is
-/// bumped on every successful CAS, so a head re-pointing at a node that
-/// was popped and re-pushed in between (the ABA scenario) cannot be
-/// mistaken for an unchanged head.
-///
-/// All operations are SeqCst: the empty-queue wait protocol below relies
-/// on a single total order between stack pushes/pops and the waiter
-/// counter.
-struct FreeStack {
-    head: AtomicU64,
-    free_len: AtomicUsize,
-}
-
-const EMPTY: u64 = 0;
-const LOW_MASK: u64 = 0xFFFF_FFFF;
-
-fn pack(version: u64, idx_plus1: u64) -> u64 {
-    (version << 32) | idx_plus1
-}
-
-impl FreeStack {
-    fn new() -> FreeStack {
-        FreeStack {
-            head: AtomicU64::new(EMPTY),
-            free_len: AtomicUsize::new(0),
-        }
-    }
-
-    fn push(&self, links: &[AtomicU64], index: usize) {
-        let node = index as u64 + 1;
-        let mut head = self.head.load(Ordering::SeqCst);
-        loop {
-            links[index].store(head & LOW_MASK, Ordering::SeqCst);
-            let next = pack((head >> 32) + 1, node);
-            match self
-                .head
-                .compare_exchange_weak(head, next, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => {
-                    self.free_len.fetch_add(1, Ordering::SeqCst);
-                    return;
-                }
-                Err(cur) => head = cur,
-            }
-        }
-    }
-
-    fn pop(&self, links: &[AtomicU64]) -> Option<usize> {
-        let mut head = self.head.load(Ordering::SeqCst);
-        loop {
-            let node = head & LOW_MASK;
-            if node == EMPTY {
-                return None;
-            }
-            let index = (node - 1) as usize;
-            let succ = links[index].load(Ordering::SeqCst) & LOW_MASK;
-            let next = pack((head >> 32) + 1, succ);
-            match self
-                .head
-                .compare_exchange_weak(head, next, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => {
-                    self.free_len.fetch_sub(1, Ordering::SeqCst);
-                    return Some(index);
-                }
-                Err(cur) => head = cur,
-            }
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.free_len.load(Ordering::SeqCst)
-    }
-}
-
 /// FIFO queue of clients blocked on an exhausted class.
 struct WaitQueue {
     /// Tickets of blocked waiters, front = longest waiting. The mutex also
@@ -245,7 +166,8 @@ struct WaitState {
 }
 
 struct ClassQueue {
-    free: FreeStack,
+    /// Free primary A-stacks of the class: a lock-free Treiber LIFO.
+    free: IndexStack,
     /// Free overflow indices of this class — the slow path; gated by
     /// `has_overflow` so the fast path takes no lock while the binding has
     /// never grown.
@@ -263,9 +185,11 @@ struct ClassQueue {
 }
 
 impl ClassQueue {
-    fn new() -> ClassQueue {
+    fn new(class: &AStackClass) -> ClassQueue {
         ClassQueue {
-            free: FreeStack::new(),
+            // Seeded highest-index-first, so the first acquire pops
+            // `base_index` — the order the old locked Vec produced.
+            free: IndexStack::full(class.base_index..class.base_index + class.primary_count),
             overflow_free: Mutex::new(Vec::new()),
             has_overflow: AtomicBool::new(false),
             waiters: WaitQueue {
@@ -293,8 +217,6 @@ pub struct AStackSet {
     /// Procedure index → class index.
     proc_class: Vec<usize>,
     queues: Vec<ClassQueue>,
-    /// Treiber-stack successor links, one per primary A-stack.
-    links: Vec<AtomicU64>,
     /// Linkage slots of the primary A-stacks; index = A-stack index. Plain
     /// vector — the set never grows it, so lookup is lock-free.
     linkages: Vec<Arc<LinkageSlot>>,
@@ -375,10 +297,6 @@ impl AStackSet {
             offset += c.primary_count * c.size;
         }
         let primary_total = index;
-        assert!(
-            primary_total < u32::MAX as usize,
-            "primary A-stack indices must fit the packed Treiber head"
-        );
         let primary = kernel.map_pairwise(label, client, server, offset.max(1));
         if mapping == AStackMapping::GloballyShared {
             // The Firefly fallback: every existing domain gets the mapping.
@@ -388,15 +306,7 @@ impl AStackSet {
             }
         }
 
-        let links: Vec<AtomicU64> = (0..primary_total).map(|_| AtomicU64::new(EMPTY)).collect();
-        let queues: Vec<ClassQueue> = classes.iter().map(|_| ClassQueue::new()).collect();
-        // Seed each class's stack highest-index-first so the first acquire
-        // pops `base_index` — the order the old locked Vec produced.
-        for (ci, c) in classes.iter().enumerate() {
-            for i in (c.base_index..c.base_index + c.primary_count).rev() {
-                queues[ci].free.push(&links, i);
-            }
-        }
+        let queues = classes.iter().map(ClassQueue::new).collect();
         let linkages = (0..primary_total)
             .map(|_| Arc::new(LinkageSlot::new()))
             .collect();
@@ -406,7 +316,6 @@ impl AStackSet {
             classes,
             proc_class,
             queues,
-            links,
             linkages,
             overflow: Mutex::new(Vec::new()),
             primary_total,
@@ -505,7 +414,7 @@ impl AStackSet {
     /// overflow side list.
     fn try_pop(&self, class: usize) -> Option<usize> {
         let q = &self.queues[class];
-        if let Some(idx) = q.free.pop(&self.links) {
+        if let Some(idx) = q.free.pop() {
             return Some(idx);
         }
         if q.has_overflow.load(Ordering::SeqCst) {
@@ -667,7 +576,7 @@ impl AStackSet {
             .in_use
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
         if index < self.primary_total {
-            q.free.push(&self.links, index);
+            q.free.push(index);
         } else {
             firefly::meter::note_sharded_lock();
             q.overflow_free.lock().push(index);

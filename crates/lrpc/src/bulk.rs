@@ -19,7 +19,6 @@
 //! the arena exhausted falls back to the per-call segment path, which
 //! stays fully functional.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use firefly::mem::{Region, PAGE_SIZE};
@@ -30,6 +29,7 @@ use kernel::kernel::Kernel;
 use kernel::Domain;
 
 use crate::astack::AStackSet;
+use crate::index_stack::IndexStack;
 
 /// Chunk-size estimate for out-of-band parameters whose encoded size has
 /// no declared bound (complex types). Payloads that outgrow it take the
@@ -47,83 +47,14 @@ pub struct BulkChunk {
     pub size: usize,
 }
 
-/// Lock-free Treiber LIFO of free chunk indices — the same packed
-/// `(version << 32) | index + 1` head and successor-link array as the
-/// A-stack queues, so chunk churn never serializes concurrent calls.
-struct FreeStack {
-    head: AtomicU64,
-    free_len: AtomicUsize,
-}
-
-const EMPTY: u64 = 0;
-const LOW_MASK: u64 = 0xFFFF_FFFF;
-
-fn pack(version: u64, idx_plus1: u64) -> u64 {
-    (version << 32) | idx_plus1
-}
-
-impl FreeStack {
-    fn new() -> FreeStack {
-        FreeStack {
-            head: AtomicU64::new(EMPTY),
-            free_len: AtomicUsize::new(0),
-        }
-    }
-
-    fn push(&self, links: &[AtomicU64], index: usize) {
-        let node = index as u64 + 1;
-        let mut head = self.head.load(Ordering::SeqCst);
-        loop {
-            links[index].store(head & LOW_MASK, Ordering::SeqCst);
-            let next = pack((head >> 32) + 1, node);
-            match self
-                .head
-                .compare_exchange_weak(head, next, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => {
-                    self.free_len.fetch_add(1, Ordering::SeqCst);
-                    return;
-                }
-                Err(cur) => head = cur,
-            }
-        }
-    }
-
-    fn pop(&self, links: &[AtomicU64]) -> Option<usize> {
-        let mut head = self.head.load(Ordering::SeqCst);
-        loop {
-            let node = head & LOW_MASK;
-            if node == EMPTY {
-                return None;
-            }
-            let index = (node - 1) as usize;
-            let succ = links[index].load(Ordering::SeqCst) & LOW_MASK;
-            let next = pack((head >> 32) + 1, succ);
-            match self
-                .head
-                .compare_exchange_weak(head, next, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => {
-                    self.free_len.fetch_sub(1, Ordering::SeqCst);
-                    return Some(index);
-                }
-                Err(cur) => head = cur,
-            }
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.free_len.load(Ordering::SeqCst)
-    }
-}
-
 /// The pairwise-shared bulk region of one binding.
 pub struct BulkArena {
     region: Arc<Region>,
     chunk_size: usize,
     chunk_count: usize,
-    free: FreeStack,
-    links: Vec<AtomicU64>,
+    /// Free chunk indices: the same lock-free LIFO as the A-stack queues,
+    /// so chunk churn never serializes concurrent calls.
+    free: IndexStack,
     /// Chunks currently leased to in-flight calls; registered by the
     /// runtime as `lrpc_bulk_arena_busy:{interface}`.
     busy: obs::Gauge,
@@ -203,20 +134,13 @@ impl BulkArena {
         chunk_size: usize,
         chunk_count: usize,
     ) -> BulkArena {
-        assert!(chunk_count < u32::MAX as usize, "chunk indices must pack");
         let region = kernel.map_pairwise(label, client, server, (chunk_size * chunk_count).max(1));
-        let links: Vec<AtomicU64> = (0..chunk_count).map(|_| AtomicU64::new(EMPTY)).collect();
-        let free = FreeStack::new();
-        // Seed highest-first so the first acquire leases chunk 0.
-        for i in (0..chunk_count).rev() {
-            free.push(&links, i);
-        }
         BulkArena {
             region,
             chunk_size,
             chunk_count,
-            free,
-            links,
+            // Seeded highest-first, so the first acquire leases chunk 0.
+            free: IndexStack::full(0..chunk_count),
             busy: obs::Gauge::new(),
             label: label.to_string(),
             rr: OnceLock::new(),
@@ -253,7 +177,7 @@ impl BulkArena {
         if need > self.chunk_size {
             return None;
         }
-        let index = self.free.pop(&self.links)?;
+        let index = self.free.pop()?;
         self.busy.inc();
         Some(BulkChunk {
             index,
@@ -266,7 +190,7 @@ impl BulkArena {
     pub fn release(&self, index: usize) {
         debug_assert!(index < self.chunk_count);
         self.busy.dec();
-        self.free.push(&self.links, index);
+        self.free.push(index);
     }
 
     /// The arena's backing region (pairwise-mapped at bind time).

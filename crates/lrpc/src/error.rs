@@ -5,7 +5,7 @@ use idl::stubvm::StubError;
 use kernel::objects::HandleError;
 
 /// An error or exception raised during binding or calling.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum CallError {
     /// The Binding Object failed kernel validation (forged, stale, or
     /// revoked): "The kernel can detect a forged Binding Object, so clients

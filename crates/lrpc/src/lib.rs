@@ -59,6 +59,7 @@ pub mod bulk;
 pub mod call;
 pub mod error;
 pub mod estack;
+mod index_stack;
 pub mod recover;
 pub mod remote;
 pub mod ring;

@@ -9,14 +9,19 @@
 //! consecutive rings coalesce while the server has not drained), and a
 //! paired **completion ring** the server posts results into.
 //!
-//! The per-call work — stub marshaling through the A-stack, linkage and
-//! Binding-Object validation, E-stack association, dispatch, result
-//! fetch — is *identical* to the serial path in [`crate::call`], charged
-//! to each call's own meter. Only the per-crossing costs (traps, kernel
+//! The per-call work runs the serial path's own stages from
+//! [`crate::call`], charged to each call's own meter: the client push at
+//! enqueue, the kernel claim once the doorbell's crossing has validated
+//! the Binding Object, E-stack association and the server serve per
+//! drained call after the one switch into the server, and the client
+//! fetch per reaped completion. Only the per-crossing costs (traps, kernel
 //! transfer, context switches) move onto the batch meter, paid once per
 //! doorbell instead of once per call. Three ring-descriptor queue
 //! operations per call (enqueue, drain, completion reap) are the price
-//! of admission, also on the batch meter.
+//! of admission, also on the batch meter. The ring probes the
+//! `batch:binding`, `ring-full:*` and `doorbell:*` fault sites, never
+//! exchanges processors, and flushes rather than waits when a class of
+//! A-stacks runs dry while the batch itself holds some.
 //!
 //! Ring decisions (enqueue slot, doorbell outcome, drain order) flow
 //! through the binding's `ring:{interface}` record/replay stream, so a
@@ -31,26 +36,22 @@ use std::task::{Context, Poll, Waker};
 use parking_lot::Mutex;
 
 use firefly::cost::CostModel;
-use firefly::cpu::{Cpu, Machine};
+use firefly::cpu::Cpu;
+use firefly::fault::FaultPlan;
 use firefly::mem::Region;
 use firefly::meter::{Meter, Phase, TraceId};
 use firefly::time::Nanos;
 use firefly::vm::VmContext;
-use idl::copyops::{CopyLog, CopyOp};
-use idl::plan::ArgVec;
-use idl::stubvm::{needs_server_copy, OobStore, StubVm};
 use idl::wire::Value;
 use kernel::kernel::Kernel;
 use kernel::objects::RawHandle;
 use kernel::sched::Doorbell;
-use kernel::thread::{Linkage, ReturnPath, Thread};
+use kernel::thread::{Thread, ThreadStatus};
 use kernel::Domain;
 
-use crate::astack::LinkageSlot;
-use crate::binding::{Binding, BindingState, Reply, ServerCtx};
+use crate::binding::{Binding, BindingState};
 use crate::call::{
-    charge, charge_locked, lrpc_call, touch_set, AStackFrame, CallGuard, CallOutcome, OobTransport,
-    ASTACK_QUEUE_LOCK, ESTACK_ALLOC_COST, OOB_SEGMENT_COST, OVERFLOW_VALIDATION_COST,
+    charge, kernel_entry, kernel_exit, lrpc_call, pop_linkage, CallOutcome, InFlight,
 };
 use crate::error::CallError;
 use crate::runtime::LrpcRuntime;
@@ -399,27 +400,9 @@ pub struct BatchSummary {
     pub elapsed: Nanos,
 }
 
-/// Materializes a per-call error from a batch-level one. [`CallError`]
-/// holds non-`Clone` payloads ([`idl::stubvm::StubError`] etc.), so
-/// batch-wide aborts reproduce the variant rather than the payload.
-fn clone_err(e: &CallError) -> CallError {
-    match e {
-        CallError::InvalidBinding(h) => CallError::InvalidBinding(*h),
-        CallError::BindingRevoked => CallError::BindingRevoked,
-        CallError::BadProcedure { index } => CallError::BadProcedure { index: *index },
-        CallError::BadAStack => CallError::BadAStack,
-        CallError::AStackBusy => CallError::AStackBusy,
-        CallError::NoAStacks => CallError::NoAStacks,
-        CallError::CallAborted => CallError::CallAborted,
-        CallError::DomainDead => CallError::DomainDead,
-        _ => CallError::CallFailed,
-    }
-}
-
 /// Everything the batch engine threads through its helpers.
 struct BatchEnv<'a> {
     rt: &'a Arc<LrpcRuntime>,
-    machine: &'a Arc<Machine>,
     cost: CostModel,
     state: &'a Arc<BindingState>,
     ring: &'a CallRing,
@@ -427,394 +410,93 @@ struct BatchEnv<'a> {
     thread: &'a Arc<Thread>,
     handle: RawHandle,
     metered: bool,
-    fault: Option<Arc<firefly::fault::FaultPlan>>,
+    fault: Option<Arc<FaultPlan>>,
     doorbell_site: String,
 }
 
-/// One enqueued-but-not-completed call: everything the drain and reap
-/// halves need, owned across the crossing.
-struct PendingCall {
+/// One enqueued-but-not-completed call: its in-flight stages, plus where
+/// it sits in the ring and the request vector.
+struct PendingCall<'a> {
     /// Position in the request (and results) vector.
     index: usize,
-    proc_index: usize,
-    class: usize,
-    astack_idx: usize,
     slot: u32,
     seq: u32,
-    start: Nanos,
-    trace: TraceId,
-    meter: Meter,
-    copies: CopyLog,
-    /// Out-of-band store: in-direction segments from the client push,
-    /// out-direction segments appended by the server place.
-    oob: OobStore,
-    transport: Option<OobTransport>,
-    bulk_chunk: Option<usize>,
-    oob_region: Option<Arc<Region>>,
-    linkage_slot: Option<Arc<LinkageSlot>>,
-    estack_key: Option<u64>,
-    reply: Option<Reply>,
+    call: InFlight<'a>,
     error: Option<CallError>,
 }
 
-/// Releases everything a failed pending call still holds.
-fn release_resources(env: &BatchEnv<'_>, pc: &mut PendingCall) {
-    if let Some(slot) = pc.linkage_slot.take() {
-        slot.release();
-    }
-    if let Some(key) = pc.estack_key.take() {
-        env.state.estack_pool.end_call(key);
-    }
-    if let Some(chunk) = pc.bulk_chunk.take() {
-        if let Some(arena) = &env.state.bulk {
-            arena.release(chunk);
-        }
-    }
-    if let Some(region) = pc.oob_region.take() {
-        env.state.client.ctx().unmap(region.id());
-        env.state.server.ctx().unmap(region.id());
-        env.machine.mem().free(region.id());
-    }
-    env.state.astacks.release(pc.astack_idx);
-}
-
-/// Client half of one batched call: stub marshal onto a fresh A-stack,
-/// out-of-band setup, and the ring-descriptor enqueue. Mirrors the serial
-/// path byte for byte; per-call costs go on the call's own meter, the
-/// ring op on the batch meter.
-fn enqueue_one(
-    env: &BatchEnv<'_>,
+/// Client half of one batched call: the client push, with the
+/// client-context load on the batch meter, then the ring-descriptor
+/// enqueue. `holding` says earlier calls of the batch still hold
+/// A-stacks.
+fn enqueue_one<'a>(
+    env: &BatchEnv<'a>,
     batch_meter: &mut Meter,
     index: usize,
     proc_index: usize,
     args: &[Value],
     seq: u32,
-) -> Result<PendingCall, CallError> {
+    holding: bool,
+) -> Result<PendingCall<'a>, CallError> {
     let cpu = env.cpu;
-    let cost = &env.cost;
-    let state = env.state;
-    let mut meter = if env.metered {
-        Meter::enabled()
-    } else {
-        Meter::disabled()
-    };
-    let trace = TraceId::next();
-    meter.set_trace(trace);
-    let mut copies = CopyLog::new();
-    let start = cpu.now();
-
-    charge(
+    let mut call = InFlight::begin(env.rt, env.state, env.thread, cpu, proc_index, env.metered);
+    call.push(
         cpu,
-        &mut meter,
-        Phase::ProcedureCall,
-        cost.hw.procedure_call,
-    );
-
-    let proc = state
-        .interface
-        .procs
-        .get(proc_index)
-        .ok_or(CallError::BadProcedure { index: proc_index })?;
-    let plan = &state.plans.procs[proc_index];
-    let client_ctx = state.client.ctx();
-
-    // First call of the batch loads the client context; later calls find
-    // it already loaded and this is free. Crossing cost → batch meter.
-    cpu.switch_context(client_ctx.id(), cost, batch_meter);
-
-    charge(cpu, &mut meter, Phase::ClientStub, cost.client_stub_call);
-    touch_set(cpu, state.touch.client_call().iter().copied(), &mut meter);
-
-    let class = state.astacks.class_of_proc(proc_index);
-    let astack_idx = state.astacks.acquire(
-        class,
-        env.rt.config().astack_policy,
-        env.rt.kernel(),
-        &state.client,
-        &state.server,
+        args,
+        Some(&mut *batch_meter),
+        env.fault.as_deref(),
+        false,
+        holding,
     )?;
-    charge_locked(
-        cpu,
-        &mut meter,
-        Phase::QueueOp,
-        cost.astack_queue_op,
-        ASTACK_QUEUE_LOCK,
-    );
-
-    let mut guard = CallGuard {
-        state,
-        thread: env.thread,
-        machine: env.machine,
-        astack: Some(astack_idx),
-        slot: None,
-        pool: None,
-        bulk_chunk: None,
-        oob_region: None,
-        linkage_pushed: false,
-    };
-
-    let aref = state
-        .astacks
-        .lookup(astack_idx)
-        .ok_or(CallError::BadAStack)?;
-    touch_set(cpu, aref.region.pages_for(aref.offset, 1), &mut meter);
-
-    // Copy A of Table 3: push the arguments onto the shared A-stack.
-    let mut oob = OobStore::new();
-    {
-        let mut frame = AStackFrame::new(cpu, client_ctx, &aref.region, aref.offset, aref.size);
-        let mut vm = StubVm::new(cost, cpu, &mut meter);
-        match &plan.push {
-            Some(p) => p.execute(proc, args, &mut frame, &mut vm)?,
-            None => vm.client_push_args(proc, args, &mut frame, &mut oob)?,
-        }
-        let misses = frame.misses();
-        meter.add_tlb_misses(misses);
-    }
-    if env.metered {
-        for (slot_l, p) in proc.layout.params.iter().zip(&proc.def.params) {
-            if p.dir.is_in() {
-                copies.record(CopyOp::A, slot_l.size);
-            }
-        }
-    }
-
-    // Out-of-band transport, exactly as the serial path: bulk-arena chunk
-    // in steady state, per-call pairwise segment as the fallback.
-    let transport = if oob.is_empty() {
-        None
-    } else {
-        let total: usize = oob.iter().map(|s| s.len() + 8).sum();
-        state.stats.observe_bulk_bytes(total as u64);
-        let exhausted = matches!(&env.fault, Some(plan) if plan.exhaust_bulk("call:bulk"));
-        let chunk = if exhausted {
-            None
-        } else {
-            state.bulk.as_ref().and_then(|a| a.acquire(total))
-        };
-        let (region, base) = match chunk {
-            Some(c) => {
-                guard.bulk_chunk = Some(c.index);
-                let arena = state.bulk.as_ref().expect("chunk implies arena");
-                (Arc::clone(arena.region()), c.offset)
-            }
-            None => {
-                state.stats.note_bulk_fallback();
-                charge(cpu, &mut meter, Phase::OobSegment, OOB_SEGMENT_COST);
-                let region = env.rt.kernel().map_pairwise(
-                    "oob-segment",
-                    &state.client,
-                    &state.server,
-                    total.max(8),
-                );
-                guard.oob_region = Some(Arc::clone(&region));
-                (region, 0)
-            }
-        };
-        let mut off = base;
-        let mut scratch = Meter::disabled();
-        for seg in &oob {
-            let mut hdr = [0u8; 8];
-            hdr[..4].copy_from_slice(&(seg.len() as u32).to_le_bytes());
-            region.write_raw(off, &hdr).map_err(CallError::Mem)?;
-            region.write_raw(off + 8, seg).map_err(CallError::Mem)?;
-            cpu.touch_pages(region.pages_for(off, seg.len() + 8), &mut scratch);
-            off += seg.len() + 8;
-        }
-        Some(OobTransport { region, base })
-    };
-
     // The descriptor write replaces the serial path's register setup +
     // trap: one ring-descriptor queue op on the batch meter.
-    let slot = env
-        .ring
-        .enqueue(cpu, client_ctx, proc_index, astack_idx, seq)?;
-    charge(cpu, batch_meter, Phase::QueueOp, cost.ring_descriptor_op);
-
-    let bulk_chunk = guard.bulk_chunk.take();
-    let oob_region = guard.oob_region.take();
-    guard.disarm();
-
+    let slot = env.ring.enqueue(
+        cpu,
+        env.state.client.ctx(),
+        proc_index,
+        call.astack_index(),
+        seq,
+    )?;
+    charge(
+        cpu,
+        batch_meter,
+        Phase::QueueOp,
+        env.cost.ring_descriptor_op,
+    );
     Ok(PendingCall {
         index,
-        proc_index,
-        class,
-        astack_idx,
         slot,
         seq,
-        start,
-        trace,
-        meter,
-        copies,
-        oob,
-        transport,
-        bulk_chunk,
-        oob_region,
-        linkage_slot: None,
-        estack_key: None,
-        reply: None,
+        call,
         error: None,
     })
 }
 
-/// Server half of one drained call: E-stack association, stub read,
-/// dispatch, stub place. Runs in the server's context on the migrated
-/// client thread. Everything on the call's own meter.
-fn serve_one(env: &BatchEnv<'_>, pc: &mut PendingCall) -> Result<(), CallError> {
-    let cpu = env.cpu;
-    let cost = &env.cost;
-    let state = env.state;
-    let server_ctx = state.server.ctx();
-    let proc = &state.interface.procs[pc.proc_index];
-    let plan = &state.plans.procs[pc.proc_index];
-    let aref = state
-        .astacks
-        .lookup(pc.astack_idx)
-        .ok_or(CallError::BadAStack)?;
-
-    // Lazy E-stack association, keyed by the A-stack's global identity.
-    let astack_key = (aref.region.id().0 << 24) | pc.astack_idx as u64;
-    let (estack, fresh) = state.estack_pool.get_for_call(env.rt.kernel(), astack_key);
-    pc.estack_key = Some(astack_key);
-    if fresh {
-        charge(cpu, &mut pc.meter, Phase::Other, ESTACK_ALLOC_COST);
-    }
-    env.thread.set_user_sp(estack.id().0 << 32);
-    let mut frame_header = [0u8; 16];
-    frame_header[..4].copy_from_slice(&(pc.proc_index as u32).to_le_bytes());
-    frame_header[4..8].copy_from_slice(&(pc.astack_idx as u32).to_le_bytes());
-    frame_header[8..].copy_from_slice(&0xF1FE_F1FE_CA11_F4A3u64.to_le_bytes());
-    estack.write_raw(0, &frame_header).map_err(CallError::Mem)?;
-
-    charge(
-        cpu,
-        &mut pc.meter,
-        Phase::ServerStub,
-        cost.server_stub_entry,
-    );
-    touch_set(
-        cpu,
-        state.touch.server_side().iter().copied(),
-        &mut pc.meter,
-    );
-    touch_set(cpu, aref.region.pages_for(aref.offset, 1), &mut pc.meter);
-
-    // Rebuild the out-of-band store under the server's protection context.
-    let server_oob: OobStore = match &pc.transport {
-        None => OobStore::new(),
-        Some(t) => {
-            server_ctx
-                .check(t.region.id(), false, false)
-                .map_err(CallError::Mem)?;
-            let mut segs = OobStore::new();
-            let mut off = t.base;
-            let mut scratch = Meter::disabled();
-            for _ in 0..pc.oob.len() {
-                let hdr = t.region.read_vec(off, 8).map_err(CallError::Mem)?;
-                let len = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]) as usize;
-                segs.push(t.region.read_vec(off + 8, len).map_err(CallError::Mem)?);
-                cpu.touch_pages(t.region.pages_for(off, len + 8), &mut scratch);
-                off += len + 8;
-            }
-            segs
-        }
-    };
-
-    let sargs = {
-        let frame = AStackFrame::new(cpu, server_ctx, &aref.region, aref.offset, aref.size);
-        let mut vm = StubVm::new(cost, cpu, &mut pc.meter);
-        let vals = match &plan.read {
-            Some(rp) => {
-                let mut out = ArgVec::new();
-                rp.execute(&frame, &mut vm, &mut out)?;
-                out
-            }
-            None => ArgVec::from_vec(vm.server_read_args(proc, &frame, &server_oob)?),
-        };
-        let misses = frame.misses();
-        pc.meter.add_tlb_misses(misses);
-        vals
-    };
-    if env.metered {
-        for (slot_l, p) in proc.layout.params.iter().zip(&proc.def.params) {
-            if p.dir.is_in() && needs_server_copy(p, proc.def.inplace) {
-                pc.copies.record(CopyOp::E, slot_l.size);
-            }
-        }
-    }
-
-    if !state.server.is_active() || !state.client.is_active() {
-        return Err(CallError::DomainDead);
-    }
-
-    let sctx = ServerCtx {
-        rt: Arc::clone(env.rt),
-        thread: Arc::clone(env.thread),
-        domain: Arc::clone(&state.server),
-        cpu_id: cpu.id(),
-    };
-    let reply = state
-        .clerk
-        .dispatch(pc.proc_index, &sctx, sargs.as_slice())?;
-
-    charge(
-        cpu,
-        &mut pc.meter,
-        Phase::ServerStub,
-        cost.server_stub_return,
-    );
-    {
-        let mut frame = AStackFrame::new(cpu, server_ctx, &aref.region, aref.offset, aref.size);
-        match &plan.place {
-            Some(p) => p.execute(reply.ret.as_ref(), &reply.outs, &mut frame)?,
-            None => {
-                let mut vm = StubVm::new(cost, cpu, &mut pc.meter);
-                vm.server_place_results(
-                    proc,
-                    reply.ret.as_ref(),
-                    &reply.outs,
-                    &mut frame,
-                    &mut pc.oob,
-                )?;
-            }
-        }
-        let misses = frame.misses();
-        pc.meter.add_tlb_misses(misses);
-    }
-    pc.reply = Some(reply);
-    Ok(())
-}
-
 /// Aborts a flushed batch at the crossing level (binding validation or
-/// domain liveness failed): every pending call fails with the same error,
-/// resources drain, and the ring is reset.
+/// domain liveness failed): every pending call fails with the crossing's
+/// error, its resources drain, and the ring is reset.
 fn abort_batch(
     env: &BatchEnv<'_>,
-    pending: &mut Vec<PendingCall>,
+    pending: &mut Vec<PendingCall<'_>>,
     results: &mut [Option<Result<CallOutcome, CallError>>],
     e: &CallError,
 ) {
     env.ring.reset();
-    for mut pc in pending.drain(..) {
-        release_resources(env, &mut pc);
+    for pc in pending.drain(..) {
         env.state.stats.note_failure();
-        results[pc.index] = Some(Err(clone_err(e)));
+        results[pc.index] = Some(Err(e.clone()));
     }
 }
 
-/// The return half of one reaped call: the return value plus the
-/// out-param values (by argument position) the client stub fetched.
-type FetchedResults = (Option<Value>, Vec<(usize, Value)>);
-
 /// Rings the doorbell and performs one full crossing: kernel validation,
-/// per-call linkage claims, context switch, server-side drain/dispatch of
-/// every pending call, completion posting, and the return crossing with
+/// per-call claims, context switch, server-side drain/serve of every
+/// pending call, completion posting, and the return crossing with
 /// per-call result fetch.
 #[allow(clippy::too_many_arguments)]
-fn flush(
-    env: &BatchEnv<'_>,
+fn flush<'a>(
+    env: &BatchEnv<'a>,
     batch_meter: &mut Meter,
-    pending: &mut Vec<PendingCall>,
+    pending: &mut Vec<PendingCall<'a>>,
     results: &mut [Option<Result<CallOutcome, CallError>>],
     doorbells: &mut u64,
     traps: &mut u64,
@@ -860,85 +542,35 @@ fn flush(
     }
 
     // ---- Kernel, call crossing (once per batch) -----------------------
-    charge(
+    let (vstate, handle) = match kernel_entry(
+        env.rt,
         cpu,
         batch_meter,
-        Phase::KernelTransfer,
-        cost.kernel_transfer_call,
-    );
-    touch_set(cpu, state.touch.kernel_call().iter().copied(), batch_meter);
-
-    let handle = match &env.fault {
-        Some(plan) if plan.forge_binding("batch:binding") => RawHandle {
-            id: env.handle.id,
-            nonce: env.handle.nonce ^ 0xDEAD_BEEF,
-        },
-        _ => env.handle,
-    };
-    let vstate = match env.rt.validate_binding(handle) {
-        Ok(s) => s,
+        state,
+        env.fault.as_deref(),
+        "batch:binding",
+        env.handle,
+    ) {
+        Ok(v) => v,
         Err(e) => {
             abort_batch(env, pending, results, &e);
             return;
         }
     };
-    if !vstate.server.is_active() || !vstate.client.is_active() {
-        abort_batch(env, pending, results, &CallError::DomainDead);
-        return;
-    }
 
-    // Per-call validation: A-stack, linkage claim. The linkage stack gets
-    // ONE entry per crossing — the batch migrates the thread once.
+    // Per-call claims. The linkage stack gets ONE entry per crossing — the
+    // batch migrates the thread once.
     let return_sp = env.thread.user_sp();
     let mut linkage_pushed = false;
     for pc in pending.iter_mut() {
-        if pc.proc_index >= vstate.interface.procs.len() {
-            pc.error = Some(CallError::BadProcedure {
-                index: pc.proc_index,
-            });
-            continue;
-        }
-        let aref = match vstate.astacks.validate(pc.astack_idx, pc.class) {
-            Ok(a) => a,
-            Err(e) => {
-                pc.error = Some(e);
-                continue;
+        match pc.call.claim(cpu, &vstate, handle, return_sp) {
+            Ok(linkage) if !linkage_pushed => {
+                env.thread.push_linkage(linkage);
+                linkage_pushed = true;
             }
-        };
-        if aref.overflow {
-            charge(
-                cpu,
-                &mut pc.meter,
-                Phase::Validation,
-                OVERFLOW_VALIDATION_COST,
-            );
+            Ok(_) => {}
+            Err(e) => pc.error = Some(e),
         }
-        let slot = match vstate.astacks.linkage(pc.astack_idx) {
-            Some(s) => s,
-            None => {
-                pc.error = Some(CallError::BadAStack);
-                continue;
-            }
-        };
-        if !slot.try_claim() {
-            pc.error = Some(CallError::AStackBusy);
-            continue;
-        }
-        let linkage = Linkage {
-            caller_domain: vstate.client.id(),
-            callee_domain: vstate.server.id(),
-            binding: handle,
-            astack_index: pc.astack_idx,
-            proc_index: pc.proc_index,
-            return_sp,
-            valid: true,
-        };
-        slot.set_record(linkage);
-        if !linkage_pushed {
-            env.thread.push_linkage(linkage);
-            linkage_pushed = true;
-        }
-        pc.linkage_slot = Some(slot);
     }
 
     // ---- Transfer into the server domain (once per batch) -------------
@@ -947,25 +579,24 @@ fn flush(
 
     // ---- Server drain: the whole batch per wakeup ---------------------
     for pc in pending.iter_mut() {
-        let desc = match env.ring.drain(cpu, server_ctx) {
-            Ok(Some(d)) => Some(d),
-            Ok(None) => None,
-            Err(_) => None,
-        };
+        let desc = env.ring.drain(cpu, server_ctx).ok().flatten();
         charge(cpu, batch_meter, Phase::QueueOp, cost.ring_descriptor_op);
-        let matched = desc.as_ref().is_some_and(|d| {
+        let matched = desc.is_some_and(|d| {
             d.slot == pc.slot
-                && d.proc_index == pc.proc_index
-                && d.astack_idx == pc.astack_idx
+                && d.proc_index == pc.call.proc_index()
+                && d.astack_idx == pc.call.astack_index()
                 && d.seq == pc.seq
         });
         if !matched && pc.error.is_none() {
             pc.error = Some(CallError::CallFailed);
         }
         if pc.error.is_none() {
-            if let Err(e) = serve_one(env, pc) {
-                pc.error = Some(e);
-            }
+            // The E-stack is associated per drained call, after the switch.
+            let served = pc
+                .call
+                .associate_estack(cpu)
+                .and_then(|()| pc.call.serve(cpu, false, true));
+            pc.error = served.err();
         }
         let status = u32::from(pc.error.is_some());
         let _ = env
@@ -974,55 +605,16 @@ fn flush(
     }
 
     // ---- Kernel, return crossing (once per batch) ---------------------
-    env.rt.kernel().trap(cpu, batch_meter);
+    kernel_exit(env.rt, cpu, batch_meter, state);
     *traps += 1;
-    charge(
-        cpu,
-        batch_meter,
-        Phase::KernelTransfer,
-        cost.kernel_transfer_return,
-    );
-    touch_set(
-        cpu,
-        state.touch.kernel_return().iter().copied(),
-        batch_meter,
-    );
-
     for pc in pending.iter_mut() {
-        if let Some(slot) = pc.linkage_slot.take() {
-            slot.release();
-        }
-        if let Some(key) = pc.estack_key.take() {
-            state.estack_pool.end_call(key);
-        }
+        pc.call.kernel_return();
     }
-
-    let mut crossing_error: Option<CallError> = None;
     if linkage_pushed {
-        match env.thread.pop_linkage() {
-            ReturnPath::Return { to, call_failed } => {
-                env.thread.set_user_sp(to.return_sp);
-                if call_failed || to.caller_domain != vstate.client.id() {
-                    crossing_error = Some(CallError::CallFailed);
-                }
-            }
-            ReturnPath::DestroyThread => {
-                let aborted = env.thread.is_abandoned();
-                env.rt.kernel().reap_thread(env.thread.id());
-                *thread_dead = true;
-                crossing_error = Some(if aborted {
-                    CallError::CallAborted
-                } else {
-                    CallError::CallFailed
-                });
-            }
-        }
-    }
-    if let Some(e) = &crossing_error {
-        for pc in pending.iter_mut() {
-            if pc.error.is_none() {
-                pc.error = Some(clone_err(e));
-                pc.reply = None;
+        if let Err(e) = pop_linkage(env.rt, env.thread, &vstate.client) {
+            *thread_dead = env.thread.status() == ThreadStatus::Destroyed;
+            for pc in pending.iter_mut() {
+                pc.error.get_or_insert_with(|| e.clone());
             }
         }
     }
@@ -1031,112 +623,19 @@ fn flush(
     if !*thread_dead {
         cpu.switch_context(client_ctx.id(), cost, batch_meter);
     }
-    for mut pc in pending.drain(..) {
+    for pc in pending.drain(..) {
         if !*thread_dead {
             let _ = env.ring.reap(cpu, client_ctx, pc.slot, pc.seq);
             charge(cpu, batch_meter, Phase::QueueOp, cost.ring_descriptor_op);
         }
-        if let Some(e) = pc.error.take() {
-            release_resources(env, &mut pc);
-            state.stats.note_failure();
-            results[pc.index] = Some(Err(e));
-            continue;
-        }
-
-        // ---- Client stub, return half (per call) ----------------------
-        charge(
-            cpu,
-            &mut pc.meter,
-            Phase::ClientStub,
-            cost.client_stub_return,
-        );
-        touch_set(
-            cpu,
-            state.touch.client_return().iter().copied(),
-            &mut pc.meter,
-        );
-        let fetched = (|| -> Result<FetchedResults, CallError> {
-            let aref = state
-                .astacks
-                .lookup(pc.astack_idx)
-                .ok_or(CallError::BadAStack)?;
-            touch_set(cpu, aref.region.pages_for(aref.offset, 1), &mut pc.meter);
-            let proc = &state.interface.procs[pc.proc_index];
-            let plan = &state.plans.procs[pc.proc_index];
-            let frame = AStackFrame::new(cpu, client_ctx, &aref.region, aref.offset, aref.size);
-            let mut vm = StubVm::new(cost, cpu, &mut pc.meter);
-            let r = match &plan.fetch {
-                Some(p) => p.execute(&frame, &mut vm)?,
-                None => vm.client_fetch_results(proc, &frame, &pc.oob)?,
-            };
-            let misses = frame.misses();
-            pc.meter.add_tlb_misses(misses);
-            Ok(r)
-        })();
-        let (ret, outs) = match fetched {
-            Ok(r) => r,
-            Err(e) => {
-                release_resources(env, &mut pc);
-                state.stats.note_failure();
-                results[pc.index] = Some(Err(e));
-                continue;
-            }
+        let result = match pc.error {
+            Some(e) => Err(e),
+            None => pc.call.fetch(cpu, false),
         };
-        if env.metered {
-            let proc = &state.interface.procs[pc.proc_index];
-            if proc.layout.ret.is_some() {
-                pc.copies
-                    .record(CopyOp::F, proc.layout.ret.as_ref().map_or(0, |s| s.size));
-            }
-            for (slot_l, p) in proc.layout.params.iter().zip(&proc.def.params) {
-                if p.dir.is_out() {
-                    pc.copies.record(CopyOp::F, slot_l.size);
-                }
-            }
+        if result.is_err() {
+            state.stats.note_failure();
         }
-
-        if let Some(idx) = pc.bulk_chunk.take() {
-            if let Some(arena) = &state.bulk {
-                arena.release(idx);
-            }
-        }
-        if let Some(region) = pc.oob_region.take() {
-            state.client.ctx().unmap(region.id());
-            state.server.ctx().unmap(region.id());
-            env.machine.mem().free(region.id());
-        }
-        state.astacks.release(pc.astack_idx);
-        charge_locked(
-            cpu,
-            &mut pc.meter,
-            Phase::QueueOp,
-            cost.astack_queue_op,
-            ASTACK_QUEUE_LOCK,
-        );
-
-        let elapsed = cpu.now() - pc.start;
-        state.stats.note_call();
-        state.stats.observe_latency(elapsed);
-        state.stats.observe_tail_latency(elapsed);
-        if env.metered {
-            state.stats.observe_stub_ns(
-                pc.meter.total_for(Phase::ClientStub)
-                    + pc.meter.total_for(Phase::ServerStub)
-                    + pc.meter.total_for(Phase::ArgCopy)
-                    + pc.meter.total_for(Phase::Marshal),
-            );
-        }
-        results[pc.index] = Some(Ok(CallOutcome {
-            ret,
-            outs,
-            elapsed,
-            meter: pc.meter,
-            copies: pc.copies,
-            exchanged_on_call: false,
-            exchanged_on_return: false,
-            end_cpu: cpu.id(),
-            trace: pc.trace,
-        }));
+        results[pc.index] = Some(result);
     }
     if *thread_dead {
         env.ring.reset();
@@ -1195,8 +694,7 @@ pub(crate) fn lrpc_call_batch(
         }
     };
 
-    let machine = Arc::clone(rt.kernel().machine());
-    let cost = *machine.cost();
+    let machine = rt.kernel().machine();
     let cpu = machine.cpu(cpu_start);
     let mut batch_meter = if metered {
         Meter::enabled()
@@ -1209,8 +707,7 @@ pub(crate) fn lrpc_call_batch(
 
     let env = BatchEnv {
         rt,
-        machine: &machine,
-        cost,
+        cost: *machine.cost(),
         state: client_state,
         ring: &ring,
         cpu,
@@ -1273,14 +770,18 @@ pub(crate) fn lrpc_call_batch(
                 continue;
             }
         }
-        match enqueue_one(&env, &mut batch_meter, index, *proc_index, args, seq) {
-            Ok(pc) => {
-                seq = seq.wrapping_add(1);
-                pending.push(pc);
-            }
+        let enqueued = match enqueue_one(
+            &env,
+            &mut batch_meter,
+            index,
+            *proc_index,
+            args,
+            seq,
+            !pending.is_empty(),
+        ) {
             Err(CallError::NoAStacks) if !pending.is_empty() => {
-                // The batch itself is holding the class's A-stacks:
-                // flush to release them, then retry once.
+                // The batch itself is holding the class's A-stacks: flush
+                // to release them, then retry under the configured policy.
                 flush(
                     &env,
                     &mut batch_meter,
@@ -1294,16 +795,14 @@ pub(crate) fn lrpc_call_batch(
                     results[index] = Some(Err(CallError::CallFailed));
                     continue;
                 }
-                match enqueue_one(&env, &mut batch_meter, index, *proc_index, args, seq) {
-                    Ok(pc) => {
-                        seq = seq.wrapping_add(1);
-                        pending.push(pc);
-                    }
-                    Err(e) => {
-                        client_state.stats.note_failure();
-                        results[index] = Some(Err(e));
-                    }
-                }
+                enqueue_one(&env, &mut batch_meter, index, *proc_index, args, seq, false)
+            }
+            other => other,
+        };
+        match enqueued {
+            Ok(pc) => {
+                seq = seq.wrapping_add(1);
+                pending.push(pc);
             }
             Err(e) => {
                 client_state.stats.note_failure();
@@ -1506,7 +1005,7 @@ impl Binding {
 mod tests {
     use super::*;
     use crate::runtime::TestRuntime;
-    use crate::{Handler, LrpcRuntime};
+    use crate::{Handler, LrpcRuntime, Reply, ServerCtx};
     use firefly::cpu::Machine;
 
     fn env() -> (Arc<LrpcRuntime>, Arc<Thread>, Binding) {

@@ -284,6 +284,15 @@ pub fn snapshot() -> Vec<SpanRecord> {
     spans
 }
 
+/// Like [`snapshot`], but only the calling thread's ring: a capture whose
+/// calls all run on this thread sees no span that another thread recorded
+/// while the recorder was on, whatever trace ids those spans carry.
+pub fn thread_snapshot() -> Vec<SpanRecord> {
+    let mut spans = THREAD_RING.with(|cell| cell.get().map(|r| r.read_all()).unwrap_or_default());
+    spans.sort_by_key(|s| (s.start_ns, s.trace, s.phase));
+    spans
+}
+
 /// Total spans ever pushed across every registered ring (including ones
 /// since overwritten or read).
 pub fn pushed_total() -> u64 {

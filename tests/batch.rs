@@ -32,6 +32,7 @@ const BATCH_IDL: &str = r#"
         [astacks = 8] procedure Add(a: int32, b: int32) -> int32;
         [astacks = 8] procedure Read(h: int32, buf: out bytes[8]) -> int32;
         [astacks = 8] procedure Store(data: in var bytes[64] noninterpreted) -> int32;
+        [astacks = 8] procedure Echo(data: inout var bytes[4096]) -> int32;
     }
 "#;
 
@@ -55,10 +56,27 @@ fn batch_handlers() -> Vec<Handler> {
             };
             Ok(Reply::value(Value::Int32(v.len() as i32)))
         }) as Handler,
+        Box::new(|_: &ServerCtx, args: &[Value]| {
+            let Value::Var(v) = &args[0] else {
+                unreachable!("stubs decoded the declared types")
+            };
+            Ok(Reply::value(Value::Int32(v.len() as i32)).with_out(0, Value::Var(v.clone())))
+        }) as Handler,
     ]
 }
 
 fn make_env() -> (
+    Arc<LrpcRuntime>,
+    Arc<Domain>,
+    Binding,
+    Arc<kernel::thread::Thread>,
+) {
+    make_env_with(AStackPolicy::Fail)
+}
+
+fn make_env_with(
+    astack_policy: AStackPolicy,
+) -> (
     Arc<LrpcRuntime>,
     Arc<Domain>,
     Binding,
@@ -69,7 +87,7 @@ fn make_env() -> (
         kernel,
         RuntimeConfig {
             domain_caching: false,
-            astack_policy: AStackPolicy::Fail,
+            astack_policy,
             import_timeout: Duration::from_millis(50),
             ..RuntimeConfig::default()
         },
@@ -83,17 +101,23 @@ fn make_env() -> (
     (rt, server, binding, thread)
 }
 
-/// One request in both the serial and batched shape.
+/// One request in both the serial and batched shape. `Echo` payloads
+/// (64 B to 4 KB) are demoted out of band through the bulk arena; the
+/// others stay on the A-stack.
 fn request(choice: u8, x: i32) -> (usize, Vec<Value>) {
-    match choice % 3 {
+    match choice % 4 {
         0 => (0, vec![Value::Int32(x), Value::Int32(100)]),
         1 => (1, vec![Value::Int32(x & 0x7f), Value::Bytes(vec![0; 8])]),
-        _ => (
+        2 => (
             2,
             vec![Value::Var(vec![
                 x as u8;
                 (x.unsigned_abs() as usize % 64).max(1)
             ])],
+        ),
+        _ => (
+            3,
+            vec![Value::Var(vec![x as u8; 64 << (x.unsigned_abs() % 7)])],
         ),
     }
 }
@@ -232,6 +256,35 @@ fn batched_callers_degrade_gracefully_under_ring_faults() {
 }
 
 #[test]
+fn batch_holding_its_own_astacks_flushes_instead_of_waiting() {
+    // 20 Adds over 8 A-stacks: the ninth enqueue finds the class empty
+    // while the batch's own pending calls hold every stack. Waiting would
+    // block on those stacks until the timeout; the batch flushes instead.
+    let (rt, server, binding, thread) = make_env_with(AStackPolicy::Wait(Duration::from_secs(10)));
+    let started = std::time::Instant::now();
+    let out = binding
+        .call_batch(0, &thread, (0..20).map(|i| request(0, i)).collect())
+        .unwrap();
+    let wall = started.elapsed();
+    assert!(
+        wall < Duration::from_secs(2),
+        "the batch waited on its own A-stacks ({wall:?})"
+    );
+    for (i, r) in out.results.iter().enumerate() {
+        let o = r
+            .as_ref()
+            .unwrap_or_else(|e| panic!("call {i} failed: {e}"));
+        assert_eq!(o.ret, Some(Value::Int32(i as i32 + 100)), "call {i}");
+    }
+    assert!(
+        out.doorbells >= 2,
+        "freeing its own stacks takes a flush, got {} doorbells",
+        out.doorbells
+    );
+    assert_no_leaks(&rt, &server, &binding);
+}
+
+#[test]
 fn batch_metrics_reach_the_exporters() {
     let (rt, _server, binding, thread) = make_env();
     binding
@@ -334,7 +387,7 @@ proptest! {
     /// `call`s — minus the amortized crossing phases.
     #[test]
     fn batch_of_mixed_procedures_is_differentially_identical(
-        shape in proptest::collection::vec((0u8..3, -100i32..100), 1..8)
+        shape in proptest::collection::vec((0u8..4, -100i32..100), 1..8)
     ) {
         let requests: Vec<(usize, Vec<Value>)> =
             shape.iter().map(|&(c, x)| request(c, x)).collect();
