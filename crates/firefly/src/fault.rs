@@ -361,6 +361,9 @@ impl FaultPlan {
     /// Next pseudo-random draw from `site`'s stream.
     fn draw(&self, site: &str) -> u64 {
         let mut sites = self.sites.lock();
+        if let Some(state) = sites.get_mut(site) {
+            return splitmix64(state);
+        }
         let state = sites
             .entry(site.to_string())
             .or_insert_with(|| self.config.seed ^ fnv1a(site));

@@ -1,5 +1,7 @@
 //! Property tests for the hardware substrate.
 
+use std::collections::{HashSet, VecDeque};
+
 use firefly::contention::{simulate_throughput, CallProfile, ResourceId, Seg};
 use firefly::cost::CostModel;
 use firefly::cpu::Machine;
@@ -130,6 +132,148 @@ proptest! {
         let min = report.per_cpu_calls.iter().min().copied().unwrap_or(0);
         let max = report.per_cpu_calls.iter().max().copied().unwrap_or(0);
         prop_assert!(max - min <= 1, "{:?}", report.per_cpu_calls);
+    }
+}
+
+// ----------------------------------------------------------------------
+// The library TLB against the FIFO-set reference model.
+// ----------------------------------------------------------------------
+
+/// The TLB as a `HashSet` of resident entries plus a `VecDeque` of their
+/// FIFO order: the plain statement of the replacement policy. The
+/// library's ring-and-index TLB must agree with it touch for touch.
+struct ReferenceTlb {
+    mode: TlbMode,
+    capacity: usize,
+    resident: HashSet<(ContextId, PageId)>,
+    order: VecDeque<(ContextId, PageId)>,
+    hits: u64,
+    misses: u64,
+    invalidations: u64,
+}
+
+impl ReferenceTlb {
+    fn new(mode: TlbMode, capacity: usize) -> ReferenceTlb {
+        ReferenceTlb {
+            mode,
+            capacity: capacity.max(1),
+            resident: HashSet::new(),
+            order: VecDeque::new(),
+            hits: 0,
+            misses: 0,
+            invalidations: 0,
+        }
+    }
+
+    fn touch(&mut self, ctx: ContextId, page: PageId) -> bool {
+        let key = (ctx, page);
+        if self.resident.contains(&key) {
+            self.hits += 1;
+            return false;
+        }
+        self.misses += 1;
+        if self.resident.len() >= self.capacity {
+            if let Some(victim) = self.order.pop_front() {
+                self.resident.remove(&victim);
+            }
+        }
+        self.resident.insert(key);
+        self.order.push_back(key);
+        true
+    }
+
+    fn on_context_switch(&mut self) {
+        if self.mode == TlbMode::InvalidateOnSwitch {
+            self.flush();
+        }
+    }
+
+    fn flush(&mut self) {
+        self.resident.clear();
+        self.order.clear();
+        self.invalidations += 1;
+    }
+}
+
+#[derive(Clone, Copy, Debug)]
+enum TlbOp {
+    Touch(ContextId, PageId),
+    Switch,
+    Flush,
+}
+
+/// One random TLB workload: a capacity (small, eviction-heavy ones as
+/// often as any), a mode and a step sequence. Touches draw from up to
+/// four contexts and three regions of about two thirds of the capacity
+/// each, so both hits and evictions are common. `gap` sets how many
+/// steps fall between switches or flushes on average, from every few
+/// steps to hardly ever.
+fn tlb_workload() -> impl Strategy<Value = (usize, TlbMode, Vec<TlbOp>)> {
+    (
+        prop_oneof![1usize..=8, 1usize..=256],
+        any::<bool>(),
+        1u64..=4,
+        prop_oneof![Just(4u32), Just(40), Just(400)],
+    )
+        .prop_flat_map(|(capacity, tagged, contexts, gap)| {
+            let pages = (capacity * 2 / 3).max(1);
+            let op = (0..gap, 0..contexts, 1u64..=3, 0..pages).prop_map(
+                move |(kind, ctx, region, page)| match kind {
+                    0 => TlbOp::Switch,
+                    1 => TlbOp::Flush,
+                    _ => TlbOp::Touch(
+                        ContextId(ctx),
+                        PageId::of(RegionId(region), page * PAGE_SIZE),
+                    ),
+                },
+            );
+            let mode = if tagged {
+                TlbMode::Tagged
+            } else {
+                TlbMode::InvalidateOnSwitch
+            };
+            (
+                Just(capacity),
+                Just(mode),
+                proptest::collection::vec(op, 1..1500),
+            )
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn tlb_agrees_with_the_fifo_set_reference((capacity, mode, ops) in tlb_workload()) {
+        let mut tlb = Tlb::new(mode, capacity);
+        let mut reference = ReferenceTlb::new(mode, capacity);
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                TlbOp::Touch(ctx, page) => prop_assert_eq!(
+                    tlb.touch(ctx, page),
+                    reference.touch(ctx, page),
+                    "step {}: {:?} hit or miss differs (capacity {}, {:?})",
+                    step, op, capacity, mode
+                ),
+                TlbOp::Switch => {
+                    tlb.on_context_switch();
+                    reference.on_context_switch();
+                }
+                TlbOp::Flush => {
+                    tlb.flush();
+                    reference.flush();
+                }
+            }
+            prop_assert_eq!(
+                tlb.resident_count(),
+                reference.resident.len(),
+                "step {}: resident count differs after {:?}",
+                step, op
+            );
+        }
+        prop_assert_eq!(tlb.hits(), reference.hits);
+        prop_assert_eq!(tlb.misses(), reference.misses);
+        prop_assert_eq!(tlb.invalidations(), reference.invalidations);
     }
 }
 

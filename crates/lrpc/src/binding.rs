@@ -82,6 +82,9 @@ pub struct Clerk {
     interface: Arc<CompiledInterface>,
     domain: Arc<Domain>,
     handlers: Vec<Handler>,
+    /// The fault plan's site name for this clerk's dispatches, built once
+    /// so a call with a plan installed allocates nothing for it.
+    dispatch_site: String,
 }
 
 impl Clerk {
@@ -105,10 +108,12 @@ impl Clerk {
             interface.procs.len(),
             handlers.len()
         );
+        let dispatch_site = format!("dispatch:{}", interface.name);
         Clerk {
             interface,
             domain,
             handlers,
+            dispatch_site,
         }
     }
 
@@ -144,12 +149,10 @@ impl Clerk {
             .handlers
             .get(index)
             .ok_or(CallError::BadProcedure { index })?;
-        let fault = ctx.rt.fault_plan().map(|plan| {
-            (
-                plan.dispatch_fault(&format!("dispatch:{}", self.interface.name)),
-                plan,
-            )
-        });
+        let fault = ctx
+            .rt
+            .fault_plan()
+            .map(|plan| (plan.dispatch_fault(&self.dispatch_site), plan));
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             // Injected faults run inside the unwind boundary, on the
             // migrated client thread, so each one exercises the *real*

@@ -18,17 +18,28 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use bench::phases;
 use firefly::cost::CostModel;
+use firefly::fault::{FaultConfig, FaultPlan};
 use firefly::meter::LockTally;
 use idl::wire::Value;
 use lrpc::{Handler, LrpcRuntime, Reply, ServerCtx, TestRuntime};
 
 /// Serializes the tests that toggle the process-global flight recorder
-/// (within this test binary; other binaries are separate processes).
-static FLIGHT_TOGGLE: Mutex<()> = Mutex::new(());
+/// with each other and with the tests that count one call's locks or
+/// allocations (within this test binary; other binaries are separate
+/// processes). While the recorder is on, every call records spans, and a
+/// thread's first span registers its ring: one process-global lock and
+/// one allocation, which a call measured meanwhile on a fresh test
+/// thread would count.
+fn flight_toggle() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // The lock guards no data, so one taken over from a panicked test
+    // needs no repair.
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 // ---------------------------------------------------------------------
 // Heap-allocation tally.
@@ -92,6 +103,7 @@ fn null_env(domain_caching: bool) -> (Arc<LrpcRuntime>, Arc<kernel::Domain>, lrp
 
 #[test]
 fn steady_state_null_call_takes_zero_global_locks() {
+    let _serial = flight_toggle();
     let (rt, client, binding) = null_env(false);
     let thread = rt.kernel().spawn_thread(&client);
     // Warm up: the first call may allocate an E-stack through the pool.
@@ -116,6 +128,7 @@ fn steady_state_null_call_takes_zero_global_locks() {
 fn metered_null_call_takes_zero_global_locks_too() {
     // Metering (per-phase virtual-time accounting) rides the same path
     // and must not smuggle a global lock back in.
+    let _serial = flight_toggle();
     let (rt, client, binding) = null_env(false);
     let thread = rt.kernel().spawn_thread(&client);
     binding.call_indexed(0, &thread, 0, &[]).expect("warmup");
@@ -131,7 +144,7 @@ fn recorder_enabled_null_call_takes_zero_global_locks() {
     // per thread when its ring is created. The warmup call (recorder
     // already on) pays that registration, so the measured call writes
     // spans through the thread-local seqlock ring alone.
-    let _serial = FLIGHT_TOGGLE.lock().unwrap();
+    let _serial = flight_toggle();
     let (rt, client, binding) = null_env(false);
     let thread = rt.kernel().spawn_thread(&client);
 
@@ -160,7 +173,7 @@ fn flight_breakdown_reproduces_table5_within_one_percent() {
     // Null call left in the flight rings, and check the total against the
     // cost model's closed-form prediction. The simulator charges exact
     // virtual costs, so the drift is zero — well inside the 1% gate.
-    let _serial = FLIGHT_TOGGLE.lock().unwrap();
+    let _serial = flight_toggle();
     let (rt, client, binding) = null_env(false);
     let thread = rt.kernel().spawn_thread(&client);
     binding.call_indexed(0, &thread, 0, &[]).expect("warmup");
@@ -195,6 +208,7 @@ fn domain_caching_path_is_also_global_lock_free() {
     // With domain caching on, the call may additionally probe (and claim)
     // an idle processor; that probe is a single atomic exchange, not a
     // lock.
+    let _serial = flight_toggle();
     let (rt, client, binding) = null_env(true);
     let thread = rt.kernel().spawn_thread(&client);
     let server_ctx = binding.state().server.ctx().id();
@@ -215,6 +229,7 @@ fn exchanged_multi_cpu_call_takes_zero_global_locks_and_allocations() {
     // a context switch. The claim itself is a per-CPU atomic exchange and
     // the TLB stays warm on both processors, so the whole call must still
     // be free of process-global locks *and* heap allocations.
+    let _serial = flight_toggle();
     let (rt, client, binding) = null_env(true);
     let thread = rt.kernel().spawn_thread(&client);
     let server_ctx = binding.state().server.ctx().id();
@@ -253,6 +268,7 @@ fn steady_state_null_call_makes_zero_heap_allocations() {
     // slices and stack scratch: once the E-stack association and linkage
     // stack are warm, an unmetered Null call must not touch the heap at
     // all (and still without a single process-global lock).
+    let _serial = flight_toggle();
     let (rt, client, binding) = null_env(false);
     let thread = rt.kernel().spawn_thread(&client);
     for _ in 0..8 {
@@ -273,10 +289,35 @@ fn steady_state_null_call_makes_zero_heap_allocations() {
 }
 
 #[test]
+fn null_call_with_a_fault_plan_installed_makes_zero_heap_allocations() {
+    // An installed plan that injects nothing still takes every call
+    // through the fault sites, the server dispatch among them; naming
+    // a site must not touch the heap per call.
+    let _serial = flight_toggle();
+    let (rt, client, binding) = null_env(false);
+    rt.set_fault_plan(Some(FaultPlan::new(FaultConfig::default())));
+    let thread = rt.kernel().spawn_thread(&client);
+    for _ in 0..8 {
+        binding.call_unmetered(0, &thread, 0, &[]).expect("warmup");
+    }
+
+    let before = thread_allocations();
+    binding
+        .call_unmetered(0, &thread, 0, &[])
+        .expect("measured");
+    let allocated = thread_allocations() - before;
+    assert_eq!(
+        allocated, 0,
+        "a Null call under a fault plan must not allocate ({allocated} allocations)"
+    );
+}
+
+#[test]
 fn steady_state_fixed_arg_call_makes_zero_heap_allocations() {
     // Same contract with real argument traffic: two int32 in-params and
     // an int32 result ride the fused copy plan, the inline ArgVec and
     // stack scratch buffers end to end.
+    let _serial = flight_toggle();
     let rt = TestRuntime::new().cpus(2).build();
     let server = rt.kernel().create_domain("add-server");
     rt.export(
