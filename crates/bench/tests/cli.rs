@@ -1,4 +1,5 @@
-//! The `bench` binary's exit code and its trajectory files.
+//! The `bench` binary's exit code and its trajectory files, and the
+//! `tables` binary's output.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -58,4 +59,35 @@ fn the_plain_sweep_is_gated() {
     let text = std::fs::read_to_string(dir.join("BENCH_throughput.json")).unwrap();
     assert_eq!(text.matches("\"git_rev\"").count(), 2, "{text}");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `tables` prints virtual time only, so its output is the same on every
+/// host and in debug and release builds: a byte that moves is a moved
+/// table. When a change moves one on purpose, regenerate the golden file
+/// as EXPERIMENTS.md says.
+#[test]
+fn tables_output_matches_the_golden_file() {
+    let out = Command::new(env!("CARGO_BIN_EXE_tables")).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/tables.txt");
+    let want = std::fs::read_to_string(&golden).unwrap();
+    let got = String::from_utf8(out.stdout).unwrap();
+    if got != want {
+        let line = got
+            .lines()
+            .zip(want.lines())
+            .position(|(g, w)| g != w)
+            .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
+        panic!(
+            "tables output differs from {} at line {}:\n  got:  {:?}\n  want: {:?}",
+            golden.display(),
+            line + 1,
+            got.lines().nth(line),
+            want.lines().nth(line)
+        );
+    }
 }

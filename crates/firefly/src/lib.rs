@@ -17,6 +17,7 @@
 //! * [`meter`] — where-did-the-time-go recording (regenerates Table 5);
 //! * [`contention`] — a deterministic virtual-time contention simulator
 //!   (regenerates Figure 2);
+//! * [`idhash`] — the one hasher for simulator-generated ids;
 //! * [`fault`] — a seeded, deterministic fault-injection plan the upper
 //!   layers consult to exercise the Section 5.3 failure paths.
 //!
@@ -30,6 +31,7 @@ pub mod cost;
 pub mod cpu;
 pub mod error;
 pub mod fault;
+pub mod idhash;
 pub mod mem;
 pub mod meter;
 pub mod time;

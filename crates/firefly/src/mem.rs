@@ -89,6 +89,19 @@ impl Region {
         (first..last).map(move |p| PageId(id.0 << 20 | p as u64))
     }
 
+    /// The end of the byte range `offset..offset + len`, or
+    /// [`MemFault::OutOfRange`] if the range does not lie in the region.
+    fn range_end(&self, offset: usize, len: usize) -> Result<usize, MemFault> {
+        offset
+            .checked_add(len)
+            .filter(|&end| end <= self.len)
+            .ok_or(MemFault::OutOfRange {
+                region: self.id,
+                offset,
+                len,
+            })
+    }
+
     /// Copies `data` into the region at `offset`, without any protection
     /// check (the check belongs to [`crate::cpu::Machine`], which knows
     /// the accessing context).
@@ -96,18 +109,7 @@ impl Region {
     /// Fails with [`MemFault::OutOfRange`] if the write would exceed the
     /// region.
     pub fn write_raw(&self, offset: usize, data: &[u8]) -> Result<(), MemFault> {
-        let end = offset.checked_add(data.len()).ok_or(MemFault::OutOfRange {
-            region: self.id,
-            offset,
-            len: data.len(),
-        })?;
-        if end > self.len {
-            return Err(MemFault::OutOfRange {
-                region: self.id,
-                offset,
-                len: data.len(),
-            });
-        }
+        let end = self.range_end(offset, data.len())?;
         let mut bytes = self.bytes.write();
         bytes[offset..end].copy_from_slice(data);
         Ok(())
@@ -116,28 +118,18 @@ impl Region {
     /// Copies `buf.len()` bytes out of the region at `offset` into `buf`,
     /// without any protection check.
     pub fn read_raw(&self, offset: usize, buf: &mut [u8]) -> Result<(), MemFault> {
-        let end = offset.checked_add(buf.len()).ok_or(MemFault::OutOfRange {
-            region: self.id,
-            offset,
-            len: buf.len(),
-        })?;
-        if end > self.len {
-            return Err(MemFault::OutOfRange {
-                region: self.id,
-                offset,
-                len: buf.len(),
-            });
-        }
+        let end = self.range_end(offset, buf.len())?;
         let bytes = self.bytes.read();
         buf.copy_from_slice(&bytes[offset..end]);
         Ok(())
     }
 
-    /// Reads `len` bytes at `offset` into a fresh vector.
+    /// Reads `len` bytes at `offset` into a fresh vector. The range is
+    /// checked before anything is allocated, so a length read from shared
+    /// memory cannot make the reader allocate more than the region holds.
     pub fn read_vec(&self, offset: usize, len: usize) -> Result<Vec<u8>, MemFault> {
-        let mut buf = vec![0u8; len];
-        self.read_raw(offset, &mut buf)?;
-        Ok(buf)
+        let end = self.range_end(offset, len)?;
+        Ok(self.bytes.read()[offset..end].to_vec())
     }
 
     /// Fills the whole region with `byte`.
@@ -252,6 +244,24 @@ mod tests {
         assert!(r.write_raw(4, &[9; 4]).is_ok());
         // Offset overflow must not panic.
         assert!(r.write_raw(usize::MAX, &[1]).is_err());
+    }
+
+    #[test]
+    fn huge_read_vec_faults_without_allocating() {
+        // The length may come from client-writable shared memory: it
+        // must be range-checked before a buffer of that size exists.
+        let mem = PhysMem::new();
+        let r = mem.alloc("page", 4096);
+        assert!(matches!(
+            r.read_vec(64, 1 << 40),
+            Err(MemFault::OutOfRange {
+                offset: 64,
+                len: 0x100_0000_0000,
+                ..
+            })
+        ));
+        assert!(r.read_vec(usize::MAX, 2).is_err());
+        assert_eq!(r.read_vec(4090, 6).unwrap(), vec![0; 6]);
     }
 
     #[test]

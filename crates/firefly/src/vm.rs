@@ -11,11 +11,11 @@
 //! being mapped into every context.
 
 use core::fmt;
-use std::collections::HashMap;
 
 use parking_lot::RwLock;
 
 use crate::error::MemFault;
+use crate::idhash::IdMap;
 use crate::mem::RegionId;
 
 /// Identifier of a virtual-memory context (one per protection domain).
@@ -53,7 +53,7 @@ impl Protection {
 /// The mapping table of one protection domain.
 pub struct VmContext {
     id: ContextId,
-    maps: RwLock<HashMap<RegionId, Protection>>,
+    maps: RwLock<IdMap<RegionId, Protection>>,
 }
 
 impl VmContext {
@@ -61,7 +61,7 @@ impl VmContext {
     pub fn new(id: ContextId) -> VmContext {
         VmContext {
             id,
-            maps: RwLock::new(HashMap::new()),
+            maps: RwLock::new(IdMap::default()),
         }
     }
 

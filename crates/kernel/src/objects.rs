@@ -15,9 +15,9 @@
 //! the shard's read lock, so concurrent readers of even the *same* binding
 //! proceed in parallel; only insert/revoke write.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use firefly::idhash::IdMap;
 use parking_lot::RwLock;
 
 /// Number of shards. A power of two so `id % SHARD_COUNT` is a mask;
@@ -72,7 +72,10 @@ fn splitmix64(state: u64) -> u64 {
 pub struct HandleTable<T> {
     next_id: AtomicU64,
     nonce_seq: AtomicU64,
-    shards: Vec<RwLock<HashMap<u64, (u64, T)>>>,
+    /// Keyed by handle id. Ids are issued by `next_id`, so the shards hash
+    /// them with the simulator-id hasher; a presented (possibly forged) id
+    /// is only ever looked up, never stored.
+    shards: Vec<RwLock<IdMap<u64, (u64, T)>>>,
 }
 
 impl<T> HandleTable<T> {
@@ -82,12 +85,12 @@ impl<T> HandleTable<T> {
             next_id: AtomicU64::new(1),
             nonce_seq: AtomicU64::new(0xF1FE_F1FE_0001_0001),
             shards: (0..SHARD_COUNT)
-                .map(|_| RwLock::new(HashMap::new()))
+                .map(|_| RwLock::new(IdMap::default()))
                 .collect(),
         }
     }
 
-    fn shard(&self, id: u64) -> &RwLock<HashMap<u64, (u64, T)>> {
+    fn shard(&self, id: u64) -> &RwLock<IdMap<u64, (u64, T)>> {
         &self.shards[(id as usize) & (SHARD_COUNT - 1)]
     }
 

@@ -14,6 +14,8 @@
 //! in the caller. If the stack contains no valid linkage records, the
 //! thread is destroyed."
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use parking_lot::Mutex;
 
 use crate::ids::{DomainId, ThreadId};
@@ -69,10 +71,6 @@ struct ThreadInner {
     current_domain: DomainId,
     linkages: Vec<Linkage>,
     status: ThreadStatus,
-    /// The simulated user stack pointer; the kernel points it at an
-    /// E-stack in the server's domain during an LRPC ("updates the
-    /// thread's user stack pointer to run off of the new E-stack").
-    user_sp: u64,
     /// Set when the client abandoned this thread after a server captured
     /// it; an abandoned thread is destroyed on release instead of
     /// returning.
@@ -88,6 +86,14 @@ pub struct Thread {
     id: ThreadId,
     home_domain: DomainId,
     inner: Mutex<ThreadInner>,
+    /// The simulated user stack pointer; the kernel points it at an
+    /// E-stack in the server's domain during an LRPC ("updates the
+    /// thread's user stack pointer to run off of the new E-stack"). It is
+    /// never read or written together with the control block's other
+    /// fields, so it sits beside the lock rather than under it. Stores
+    /// release and loads acquire, so a host thread that reads the pointer
+    /// also sees what its writer did before setting it, as under the lock.
+    user_sp: AtomicU64,
 }
 
 impl Thread {
@@ -101,10 +107,10 @@ impl Thread {
                 current_domain: home,
                 linkages: Vec::new(),
                 status: ThreadStatus::Running,
-                user_sp: 0,
                 abandoned: false,
                 alerted: false,
             }),
+            user_sp: AtomicU64::new(0),
         }
     }
 
@@ -146,13 +152,13 @@ impl Thread {
 
     /// The simulated user stack pointer.
     pub fn user_sp(&self) -> u64 {
-        self.inner.lock().user_sp
+        self.user_sp.load(Ordering::Acquire)
     }
 
     /// Points the user stack pointer somewhere (an E-stack on call, the
     /// saved caller stack on return).
     pub fn set_user_sp(&self, sp: u64) {
-        self.inner.lock().user_sp = sp;
+        self.user_sp.store(sp, Ordering::Release);
     }
 
     /// Pushes a linkage record (call time) and moves execution into the

@@ -471,7 +471,11 @@ impl AStackSet {
             }
         };
         let held = q.in_use.fetch_add(1, Ordering::Relaxed) + 1;
-        q.peak_in_use.fetch_max(held, Ordering::Relaxed);
+        // At or below the peak the max cannot move: skip its
+        // read-modify-write.
+        if held > q.peak_in_use.load(Ordering::Relaxed) {
+            q.peak_in_use.fetch_max(held, Ordering::Relaxed);
+        }
         Ok(idx)
     }
 
@@ -594,10 +598,7 @@ impl AStackSet {
         if index < self.primary_total {
             // The contiguous layout makes this a range check plus
             // arithmetic — the fast path.
-            let class_idx = self
-                .classes
-                .iter()
-                .position(|c| index >= c.base_index && index < c.base_index + c.primary_count)?;
+            let class_idx = self.class_of_index(index)?;
             let c = &self.classes[class_idx];
             Some(AStackRef {
                 index,
@@ -622,16 +623,23 @@ impl AStackSet {
         }
     }
 
+    /// The check behind [`AStackSet::validate`], without building an
+    /// [`AStackRef`]: returns whether the A-stack is an overflow one. The
+    /// kernel's claim runs this alone.
+    pub(crate) fn check(&self, index: usize, expected_class: usize) -> Result<bool, CallError> {
+        match self.class_of_index(index) {
+            Some(class) if class == expected_class => Ok(index >= self.primary_total),
+            _ => Err(CallError::BadAStack),
+        }
+    }
+
     /// Call-time validation: the index must name an A-stack of this
     /// binding whose class matches the procedure's ("a simple range check
     /// guarantees their integrity"). Overflow A-stacks are flagged so the
     /// caller can charge the slower validation path.
     pub fn validate(&self, index: usize, expected_class: usize) -> Result<AStackRef, CallError> {
-        let r = self.lookup(index).ok_or(CallError::BadAStack)?;
-        if r.class != expected_class {
-            return Err(CallError::BadAStack);
-        }
-        Ok(r)
+        self.check(index, expected_class)?;
+        self.lookup(index).ok_or(CallError::BadAStack)
     }
 
     /// The linkage slot paired with A-stack `index` — "the correct linkage
@@ -761,6 +769,12 @@ mod tests {
         // Index 2 belongs to the 64-byte class, not the 16-byte class.
         assert!(matches!(set.validate(2, 0), Err(CallError::BadAStack)));
         assert!(set.validate(2, 1).is_ok());
+        assert!(matches!(set.check(99, 0), Err(CallError::BadAStack)));
+        assert!(matches!(set.check(2, 0), Err(CallError::BadAStack)));
+        assert!(matches!(set.check(2, 1), Ok(false)));
+        let g = set.grow(1, &k, &c, &s);
+        assert!(matches!(set.check(g, 1), Ok(true)));
+        assert!(matches!(set.check(g, 0), Err(CallError::BadAStack)));
     }
 
     #[test]

@@ -55,19 +55,21 @@ impl Reply {
 }
 
 /// Context handed to a server procedure while it runs in the server's
-/// domain on the client's thread.
-pub struct ServerCtx {
+/// domain on the client's thread. It borrows what the call already holds
+/// for the length of the dispatch, so handing it over costs no reference
+/// count traffic.
+pub struct ServerCtx<'a> {
     /// The runtime (for nested out-calls).
-    pub rt: Arc<LrpcRuntime>,
+    pub rt: &'a Arc<LrpcRuntime>,
     /// The (migrated) client thread executing the procedure.
-    pub thread: Arc<Thread>,
+    pub thread: &'a Arc<Thread>,
     /// The server domain.
-    pub domain: Arc<Domain>,
+    pub domain: &'a Arc<Domain>,
     /// The CPU the call is executing on (after any processor exchange).
     pub cpu_id: usize,
 }
 
-impl ServerCtx {
+impl ServerCtx<'_> {
     /// Charges server-procedure work to the executing CPU.
     pub fn charge(&self, work: Nanos) {
         self.rt.kernel().machine().cpu(self.cpu_id).charge(work);
@@ -142,7 +144,7 @@ impl Clerk {
     pub fn dispatch(
         &self,
         index: usize,
-        ctx: &ServerCtx,
+        ctx: &ServerCtx<'_>,
         args: &[Value],
     ) -> Result<Reply, CallError> {
         let h = self
@@ -166,7 +168,7 @@ impl Clerk {
                     ctx.charge(firefly::Nanos::from_micros(f.delay_us));
                 }
                 if f.terminate_server {
-                    ctx.rt.terminate_domain(&ctx.domain);
+                    ctx.rt.terminate_domain(ctx.domain);
                 }
                 if f.hang {
                     plan.wait_while_hung();
@@ -271,7 +273,9 @@ impl BindingStats {
     }
 
     pub(crate) fn note_exchanges(&self, n: u64) {
-        self.exchanges.fetch_add(n, Ordering::Relaxed);
+        if n > 0 {
+            self.exchanges.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     pub(crate) fn note_remote(&self) {

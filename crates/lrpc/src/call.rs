@@ -58,7 +58,7 @@ use firefly::cost::CostModel;
 use firefly::cpu::Cpu;
 use firefly::error::MemFault;
 use firefly::fault::FaultPlan;
-use firefly::mem::Region;
+use firefly::mem::{PageId, Region};
 use firefly::meter::{Meter, Phase, TraceId};
 use firefly::time::Nanos;
 use firefly::vm::VmContext;
@@ -191,6 +191,16 @@ fn on_frame<R>(
     let r = half(&mut frame, meter);
     meter.add_tlb_misses(frame.misses.get());
     r
+}
+
+/// Touches a stage's working-set pages and then, if the call holds one,
+/// the first page of its A-stack, as one TLB run (one lock take).
+fn touch_stage(cpu: &Cpu, set: &[PageId], astack: Option<&AStackRef>, meter: &mut Meter) {
+    let astack_page = astack.map(|a| a.region.pages_for(a.offset, 1));
+    cpu.touch_pages(
+        set.iter().copied().chain(astack_page.into_iter().flatten()),
+        meter,
+    );
 }
 
 pub(crate) fn charge(cpu: &Cpu, meter: &mut Meter, phase: Phase, amount: Nanos) {
@@ -351,7 +361,6 @@ impl<'a> InFlight<'a> {
             Phase::ClientStub,
             cost.client_stub_call,
         );
-        cpu.touch_pages(state.touch.client_call().iter().copied(), &mut self.meter);
 
         let class = state.astacks.class_of_proc(self.proc_index);
         // Fault injection: drain the class's free list so this acquire faces
@@ -378,12 +387,21 @@ impl<'a> InFlight<'a> {
         for idx in stolen {
             state.astacks.release(idx);
         }
-        self.astack = state.astacks.lookup(acquired?);
+        self.astack = acquired
+            .as_ref()
+            .ok()
+            .and_then(|&idx| state.astacks.lookup(idx));
+        // The stub's pages, then the A-stack its queue management and
+        // register setup touch; a refused call touches the stub's alone.
+        touch_stage(
+            cpu,
+            state.touch.client_call(),
+            self.astack.as_ref(),
+            &mut self.meter,
+        );
+        acquired?;
         charge_astack_queue(cpu, &mut self.meter, cost);
         let aref = self.astack.as_ref().ok_or(CallError::BadAStack)?;
-
-        // The stub's queue management and register setup touch the A-stack.
-        cpu.touch_pages(aref.region.pages_for(aref.offset, 1), &mut self.meter);
         on_frame(cpu, client_ctx, aref, &mut self.meter, |frame, meter| {
             let mut vm = StubVm::new(cost, cpu, meter);
             match &plan.push {
@@ -474,10 +492,10 @@ impl<'a> InFlight<'a> {
         }
         // Verify the A-stack and locate the corresponding linkage.
         let index = self.astack_index();
-        let aref = kstate
+        let overflow = kstate
             .astacks
-            .validate(index, kstate.astacks.class_of_proc(self.proc_index))?;
-        if aref.overflow {
+            .check(index, kstate.astacks.class_of_proc(self.proc_index))?;
+        if overflow {
             charge(
                 cpu,
                 &mut self.meter,
@@ -557,7 +575,7 @@ impl<'a> InFlight<'a> {
             Phase::ServerStub,
             cost.server_stub_entry,
         );
-        cpu.touch_pages(state.touch.server_side().iter().copied(), &mut self.meter);
+        touch_stage(cpu, state.touch.server_side(), Some(aref), &mut self.meter);
         self.exchanged_on_call = exchanged;
         if exchanged && plan.in_bytes > 0 {
             // The arguments were written into the other processor's cache.
@@ -568,7 +586,6 @@ impl<'a> InFlight<'a> {
                 cost.remote_access_per_byte * plan.in_bytes as u64,
             );
         }
-        cpu.touch_pages(aref.region.pages_for(aref.offset, 1), &mut self.meter);
 
         // Rebuild the out-of-band store from the shared segment, with the
         // server's protection context enforced.
@@ -577,7 +594,8 @@ impl<'a> InFlight<'a> {
             server_ctx.check(t.region.id(), false, false)?;
             let mut off = t.base;
             for _ in 0..self.oob.len() {
-                let hdr = t.region.read_vec(off, 8)?;
+                let mut hdr = [0u8; 8];
+                t.region.read_raw(off, &mut hdr)?;
                 let len = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]) as usize;
                 server_oob.push(t.region.read_vec(off + 8, len)?);
                 cpu.touch_pages(t.region.pages_for(off, len + 8), &mut Meter::disabled());
@@ -610,9 +628,9 @@ impl<'a> InFlight<'a> {
         }
         // Run the server procedure on the client's (migrated) thread.
         let sctx = ServerCtx {
-            rt: Arc::clone(rt),
-            thread: Arc::clone(self.thread),
-            domain: Arc::clone(&state.server),
+            rt,
+            thread: self.thread,
+            domain: &state.server,
             cpu_id: cpu.id(),
         };
         let reply = state
@@ -672,7 +690,12 @@ impl<'a> InFlight<'a> {
             Phase::ClientStub,
             cost.client_stub_return,
         );
-        cpu.touch_pages(state.touch.client_return().iter().copied(), &mut self.meter);
+        touch_stage(
+            cpu,
+            state.touch.client_return(),
+            self.astack.as_ref(),
+            &mut self.meter,
+        );
         self.exchanged_on_return = exchanged;
         if exchanged && plan.out_bytes > 0 {
             charge(
@@ -683,7 +706,6 @@ impl<'a> InFlight<'a> {
             );
         }
         let aref = self.astack.as_ref().ok_or(CallError::BadAStack)?;
-        cpu.touch_pages(aref.region.pages_for(aref.offset, 1), &mut self.meter);
         let (ret, outs) = on_frame(
             cpu,
             state.client.ctx(),

@@ -9,9 +9,9 @@
 //! server domain runs low, the kernel reclaims those associated with
 //! A-stacks that have not been recently used."
 
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
+use firefly::idhash::IdMap;
 use firefly::mem::Region;
 use firefly::vm::Protection;
 use kernel::kernel::Kernel;
@@ -37,8 +37,9 @@ struct PoolInner {
     free: Vec<Arc<Region>>,
     /// A-stack key → associated E-stack. The key must be unique across
     /// *all* bindings to the server (region id + index), not just within
-    /// one binding — two clients' `A-stack 0` are different stacks.
-    assoc: HashMap<u64, Assoc>,
+    /// one binding — two clients' `A-stack 0` are different stacks. Keys
+    /// are built from simulator ids, so they hash with the id hasher.
+    assoc: IdMap<u64, Assoc>,
     tick: u64,
     allocated: usize,
     peak_allocated: usize,
@@ -92,7 +93,7 @@ impl EStackPool {
             max_estacks: max_estacks.max(1),
             inner: Mutex::new(PoolInner {
                 free: Vec::new(),
-                assoc: HashMap::new(),
+                assoc: IdMap::default(),
                 tick: 0,
                 allocated: 0,
                 peak_allocated: 0,

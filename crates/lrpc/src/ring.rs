@@ -88,6 +88,10 @@ pub struct CallRing {
     occupancy: obs::Gauge,
     /// `lrpc_doorbells_total` — doorbells that actually trapped.
     doorbells_total: obs::Counter,
+    /// The fault plan's `doorbell:{interface}` and `ring-full:{interface}`
+    /// site names, built once so a batch allocates nothing for them.
+    doorbell_site: String,
+    ring_full_site: String,
     /// Record/replay stream for ring decisions (`ring:{interface}`).
     rr: OnceLock<replay::Handle>,
 }
@@ -149,6 +153,8 @@ impl CallRing {
             doorbell: Doorbell::new(),
             occupancy,
             doorbells_total,
+            doorbell_site: format!("doorbell:{name}"),
+            ring_full_site: format!("ring-full:{name}"),
             rr: OnceLock::new(),
         }
     }
@@ -276,9 +282,9 @@ impl CallRing {
         server_ctx
             .check(self.region.id(), false, false)
             .map_err(CallError::Mem)?;
-        let desc = self
-            .region
-            .read_vec(slot as usize * DESC_BYTES, DESC_BYTES)
+        let mut desc = [0u8; DESC_BYTES];
+        self.region
+            .read_raw(slot as usize * DESC_BYTES, &mut desc)
             .map_err(CallError::Mem)?;
         let magic = u32::from_le_bytes([desc[12], desc[13], desc[14], desc[15]]);
         if magic != DESC_MAGIC {
@@ -341,9 +347,9 @@ impl CallRing {
         ctx.check(self.region.id(), false, false)
             .map_err(CallError::Mem)?;
         let off = (self.slots + slot) as usize * DESC_BYTES;
-        let desc = self
-            .region
-            .read_vec(off, DESC_BYTES)
+        let mut desc = [0u8; DESC_BYTES];
+        self.region
+            .read_raw(off, &mut desc)
             .map_err(CallError::Mem)?;
         let magic = u32::from_le_bytes([desc[12], desc[13], desc[14], desc[15]]);
         let got_seq = u32::from_le_bytes([desc[8], desc[9], desc[10], desc[11]]);
@@ -411,7 +417,6 @@ struct BatchEnv<'a> {
     handle: RawHandle,
     metered: bool,
     fault: Option<Arc<FaultPlan>>,
-    doorbell_site: String,
 }
 
 /// One enqueued-but-not-completed call: its in-flight stages, plus where
@@ -516,8 +521,8 @@ fn flush<'a>(
     // wakeup still pending) costs nothing; a lost doorbell (fault
     // injection) must be rung again: two traps, still fewer than N.
     let coalesced = env.ring.doorbell().ring();
-    let lost =
-        !coalesced && matches!(&env.fault, Some(plan) if plan.lose_doorbell(&env.doorbell_site));
+    let lost = !coalesced
+        && matches!(&env.fault, Some(plan) if plan.lose_doorbell(&env.ring.doorbell_site));
     env.ring.emit(
         replay::kind::RING_DOORBELL,
         if coalesced {
@@ -715,13 +720,12 @@ pub(crate) fn lrpc_call_batch(
         handle,
         metered,
         fault: rt.fault_plan(),
-        doorbell_site: format!("doorbell:{}", client_state.interface.name),
     };
-    let ring_full_site = format!("ring-full:{}", client_state.interface.name);
 
     let mut results: Vec<Option<Result<CallOutcome, CallError>>> = Vec::with_capacity(n);
     results.resize_with(n, || None);
-    let mut pending: Vec<PendingCall> = Vec::new();
+    // A flush empties the ring, so it never holds more than a ring's worth.
+    let mut pending: Vec<PendingCall> = Vec::with_capacity(n.min(ring.slots() as usize));
     let mut doorbells = 0u64;
     let mut traps = 0u64;
     let mut degraded = 0u64;
@@ -736,7 +740,7 @@ pub(crate) fn lrpc_call_batch(
         // Fault injection: the submission ring is presented as full and
         // this call degrades gracefully to a single-call trap. The real
         // full condition flushes and retries — no degradation needed.
-        let full_injected = matches!(&env.fault, Some(p) if p.ring_full(&ring_full_site));
+        let full_injected = matches!(&env.fault, Some(p) if p.ring_full(&ring.ring_full_site));
         if full_injected || env.ring.is_full() {
             flush(
                 &env,

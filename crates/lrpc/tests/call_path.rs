@@ -2,12 +2,15 @@
 
 use std::sync::Arc;
 
+use firefly::cost::CostModel;
+use firefly::cpu::Machine;
 use firefly::meter::Phase;
 use firefly::time::Nanos;
+use firefly::tlb::TlbMode;
 use idl::wire::Value;
 use kernel::thread::Thread;
 use kernel::Domain;
-use lrpc::{Binding, CallError, Handler, LrpcRuntime, Reply, ServerCtx, TestRuntime};
+use lrpc::{AStackPolicy, Binding, CallError, Handler, LrpcRuntime, Reply, ServerCtx, TestRuntime};
 
 /// The Table 4 benchmark interface.
 const BENCH_IDL: &str = r#"
@@ -288,7 +291,7 @@ fn nested_calls_cross_three_domains() {
                 *guard = Some(rt2.import(&domain_b2, "Inner").expect("nested import"));
             }
             let b = guard.as_ref().expect("bound");
-            let out = b.call_indexed(ctx.cpu_id, &ctx.thread, 0, args)?;
+            let out = b.call_indexed(ctx.cpu_id, ctx.thread, 0, args)?;
             let Some(Value::Int32(doubled)) = out.ret else {
                 unreachable!()
             };
@@ -410,6 +413,59 @@ fn astack_exhaustion_fails_cleanly_with_fail_policy() {
     assert!(matches!(err, CallError::NoAStacks));
     binding.state().astacks.release(held);
     binding.call(0, &thread, "P", &[]).unwrap();
+}
+
+#[test]
+fn refused_call_keeps_its_tlb_accounting() {
+    // A call refused for want of an A-stack has already touched its
+    // client-stub pages; the next call finds them resident until a
+    // context switch invalidates them. Pins the TLB misses of a refused
+    // and then a successful Null call, first on a cold binding and then
+    // in steady state, so a change that merges a stage's page touches
+    // into one run must keep every touch, in order, on both paths.
+    for (mode, expected) in [
+        (TlbMode::InvalidateOnSwitch, [(8, 36), (8, 35)]),
+        (TlbMode::Tagged, [(8, 35), (0, 0)]),
+    ] {
+        let machine = Machine::with_tlb_mode(1, CostModel::cvax_firefly(), mode);
+        let env = setup_with(
+            TestRuntime::new()
+                .machine(machine)
+                .domain_caching(false)
+                .astack_policy(AStackPolicy::Fail),
+        );
+        let astacks = &env.binding.state().astacks;
+        let class = astacks.class_of_proc(0);
+        let cpu = env.rt.kernel().machine().cpu(0);
+        let mut misses = Vec::new();
+        for round in 0..2 {
+            let mut held = Vec::new();
+            while let Ok(idx) = astacks.acquire(
+                class,
+                AStackPolicy::Fail,
+                env.rt.kernel(),
+                &env.client,
+                &env.server,
+            ) {
+                held.push(idx);
+            }
+            let before = cpu.tlb_misses();
+            let err = env.binding.call(0, &env.thread, "Null", &[]).unwrap_err();
+            assert!(matches!(err, CallError::NoAStacks), "{mode:?}: {err}");
+            let refused = cpu.tlb_misses() - before;
+            for idx in held {
+                astacks.release(idx);
+            }
+            let before = cpu.tlb_misses();
+            env.binding.call(0, &env.thread, "Null", &[]).unwrap();
+            misses.push((refused, cpu.tlb_misses() - before));
+            if round == 0 {
+                // Steady state from here on.
+                env.binding.call(0, &env.thread, "Null", &[]).unwrap();
+            }
+        }
+        assert_eq!(misses, expected, "{mode:?}: (refused, next) misses");
+    }
 }
 
 #[test]

@@ -2,7 +2,7 @@
 # Alternating A/B runs of hostbench: a parent revision against the
 # working tree.
 #
-#   scripts/hostbench-ab.sh <parent-rev> [pairs] [workload...]
+#   scripts/hostbench-ab.sh [--trace] <parent-rev> [pairs] [workload...]
 #
 # Builds hostbench twice, each into its own target directory: once from
 # <parent-rev> (exported with `git archive` into a scratch directory, so
@@ -23,16 +23,28 @@
 # when the change wins at least nine tenths of the pairs and the medians
 # differ by more than the parent's interquartile range.
 #
+# With --trace the runs are traced (`--trace 1`), and the summary covers
+# every per-layer metric of BENCHMARK.json plus the LRPC operation's
+# median host time instead: each side's median [min, max], and how many
+# change runs are better than every parent run ("below every parent
+# run" for a lower-is-better metric). A layer moved only when that count
+# is all or nearly all the change's runs; overlapping ranges are noise.
+#
 # Needs git, cargo, jq and awk. Environment:
 #   AB_DIR   where builds and run logs go; default: a new directory
 #            under ${TMPDIR:-/tmp}, kept after the run
 set -euo pipefail
 
 usage() {
-    echo "usage: $0 <parent-rev> [pairs] [workload...]" >&2
+    echo "usage: $0 [--trace] <parent-rev> [pairs] [workload...]" >&2
     exit 2
 }
 
+trace=0
+if [ "${1-}" = --trace ]; then
+    trace=1
+    shift
+fi
 [ $# -ge 1 ] || usage
 rev=$1
 shift
@@ -46,7 +58,12 @@ fi
 root=$(git rev-parse --show-toplevel)
 bench_json=$root/BENCHMARK.json
 seconds=$(jq -r '.run_seconds' "$bench_json")
-mapfile -t metrics < <(jq -r '.end_to_end[] | "\(.name) \(.better)"' "$bench_json")
+if ((trace)); then
+    mapfile -t metrics < <(jq -r '.per_layer[] | "\(.name) \(.better)"' "$bench_json")
+    metrics+=("op_p50_ns lower")
+else
+    mapfile -t metrics < <(jq -r '.end_to_end[] | "\(.name) \(.better)"' "$bench_json")
+fi
 if [ $# -ge 1 ]; then
     workloads=("$@")
 else
@@ -57,7 +74,7 @@ dir=${AB_DIR:-$(mktemp -d "${TMPDIR:-/tmp}/hostbench-ab.XXXXXX")}
 mkdir -p "$dir/runs"
 
 parent_sha=$(git -C "$root" rev-parse --verify "$rev^{commit}")
-echo "parent $rev ($parent_sha) vs working tree; $pairs pairs x ${workloads[*]}; ${seconds} s runs; seeds from $seed0; logs in $dir"
+echo "parent $rev ($parent_sha) vs working tree; $pairs pairs x ${workloads[*]}; ${seconds} s runs (trace $trace); seeds from $seed0; logs in $dir"
 
 # Builds.
 rm -rf "$dir/parent-src"
@@ -73,12 +90,12 @@ declare -A bin=(
 )
 
 # One run: its full output goes to runs/<workload>-<side>-<pair>.out and
-# its figures (end-to-end metrics from the JSON line, then the printed
+# its figures (the metrics of the JSON line, then the printed
 # taos_p50_ns and op_p50_ns) to a "name value" list beside it.
 run_one() {
     local w=$1 side=$2 i=$3 seed=$4
     local out=$dir/runs/$w-$side-$i.out
-    "${bin[$side]}" --workload "$w" --seed "$seed" --seconds "$seconds" --trace 0 >"$out"
+    "${bin[$side]}" --workload "$w" --seed "$seed" --seconds "$seconds" --trace "$trace" >"$out"
     local json
     json=$(tail -n 1 "$out")
     printf '%-12s %-6s pair %2d seed %-12s correct %s failed %s/%s  %s\n' "$w" "$side" "$i" "$seed" \
@@ -127,7 +144,37 @@ quartiles() {
         END { printf "%.6g %.6g %.6g", q(0.5), q(0.25), q(0.75) }'
 }
 
+# spread: median, minimum and maximum of stdin.
+spread() {
+    sort -g | awk '
+        { v[NR] = $1 }
+        END {
+            m = NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2
+            printf "%.6g %.6g %.6g", m, v[1], v[NR]
+        }'
+}
+
 echo
+if ((trace)); then
+    printf '%-12s %-30s %11s %23s %11s %23s %9s\n' workload metric \
+        parent '[min, max]' change '[min, max]' 'beat all'
+    for w in "${workloads[@]}"; do
+        for m in "${metrics[@]}"; do
+            read -r name better <<<"$m"
+            p=$(figure "$w" parent "$name")
+            c=$(figure "$w" change "$name")
+            read -r pm plo phi <<<"$(spread <<<"$p")"
+            read -r cm clo chi <<<"$(spread <<<"$c")"
+            beat=$(awk -v b="$better" -v lo="$plo" -v hi="$phi" '
+                (b == "lower" && $1 < lo) || (b == "higher" && $1 > hi) { n++ }
+                END { print n + 0 }' <<<"$c")
+            printf '%-12s %-30s %11.6g [%9.6g, %9.6g] %11.6g [%9.6g, %9.6g] %5s/%s\n' \
+                "$w" "$name" "$pm" "$plo" "$phi" "$cm" "$clo" "$chi" "$beat" "$pairs"
+        done
+    done
+    exit 0
+fi
+
 printf '%-12s %-15s %11s %23s %11s %23s %6s\n' workload metric \
     parent '[q1, q3]' change '[q1, q3]' wins
 report() {

@@ -88,7 +88,7 @@ fn three_tier_system_works_end_to_end() {
                 bind_storage(&rt2, &sb_put, &namedb2)?;
                 let guard = sb_put.lock();
                 let storage = guard.as_ref().expect("bound");
-                let out = storage.call_indexed(ctx.cpu_id, &ctx.thread, 0, &[args[1].clone()])?;
+                let out = storage.call_indexed(ctx.cpu_id, ctx.thread, 0, &[args[1].clone()])?;
                 let Some(Value::Int32(slot)) = out.ret else {
                     unreachable!()
                 };
@@ -115,7 +115,7 @@ fn three_tier_system_works_end_to_end() {
                     .ok_or(CallError::ServerFault("unknown key".into()))?;
                 let out = storage.call_indexed(
                     ctx.cpu_id,
-                    &ctx.thread,
+                    ctx.thread,
                     1,
                     &[Value::Int32(slot), Value::Bytes(vec![0; 512])],
                 )?;

@@ -313,6 +313,39 @@ fn null_call_with_a_fault_plan_installed_makes_zero_heap_allocations() {
 }
 
 #[test]
+fn steady_state_null_batch_allocates_no_more_than_serial_calls() {
+    // A ring batch reads its drained and reaped descriptors into stack
+    // buffers, names its fault sites once per ring and sizes its pending
+    // list up front, so sixteen Null calls batched allocate no more than
+    // the same sixteen made one by one (each metered call's outcome
+    // carries its own meter and copy log either way).
+    let _serial = flight_toggle();
+    let (rt, client, binding) = null_env(false);
+    let thread = rt.kernel().spawn_thread(&client);
+    let requests = || -> Vec<(usize, Vec<Value>)> { (0..16).map(|_| (0, Vec::new())).collect() };
+    for _ in 0..4 {
+        binding.call_batch(0, &thread, requests()).expect("warmup");
+        binding.call_indexed(0, &thread, 0, &[]).expect("warmup");
+    }
+
+    let before = thread_allocations();
+    for _ in 0..16 {
+        binding.call_indexed(0, &thread, 0, &[]).expect("serial");
+    }
+    let serial = thread_allocations() - before;
+
+    let batch = requests();
+    let before = thread_allocations();
+    let out = binding.call_batch(0, &thread, batch).expect("batch");
+    let batched = thread_allocations() - before;
+    assert!(out.results.iter().all(Result::is_ok));
+    assert!(
+        batched <= serial,
+        "a 16-call Null batch made {batched} allocations, 16 serial calls {serial}"
+    );
+}
+
+#[test]
 fn steady_state_fixed_arg_call_makes_zero_heap_allocations() {
     // Same contract with real argument traffic: two int32 in-params and
     // an int32 result ride the fused copy plan, the inline ArgVec and
