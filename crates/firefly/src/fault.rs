@@ -18,6 +18,7 @@
 //! watchdog abandons it.
 
 use core::fmt;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Once, OnceLock};
 
@@ -32,7 +33,7 @@ pub const MAX_RETRANSMISSIONS: u32 = 4;
 /// The fault-injection knobs. `FaultConfig::default()` is all-zero: a plan
 /// built from it never injects anything and charges no extra virtual time,
 /// so a disabled plan is observationally identical to no plan at all.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultConfig {
     /// Seed for every per-site pseudo-random stream.
     pub seed: u64,
@@ -75,27 +76,6 @@ pub struct FaultConfig {
     pub doorbell_lost_every: u64,
 }
 
-impl Default for FaultConfig {
-    fn default() -> FaultConfig {
-        FaultConfig {
-            seed: 0,
-            packet_loss: 0.0,
-            packet_dup: 0.0,
-            packet_delay_prob: 0.0,
-            packet_delay_us: 0,
-            server_panic_every: 0,
-            server_hang_every: 0,
-            dispatch_delay_us: 0,
-            astack_exhaust: false,
-            bulk_exhaust: false,
-            forge_binding_every: 0,
-            terminate_server_after: 0,
-            ring_full_every: 0,
-            doorbell_lost_every: 0,
-        }
-    }
-}
-
 impl FaultConfig {
     /// An all-zero config with the given seed.
     pub fn with_seed(seed: u64) -> FaultConfig {
@@ -107,18 +87,7 @@ impl FaultConfig {
 
     /// True if no knob is set; such a config can never inject.
     pub fn is_quiescent(&self) -> bool {
-        self.packet_loss == 0.0
-            && self.packet_dup == 0.0
-            && self.packet_delay_prob == 0.0
-            && self.server_panic_every == 0
-            && self.server_hang_every == 0
-            && self.dispatch_delay_us == 0
-            && !self.astack_exhaust
-            && !self.bulk_exhaust
-            && self.forge_binding_every == 0
-            && self.terminate_server_after == 0
-            && self.ring_full_every == 0
-            && self.doorbell_lost_every == 0
+        *self == FaultConfig::with_seed(self.seed)
     }
 }
 
@@ -211,6 +180,18 @@ impl DispatchFault {
             panic: payload & 0b001 != 0,
         }
     }
+
+    /// The faults this decision injects, in log order.
+    fn events(&self) -> impl Iterator<Item = FaultKind> {
+        [
+            (self.delay_us > 0).then_some(FaultKind::DispatchDelayed { us: self.delay_us }),
+            self.terminate_server.then_some(FaultKind::ServerTerminated),
+            self.hang.then_some(FaultKind::ServerHang),
+            self.panic.then_some(FaultKind::ServerPanic),
+        ]
+        .into_iter()
+        .flatten()
+    }
 }
 
 /// What the plan decided for one packet transmission.
@@ -245,6 +226,23 @@ impl PacketFate {
             duplicated: payload & 0x80 != 0,
             delay_us: payload >> 8,
         }
+    }
+
+    /// The faults this decision injects, in log order; a packet lost for
+    /// good logs only its loss.
+    fn events(&self) -> impl Iterator<Item = FaultKind> {
+        let arrived = !self.lost_forever;
+        [
+            self.lost_forever.then_some(FaultKind::PacketLost),
+            (arrived && self.retransmissions > 0).then_some(FaultKind::PacketRetransmitted {
+                retransmissions: self.retransmissions,
+            }),
+            (arrived && self.duplicated).then_some(FaultKind::PacketDuplicated),
+            (arrived && self.delay_us > 0)
+                .then_some(FaultKind::PacketDelayed { us: self.delay_us }),
+        ]
+        .into_iter()
+        .flatten()
     }
 }
 
@@ -281,6 +279,15 @@ struct HangGate {
     cond: Condvar,
 }
 
+/// One injection site's state.
+struct Site {
+    /// The site's pseudo-random stream.
+    rng: u64,
+    /// The site's `fault:{site}` decision stream, opened on the site's
+    /// first decision after a session is attached.
+    stream: Option<replay::Handle>,
+}
+
 /// A seeded, deterministic fault plan.
 ///
 /// Thread-safe and shared by `Arc`; the layers that consult it hold one
@@ -288,7 +295,7 @@ struct HangGate {
 /// Nth dispatch" counts dispatches across all servers sharing the plan.
 pub struct FaultPlan {
     config: FaultConfig,
-    sites: Mutex<std::collections::HashMap<String, u64>>,
+    sites: Mutex<HashMap<String, Site>>,
     log: Mutex<Vec<FaultEvent>>,
     dispatches: AtomicU64,
     calls: AtomicU64,
@@ -297,12 +304,10 @@ pub struct FaultPlan {
     terminated: AtomicBool,
     gate: HangGate,
     /// Record/replay session: when set (non-live), every decision this
-    /// plan makes flows through a per-site `fault:{site}` stream —
-    /// recorded outcomes in record mode, log-answered outcomes in replay
-    /// mode (the plan's own RNG and counters are not consulted at all).
+    /// plan makes flows through its site's decision stream — recorded
+    /// outcomes in record mode, log-answered outcomes in replay mode (the
+    /// plan's own RNG and counters are not consulted at all).
     rr: OnceLock<Arc<replay::Session>>,
-    /// Cached stream handles, keyed by site name.
-    rr_handles: Mutex<std::collections::HashMap<String, replay::Handle>>,
 }
 
 impl FaultPlan {
@@ -313,7 +318,7 @@ impl FaultPlan {
         }
         Arc::new(FaultPlan {
             config,
-            sites: Mutex::new(std::collections::HashMap::new()),
+            sites: Mutex::new(HashMap::new()),
             log: Mutex::new(Vec::new()),
             dispatches: AtomicU64::new(0),
             calls: AtomicU64::new(0),
@@ -325,7 +330,6 @@ impl FaultPlan {
                 cond: Condvar::new(),
             },
             rr: OnceLock::new(),
-            rr_handles: Mutex::new(std::collections::HashMap::new()),
         })
     }
 
@@ -339,35 +343,27 @@ impl FaultPlan {
         let _ = self.rr.set(Arc::clone(session));
     }
 
-    /// The cached `fault:{site}` stream handle, if a session is attached.
-    fn rr_handle(&self, site: &str) -> Option<replay::Handle> {
-        let session = self.rr.get()?;
-        let mut handles = self.rr_handles.lock();
-        Some(match handles.get(site) {
-            Some(h) => h.clone(),
-            None => {
-                let h = session.stream(&format!("fault:{site}"));
-                handles.insert(site.to_string(), h.clone());
-                h
-            }
-        })
-    }
-
     /// The config this plan was built from.
     pub fn config(&self) -> &FaultConfig {
         &self.config
     }
 
-    /// Next pseudo-random draw from `site`'s stream.
-    fn draw(&self, site: &str) -> u64 {
+    /// Runs `f` on `site`'s state, creating it on first use. A known site
+    /// is looked up by `&str`, so naming it allocates nothing.
+    fn with_site<R>(&self, site: &str, f: impl FnOnce(&mut Site) -> R) -> R {
         let mut sites = self.sites.lock();
         if let Some(state) = sites.get_mut(site) {
-            return splitmix64(state);
+            return f(state);
         }
-        let state = sites
-            .entry(site.to_string())
-            .or_insert_with(|| self.config.seed ^ fnv1a(site));
-        splitmix64(state)
+        f(sites.entry(site.to_string()).or_insert_with(|| Site {
+            rng: self.config.seed ^ fnv1a(site),
+            stream: None,
+        }))
+    }
+
+    /// Next pseudo-random draw from `site`'s stream.
+    fn draw(&self, site: &str) -> u64 {
+        self.with_site(site, |state| splitmix64(&mut state.rng))
     }
 
     fn roll(&self, site: &str, p: f64) -> bool {
@@ -380,302 +376,173 @@ impl FaultPlan {
         unit_f64(self.draw(site)) < p
     }
 
-    /// Appends an event to the globally sequenced log.
-    fn record(&self, site: &str, kind: FaultKind) {
-        let mut log = self.log.lock();
-        let seq = log.len() as u64;
-        log.push(FaultEvent {
-            seq,
-            site: site.to_string(),
-            kind,
+    /// Resolves one decision at `site`, packed as a payload of `kind`.
+    /// `live()` draws it; with a session attached, the site's
+    /// `fault:{site}` stream records the outcome, or in replay mode
+    /// answers it from the log instead.
+    fn decide(&self, site: &str, kind: u16, live: impl FnOnce() -> u64) -> u64 {
+        let Some(session) = self.rr.get() else {
+            return live();
+        };
+        let stream = self.with_site(site, |state| {
+            state
+                .stream
+                .get_or_insert_with(|| session.stream(&format!("fault:{site}")))
+                .clone()
         });
+        stream.resolve(kind, live)
+    }
+
+    /// Appends `events` from `site` to the globally sequenced log.
+    fn record(&self, site: &str, events: impl IntoIterator<Item = FaultKind>) {
+        for kind in events {
+            let mut log = self.log.lock();
+            let seq = log.len() as u64;
+            log.push(FaultEvent {
+                seq,
+                site: site.to_string(),
+                kind,
+            });
+        }
+    }
+
+    /// A yes/no decision at `site` that `fire()` draws live; a yes logs
+    /// `event`.
+    fn yes_no(&self, site: &str, kind: u16, event: FaultKind, fire: impl FnOnce() -> bool) -> bool {
+        let fired = self.decide(site, kind, || u64::from(fire())) != 0;
+        self.record(site, fired.then_some(event));
+        fired
+    }
+
+    /// A yes/no decision that fires on every `every`th tick of `counter`
+    /// (never when `every` is 0, which leaves the counter alone).
+    fn every_nth(
+        &self,
+        site: &str,
+        kind: u16,
+        event: FaultKind,
+        every: u64,
+        counter: &AtomicU64,
+    ) -> bool {
+        self.yes_no(site, kind, event, || {
+            every != 0 && (counter.fetch_add(1, Ordering::Relaxed) + 1).is_multiple_of(every)
+        })
     }
 
     /// Decides the fate of one server dispatch at `site` and records any
     /// injected faults. Counters advance even when nothing fires, so the
     /// Nth dispatch is the Nth dispatch regardless of other knobs.
     pub fn dispatch_fault(&self, site: &str) -> DispatchFault {
-        if let Some(h) = self.rr_handle(site) {
-            if let Some(payload) = h.expect(replay::kind::FAULT_DISPATCH) {
-                let fault = DispatchFault::unpack(payload);
-                self.record_dispatch(site, &fault);
-                return fault;
+        let c = &self.config;
+        let payload = self.decide(site, replay::kind::FAULT_DISPATCH, || {
+            let n = self.dispatches.fetch_add(1, Ordering::Relaxed) + 1;
+            let every = |k: u64| k != 0 && n.is_multiple_of(k);
+            DispatchFault {
+                delay_us: c.dispatch_delay_us,
+                terminate_server: c.terminate_server_after != 0
+                    && n >= c.terminate_server_after
+                    && self
+                        .terminated
+                        .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+                        .is_ok(),
+                hang: every(c.server_hang_every),
+                panic: every(c.server_panic_every),
             }
-            let fault = self.dispatch_fault_live(site);
-            h.emit(replay::kind::FAULT_DISPATCH, fault.pack());
-            return fault;
-        }
-        if self.config.is_quiescent() {
-            return DispatchFault::default();
-        }
-        self.dispatch_fault_live(site)
-    }
-
-    /// Appends the event-log entries a replayed dispatch decision implies,
-    /// in the same order the live path records them.
-    fn record_dispatch(&self, site: &str, fault: &DispatchFault) {
-        if fault.delay_us > 0 {
-            self.record(site, FaultKind::DispatchDelayed { us: fault.delay_us });
-        }
+            .pack()
+        });
+        let fault = DispatchFault::unpack(payload);
         if fault.terminate_server {
+            // A replayed termination marks the plan too, so a live draw
+            // after a divergence cannot terminate the server again.
             self.terminated.store(true, Ordering::Release);
-            self.record(site, FaultKind::ServerTerminated);
         }
-        if fault.hang {
-            self.record(site, FaultKind::ServerHang);
-        }
-        if fault.panic {
-            self.record(site, FaultKind::ServerPanic);
-        }
-    }
-
-    fn dispatch_fault_live(&self, site: &str) -> DispatchFault {
-        let n = self.dispatches.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut fault = DispatchFault {
-            delay_us: self.config.dispatch_delay_us,
-            ..DispatchFault::default()
-        };
-        if fault.delay_us > 0 {
-            self.record(site, FaultKind::DispatchDelayed { us: fault.delay_us });
-        }
-        if self.config.terminate_server_after != 0
-            && n >= self.config.terminate_server_after
-            && self
-                .terminated
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-        {
-            fault.terminate_server = true;
-            self.record(site, FaultKind::ServerTerminated);
-        }
-        if self.config.server_hang_every != 0 && n.is_multiple_of(self.config.server_hang_every) {
-            fault.hang = true;
-            self.record(site, FaultKind::ServerHang);
-        }
-        if self.config.server_panic_every != 0 && n.is_multiple_of(self.config.server_panic_every) {
-            fault.panic = true;
-            self.record(site, FaultKind::ServerPanic);
-        }
+        self.record(site, fault.events());
         fault
     }
 
     /// Decides the fate of one packet transmission at `site` and records
     /// any injected faults.
     pub fn packet_fate(&self, site: &str) -> PacketFate {
-        if let Some(h) = self.rr_handle(site) {
-            if let Some(payload) = h.expect(replay::kind::FAULT_PACKET) {
-                let fate = PacketFate::unpack(payload);
-                self.record_packet(site, &fate);
-                return fate;
+        let c = &self.config;
+        let payload = self.decide(site, replay::kind::FAULT_PACKET, || {
+            let mut fate = PacketFate::default();
+            while self.roll(site, c.packet_loss) {
+                fate.retransmissions += 1;
+                if fate.retransmissions >= MAX_RETRANSMISSIONS {
+                    fate.lost_forever = true;
+                    return fate.pack();
+                }
             }
-            let fate = self.packet_fate_live(site);
-            h.emit(replay::kind::FAULT_PACKET, fate.pack());
-            return fate;
-        }
-        if self.config.packet_loss == 0.0
-            && self.config.packet_dup == 0.0
-            && self.config.packet_delay_prob == 0.0
-        {
-            return PacketFate::default();
-        }
-        self.packet_fate_live(site)
-    }
-
-    /// Appends the event-log entries a replayed packet decision implies,
-    /// in the same order the live path records them.
-    fn record_packet(&self, site: &str, fate: &PacketFate) {
-        if fate.lost_forever {
-            self.record(site, FaultKind::PacketLost);
-            return;
-        }
-        if fate.retransmissions > 0 {
-            self.record(
-                site,
-                FaultKind::PacketRetransmitted {
-                    retransmissions: fate.retransmissions,
-                },
-            );
-        }
-        if fate.duplicated {
-            self.record(site, FaultKind::PacketDuplicated);
-        }
-        if fate.delay_us > 0 {
-            self.record(site, FaultKind::PacketDelayed { us: fate.delay_us });
-        }
-    }
-
-    fn packet_fate_live(&self, site: &str) -> PacketFate {
-        let mut fate = PacketFate::default();
-        while self.roll(site, self.config.packet_loss) {
-            fate.retransmissions += 1;
-            if fate.retransmissions >= MAX_RETRANSMISSIONS {
-                fate.lost_forever = true;
-                self.record(site, FaultKind::PacketLost);
-                return fate;
+            fate.duplicated = self.roll(site, c.packet_dup);
+            if c.packet_delay_us > 0 && self.roll(site, c.packet_delay_prob) {
+                fate.delay_us = c.packet_delay_us;
             }
-        }
-        if fate.retransmissions > 0 {
-            self.record(
-                site,
-                FaultKind::PacketRetransmitted {
-                    retransmissions: fate.retransmissions,
-                },
-            );
-        }
-        if self.roll(site, self.config.packet_dup) {
-            fate.duplicated = true;
-            self.record(site, FaultKind::PacketDuplicated);
-        }
-        if self.config.packet_delay_us > 0 && self.roll(site, self.config.packet_delay_prob) {
-            fate.delay_us = self.config.packet_delay_us;
-            self.record(site, FaultKind::PacketDelayed { us: fate.delay_us });
-        }
+            fate.pack()
+        });
+        let fate = PacketFate::unpack(payload);
+        self.record(site, fate.events());
         fate
     }
 
     /// True if this call (plan-global counter) should present a forged
     /// Binding Object. Records the event when it fires.
     pub fn forge_binding(&self, site: &str) -> bool {
-        if let Some(h) = self.rr_handle(site) {
-            if let Some(payload) = h.expect(replay::kind::FAULT_FORGE) {
-                if payload != 0 {
-                    self.record(site, FaultKind::BindingForged);
-                }
-                return payload != 0;
-            }
-            let fire = self.forge_binding_live(site);
-            h.emit(replay::kind::FAULT_FORGE, u64::from(fire));
-            return fire;
-        }
-        if self.config.forge_binding_every == 0 {
-            return false;
-        }
-        self.forge_binding_live(site)
-    }
-
-    fn forge_binding_live(&self, site: &str) -> bool {
-        if self.config.forge_binding_every == 0 {
-            return false;
-        }
-        let n = self.calls.fetch_add(1, Ordering::Relaxed) + 1;
-        let fire = n.is_multiple_of(self.config.forge_binding_every);
-        if fire {
-            self.record(site, FaultKind::BindingForged);
-        }
-        fire
+        self.every_nth(
+            site,
+            replay::kind::FAULT_FORGE,
+            FaultKind::BindingForged,
+            self.config.forge_binding_every,
+            &self.calls,
+        )
     }
 
     /// True if the A-stack free list should be drained before this
     /// acquire. Records the event when it fires.
     pub fn exhaust_astacks(&self, site: &str) -> bool {
-        if let Some(h) = self.rr_handle(site) {
-            if let Some(payload) = h.expect(replay::kind::FAULT_EXHAUST_ASTACKS) {
-                if payload != 0 {
-                    self.record(site, FaultKind::AStacksExhausted);
-                }
-                return payload != 0;
-            }
-            let fire = self.config.astack_exhaust;
-            if fire {
-                self.record(site, FaultKind::AStacksExhausted);
-            }
-            h.emit(replay::kind::FAULT_EXHAUST_ASTACKS, u64::from(fire));
-            return fire;
-        }
-        if self.config.astack_exhaust {
-            self.record(site, FaultKind::AStacksExhausted);
-        }
-        self.config.astack_exhaust
+        self.yes_no(
+            site,
+            replay::kind::FAULT_EXHAUST_ASTACKS,
+            FaultKind::AStacksExhausted,
+            || self.config.astack_exhaust,
+        )
     }
 
     /// True if the bulk arena should be presented as exhausted for this
     /// large call, forcing the per-call out-of-band fallback segment.
     /// Records the event when it fires.
     pub fn exhaust_bulk(&self, site: &str) -> bool {
-        if let Some(h) = self.rr_handle(site) {
-            if let Some(payload) = h.expect(replay::kind::FAULT_EXHAUST_BULK) {
-                if payload != 0 {
-                    self.record(site, FaultKind::BulkArenaExhausted);
-                }
-                return payload != 0;
-            }
-            let fire = self.config.bulk_exhaust;
-            if fire {
-                self.record(site, FaultKind::BulkArenaExhausted);
-            }
-            h.emit(replay::kind::FAULT_EXHAUST_BULK, u64::from(fire));
-            return fire;
-        }
-        if self.config.bulk_exhaust {
-            self.record(site, FaultKind::BulkArenaExhausted);
-        }
-        self.config.bulk_exhaust
+        self.yes_no(
+            site,
+            replay::kind::FAULT_EXHAUST_BULK,
+            FaultKind::BulkArenaExhausted,
+            || self.config.bulk_exhaust,
+        )
     }
 
     /// True if this call-ring enqueue (plan-global counter) should find
     /// the submission ring full, degrading the call to a single-call
     /// trap. Records the event when it fires.
     pub fn ring_full(&self, site: &str) -> bool {
-        if let Some(h) = self.rr_handle(site) {
-            if let Some(payload) = h.expect(replay::kind::FAULT_RING_FULL) {
-                if payload != 0 {
-                    self.record(site, FaultKind::RingFull);
-                }
-                return payload != 0;
-            }
-            let fire = self.ring_full_live(site);
-            h.emit(replay::kind::FAULT_RING_FULL, u64::from(fire));
-            return fire;
-        }
-        if self.config.ring_full_every == 0 {
-            return false;
-        }
-        self.ring_full_live(site)
-    }
-
-    fn ring_full_live(&self, site: &str) -> bool {
-        if self.config.ring_full_every == 0 {
-            return false;
-        }
-        let n = self.ring_enqueues.fetch_add(1, Ordering::Relaxed) + 1;
-        let fire = n.is_multiple_of(self.config.ring_full_every);
-        if fire {
-            self.record(site, FaultKind::RingFull);
-        }
-        fire
+        self.every_nth(
+            site,
+            replay::kind::FAULT_RING_FULL,
+            FaultKind::RingFull,
+            self.config.ring_full_every,
+            &self.ring_enqueues,
+        )
     }
 
     /// True if this doorbell (plan-global counter) should be lost in the
     /// kernel and re-rung at the cost of one extra trap. Records the
     /// event when it fires.
     pub fn lose_doorbell(&self, site: &str) -> bool {
-        if let Some(h) = self.rr_handle(site) {
-            if let Some(payload) = h.expect(replay::kind::FAULT_DOORBELL_LOST) {
-                if payload != 0 {
-                    self.record(site, FaultKind::DoorbellLost);
-                }
-                return payload != 0;
-            }
-            let fire = self.lose_doorbell_live(site);
-            h.emit(replay::kind::FAULT_DOORBELL_LOST, u64::from(fire));
-            return fire;
-        }
-        if self.config.doorbell_lost_every == 0 {
-            return false;
-        }
-        self.lose_doorbell_live(site)
-    }
-
-    fn lose_doorbell_live(&self, site: &str) -> bool {
-        if self.config.doorbell_lost_every == 0 {
-            return false;
-        }
-        let n = self.doorbells.fetch_add(1, Ordering::Relaxed) + 1;
-        let fire = n.is_multiple_of(self.config.doorbell_lost_every);
-        if fire {
-            self.record(site, FaultKind::DoorbellLost);
-        }
-        fire
+        self.every_nth(
+            site,
+            replay::kind::FAULT_DOORBELL_LOST,
+            FaultKind::DoorbellLost,
+            self.config.doorbell_lost_every,
+            &self.doorbells,
+        )
     }
 
     /// Blocks the calling (captured) thread on the plan's hang gate until
@@ -996,17 +863,40 @@ mod tests {
             packet_delay_prob: 0.2,
             packet_delay_us: 30,
             server_panic_every: 3,
-            forge_binding_every: 4,
+            server_hang_every: 5,
             dispatch_delay_us: 2,
-            ..FaultConfig::default()
+            astack_exhaust: true,
+            bulk_exhaust: true,
+            forge_binding_every: 4,
+            terminate_server_after: 7,
+            ring_full_every: 3,
+            doorbell_lost_every: 2,
         };
+        // Draws through all seven decision methods.
+        let drive = |plan: &FaultPlan| {
+            let fates: Vec<PacketFate> = (0..40).map(|_| plan.packet_fate("net")).collect();
+            let dispatches: Vec<DispatchFault> =
+                (0..12).map(|_| plan.dispatch_fault("dispatch")).collect();
+            let flags: Vec<[bool; 5]> = (0..12)
+                .map(|_| {
+                    [
+                        plan.forge_binding("call"),
+                        plan.exhaust_astacks("call:astacks"),
+                        plan.exhaust_bulk("call:bulk"),
+                        plan.ring_full("ring-full"),
+                        plan.lose_doorbell("doorbell"),
+                    ]
+                })
+                .collect();
+            (fates, dispatches, flags)
+        };
+        let live = FaultPlan::new(config.clone());
+        let live_decisions = drive(&live);
+
         let session = replay::Session::recorder();
         let plan = FaultPlan::new(config);
         plan.attach_replay(&session);
-        let fates: Vec<PacketFate> = (0..40).map(|_| plan.packet_fate("net")).collect();
-        let dispatches: Vec<DispatchFault> =
-            (0..12).map(|_| plan.dispatch_fault("dispatch")).collect();
-        let forges: Vec<bool> = (0..12).map(|_| plan.forge_binding("call")).collect();
+        let decisions = drive(&plan);
         let log = session.finish();
 
         // Replay answers every decision from the log: a default (all-zero)
@@ -1014,17 +904,39 @@ mod tests {
         let replayer = replay::Session::replayer(&log);
         let replan = FaultPlan::new(FaultConfig::default());
         replan.attach_replay(&replayer);
-        let refates: Vec<PacketFate> = (0..40).map(|_| replan.packet_fate("net")).collect();
-        let redispatches: Vec<DispatchFault> =
-            (0..12).map(|_| replan.dispatch_fault("dispatch")).collect();
-        let reforges: Vec<bool> = (0..12).map(|_| replan.forge_binding("call")).collect();
-        assert_eq!(fates, refates);
-        assert_eq!(dispatches, redispatches);
-        assert_eq!(forges, reforges);
+        assert_eq!(drive(&replan), decisions);
+        assert_eq!(live_decisions, decisions, "recording changes no decision");
         assert_eq!(plan.events(), replan.events());
+        assert_eq!(live.events(), plan.events());
         assert_eq!(plan.digest(), replan.digest());
+        assert_eq!(live.digest(), plan.digest());
         assert!(replayer.divergence().is_none());
         assert_eq!(replayer.unconsumed(), 0);
+        let fired: Vec<_> = plan
+            .events()
+            .iter()
+            .map(|e| std::mem::discriminant(&e.kind))
+            .collect();
+        for kind in [
+            FaultKind::PacketRetransmitted { retransmissions: 1 },
+            FaultKind::PacketLost,
+            FaultKind::PacketDuplicated,
+            FaultKind::PacketDelayed { us: 30 },
+            FaultKind::DispatchDelayed { us: 2 },
+            FaultKind::ServerPanic,
+            FaultKind::ServerHang,
+            FaultKind::ServerTerminated,
+            FaultKind::AStacksExhausted,
+            FaultKind::BulkArenaExhausted,
+            FaultKind::BindingForged,
+            FaultKind::RingFull,
+            FaultKind::DoorbellLost,
+        ] {
+            assert!(
+                fired.contains(&std::mem::discriminant(&kind)),
+                "{kind:?} never fired"
+            );
+        }
     }
 
     #[test]
@@ -1063,8 +975,12 @@ mod tests {
         assert_eq!(plan.dispatch_fault("d"), DispatchFault::default());
         assert_eq!(plan.packet_fate("n"), PacketFate::default());
         assert!(!plan.forge_binding("c"));
+        assert!(!plan.exhaust_astacks("a"));
+        assert!(!plan.exhaust_bulk("b"));
+        assert!(!plan.ring_full("r"));
+        assert!(!plan.lose_doorbell("l"));
         let log = session.finish();
-        assert_eq!(log.total_events(), 3);
+        assert_eq!(log.total_events(), 7);
         assert_eq!(plan.event_count(), 0, "no faults were injected");
     }
 

@@ -8,7 +8,7 @@
 //! the kernel returns to the client a Binding Object" (Section 3.1).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use firefly::time::Nanos;
 use idl::plan::InterfacePlans;
@@ -194,8 +194,10 @@ impl Clerk {
     }
 }
 
-/// Running statistics of one binding.
-#[derive(Debug, Default)]
+/// Running statistics of one binding, with the metric handles it
+/// registers at import. The steady call path updates the handles with
+/// lone atomic ops, never through the registry.
+#[derive(Debug)]
 pub struct BindingStats {
     calls: AtomicU64,
     failures: AtomicU64,
@@ -205,33 +207,31 @@ pub struct BindingStats {
     /// the chunk size, arena exhausted, or fault-injected) and paid the
     /// per-call segment map/unmap instead.
     bulk_fallbacks: AtomicU64,
-    /// Per-call latency histogram, attached at import time when the
-    /// binding is registered with the runtime's metrics registry. Bindings
-    /// constructed outside a runtime simply never observe. `OnceLock::get`
-    /// is a single atomic load, so observing stays lock-free.
-    latency: OnceLock<obs::Histogram>,
+    /// Per-call latency histogram, `lrpc_call_latency_ns:{interface}`.
+    latency: obs::Histogram,
     /// Per-call stub-phase (client stub + server stub + argument
-    /// copy/marshal) virtual time, attached the same way.
-    stub_ns: OnceLock<obs::Histogram>,
-    /// Total out-of-band bytes per call (log2 buckets), attached the same
-    /// way as `lrpc_bulk_bytes:{interface}`.
-    bulk_bytes: OnceLock<obs::Histogram>,
-    /// Calls per submitted batch, attached the same way as
-    /// `lrpc_batch_size:{interface}`.
-    batch_size: OnceLock<obs::Histogram>,
+    /// copy/marshal) virtual time, `lrpc_stub_ns:{interface}`.
+    stub_ns: obs::Histogram,
+    /// Total out-of-band bytes per call (log2 buckets),
+    /// `lrpc_bulk_bytes:{interface}`; `None` for a remote binding.
+    bulk_bytes: Option<obs::Histogram>,
+    /// Calls per submitted batch, `lrpc_batch_size:{interface}`; `None`
+    /// for a remote binding.
+    batch_size: Option<obs::Histogram>,
     /// High-resolution per-call latency (HDR-style sub-octave buckets,
-    /// so p99/p999 are resolvable), attached the same way as
-    /// `lrpc_tail_latency_ns:{interface}`. Stamped on every completion
-    /// path — serial, batch reap, and the remote branch.
-    tail_latency: OnceLock<obs::TailHistogram>,
+    /// so p99/p999 are resolvable), `lrpc_tail_latency_ns:{interface}`.
+    /// Stamped on every completion path — serial, batch reap, and the
+    /// remote branch.
+    tail_latency: obs::TailHistogram,
     /// Transfers through this binding that found a processor idling in the
-    /// target context (Section 3.4's domain caching), attached as
+    /// target context (Section 3.4's domain caching),
     /// `lrpc_domain_cache_hits:{interface}`. Call and return directions
-    /// both count.
-    cache_hits: OnceLock<obs::Counter>,
+    /// both count. `None` for a remote binding.
+    cache_hits: Option<obs::Counter>,
     /// Transfers that found no idle processor and paid the full context
-    /// switch, attached as `lrpc_domain_cache_misses:{interface}`.
-    cache_misses: OnceLock<obs::Counter>,
+    /// switch, `lrpc_domain_cache_misses:{interface}`; `None` for a
+    /// remote binding.
+    cache_misses: Option<obs::Counter>,
     /// Largest batch ever submitted through this binding — the adaptive
     /// sizing controller's ring-depth signal (a histogram cannot hand back
     /// its max cheaply; a `fetch_max` can).
@@ -239,6 +239,31 @@ pub struct BindingStats {
 }
 
 impl BindingStats {
+    /// Registers a binding's metrics for `interface` in `metrics`. A
+    /// remote binding's calls take the conventional-RPC branch, so it
+    /// registers no bulk, batch or domain-cache metrics.
+    pub(crate) fn register(metrics: &obs::Registry, interface: &str, remote: bool) -> BindingStats {
+        BindingStats {
+            calls: AtomicU64::new(0),
+            failures: AtomicU64::new(0),
+            exchanges: AtomicU64::new(0),
+            remote_calls: AtomicU64::new(0),
+            bulk_fallbacks: AtomicU64::new(0),
+            latency: metrics.histogram(&format!("lrpc_call_latency_ns:{interface}")),
+            stub_ns: metrics.histogram(&format!("lrpc_stub_ns:{interface}")),
+            bulk_bytes: (!remote)
+                .then(|| metrics.histogram(&format!("lrpc_bulk_bytes:{interface}"))),
+            batch_size: (!remote)
+                .then(|| metrics.histogram(&format!("lrpc_batch_size:{interface}"))),
+            tail_latency: metrics.tail(&format!("lrpc_tail_latency_ns:{interface}")),
+            cache_hits: (!remote)
+                .then(|| metrics.counter(&format!("lrpc_domain_cache_hits:{interface}"))),
+            cache_misses: (!remote)
+                .then(|| metrics.counter(&format!("lrpc_domain_cache_misses:{interface}"))),
+            batch_peak: AtomicU64::new(0),
+        }
+    }
+
     /// Completed calls through the binding.
     pub fn calls(&self) -> u64 {
         self.calls.load(Ordering::Relaxed)
@@ -286,68 +311,43 @@ impl BindingStats {
         self.bulk_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Attaches the latency histogram this binding reports into. First
-    /// attachment wins; later calls are ignored.
-    pub fn attach_latency(&self, histogram: obs::Histogram) {
-        let _ = self.latency.set(histogram);
-    }
-
-    /// The attached latency histogram, if any.
+    /// The latency histogram; every binding has one.
     pub fn latency(&self) -> Option<&obs::Histogram> {
-        self.latency.get()
+        Some(&self.latency)
     }
 
     pub(crate) fn observe_latency(&self, elapsed: Nanos) {
-        if let Some(h) = self.latency.get() {
-            h.observe(elapsed.as_nanos());
-        }
+        self.latency.observe(elapsed.as_nanos());
     }
 
-    /// Attaches the stub-phase histogram. First attachment wins.
-    pub fn attach_stub_ns(&self, histogram: obs::Histogram) {
-        let _ = self.stub_ns.set(histogram);
-    }
-
-    /// The attached stub-phase histogram, if any.
+    /// The stub-phase histogram; every binding has one.
     pub fn stub_ns(&self) -> Option<&obs::Histogram> {
-        self.stub_ns.get()
+        Some(&self.stub_ns)
     }
 
     pub(crate) fn observe_stub_ns(&self, stub: Nanos) {
-        if let Some(h) = self.stub_ns.get() {
-            h.observe(stub.as_nanos());
-        }
+        self.stub_ns.observe(stub.as_nanos());
     }
 
-    /// Attaches the out-of-band bytes histogram. First attachment wins.
-    pub fn attach_bulk_bytes(&self, histogram: obs::Histogram) {
-        let _ = self.bulk_bytes.set(histogram);
-    }
-
-    /// The attached out-of-band bytes histogram, if any.
+    /// The out-of-band bytes histogram; `None` for a remote binding.
     pub fn bulk_bytes(&self) -> Option<&obs::Histogram> {
-        self.bulk_bytes.get()
+        self.bulk_bytes.as_ref()
     }
 
     pub(crate) fn observe_bulk_bytes(&self, bytes: u64) {
-        if let Some(h) = self.bulk_bytes.get() {
+        if let Some(h) = &self.bulk_bytes {
             h.observe(bytes);
         }
     }
 
-    /// Attaches the batch-size histogram. First attachment wins.
-    pub fn attach_batch_size(&self, histogram: obs::Histogram) {
-        let _ = self.batch_size.set(histogram);
-    }
-
-    /// The attached batch-size histogram, if any.
+    /// The batch-size histogram; `None` for a remote binding.
     pub fn batch_size(&self) -> Option<&obs::Histogram> {
-        self.batch_size.get()
+        self.batch_size.as_ref()
     }
 
     pub(crate) fn observe_batch_size(&self, calls: u64) {
         self.batch_peak.fetch_max(calls, Ordering::Relaxed);
-        if let Some(h) = self.batch_size.get() {
+        if let Some(h) = &self.batch_size {
             h.observe(calls);
         }
     }
@@ -357,50 +357,33 @@ impl BindingStats {
         self.batch_peak.load(Ordering::Relaxed)
     }
 
-    /// Attaches the tail-latency histogram. First attachment wins.
-    pub fn attach_tail_latency(&self, tail: obs::TailHistogram) {
-        let _ = self.tail_latency.set(tail);
-    }
-
-    /// The attached tail-latency histogram, if any.
+    /// The tail-latency histogram; every binding has one.
     pub fn tail_latency(&self) -> Option<&obs::TailHistogram> {
-        self.tail_latency.get()
+        Some(&self.tail_latency)
     }
 
     pub(crate) fn observe_tail_latency(&self, elapsed: Nanos) {
-        if let Some(t) = self.tail_latency.get() {
-            t.observe(elapsed.as_nanos());
-        }
+        self.tail_latency.observe(elapsed.as_nanos());
     }
 
-    /// Attaches the domain-cache hit counter. First attachment wins.
-    pub fn attach_cache_hits(&self, counter: obs::Counter) {
-        let _ = self.cache_hits.set(counter);
-    }
-
-    /// The attached domain-cache hit counter, if any.
+    /// The domain-cache hit counter; `None` for a remote binding.
     pub fn cache_hits(&self) -> Option<&obs::Counter> {
-        self.cache_hits.get()
+        self.cache_hits.as_ref()
     }
 
     pub(crate) fn note_cache_hit(&self) {
-        if let Some(c) = self.cache_hits.get() {
+        if let Some(c) = &self.cache_hits {
             c.inc();
         }
     }
 
-    /// Attaches the domain-cache miss counter. First attachment wins.
-    pub fn attach_cache_misses(&self, counter: obs::Counter) {
-        let _ = self.cache_misses.set(counter);
-    }
-
-    /// The attached domain-cache miss counter, if any.
+    /// The domain-cache miss counter; `None` for a remote binding.
     pub fn cache_misses(&self) -> Option<&obs::Counter> {
-        self.cache_misses.get()
+        self.cache_misses.as_ref()
     }
 
     pub(crate) fn note_cache_miss(&self) {
-        if let Some(c) = self.cache_misses.get() {
+        if let Some(c) = &self.cache_misses {
             c.inc();
         }
     }
@@ -454,7 +437,7 @@ impl BindingState {
     // One argument per cached field: the constructor mirrors the struct,
     // and bundling them into a params struct would just move the list.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         interface: Arc<CompiledInterface>,
         client: Arc<Domain>,
         server: Arc<Domain>,
@@ -466,6 +449,7 @@ impl BindingState {
         estack_pool: Arc<crate::estack::EStackPool>,
         ring: Option<Arc<crate::ring::CallRing>>,
         remote: bool,
+        stats: BindingStats,
     ) -> BindingState {
         BindingState {
             interface,
@@ -480,7 +464,7 @@ impl BindingState {
             ring,
             revoked: AtomicBool::new(false),
             remote,
-            stats: BindingStats::default(),
+            stats,
         }
     }
 
@@ -580,7 +564,7 @@ impl Binding {
         proc_index: usize,
         args: &[Value],
     ) -> Result<crate::call::CallOutcome, CallError> {
-        let out = crate::call::lrpc_call(
+        crate::call::lrpc_call(
             &self.rt,
             self.handle,
             &self.state,
@@ -589,11 +573,7 @@ impl Binding {
             proc_index,
             args,
             true,
-        );
-        if out.is_err() {
-            self.state.stats.note_failure();
-        }
-        out
+        )
     }
 
     /// Like [`Binding::call_indexed`] but without metering, for tight

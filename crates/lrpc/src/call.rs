@@ -919,7 +919,8 @@ fn transfer<'c>(
 }
 
 /// The serial LRPC: one call, one trap pair, the crossing phases on the
-/// call's own meter. Returns the outcome or the raised exception.
+/// call's own meter. Returns the outcome or the raised exception, which
+/// it counts as the binding's failure.
 #[expect(clippy::too_many_arguments)]
 pub(crate) fn lrpc_call(
     rt: &Arc<LrpcRuntime>,
@@ -931,63 +932,71 @@ pub(crate) fn lrpc_call(
     args: &[Value],
     metered: bool,
 ) -> Result<CallOutcome, CallError> {
-    let cpu = rt.kernel().machine().cpu(cpu_start);
-    let mut call = InFlight::begin(rt, client_state, thread, cpu, proc_index, metered);
+    let cross = || {
+        let cpu = rt.kernel().machine().cpu(cpu_start);
+        let mut call = InFlight::begin(rt, client_state, thread, cpu, proc_index, metered);
 
-    // "Deciding whether a call is cross-domain or cross-machine is made at
-    // the earliest possible moment — the first instruction of the stub."
-    if client_state.remote {
-        let transport = rt.remote_transport().ok_or(CallError::NoRemoteTransport)?;
-        client_state.stats.note_remote();
-        let (ret, outs) = transport.call(
-            &client_state.interface.name,
-            proc_index,
-            args,
+        // "Deciding whether a call is cross-domain or cross-machine is made
+        // at the earliest possible moment — the first instruction of the
+        // stub."
+        if client_state.remote {
+            let transport = rt.remote_transport().ok_or(CallError::NoRemoteTransport)?;
+            client_state.stats.note_remote();
+            let (ret, outs) = transport.call(
+                &client_state.interface.name,
+                proc_index,
+                args,
+                cpu,
+                &mut call.meter,
+            )?;
+            return Ok(call.finish(cpu, ret, outs));
+        }
+
+        let fault = rt.fault_plan();
+        call.push(cpu, args, None, fault.as_deref(), true, false)?;
+        rt.kernel().trap(cpu, &mut call.meter);
+        let (state, handle) = kernel_entry(
+            rt,
             cpu,
             &mut call.meter,
+            client_state,
+            fault.as_deref(),
+            "call:binding",
+            handle,
         )?;
-        return Ok(call.finish(cpu, ret, outs));
+        let linkage = call.claim(cpu, &state, handle, thread.user_sp())?;
+        thread.push_linkage(linkage);
+        call.linkage_pushed = true;
+        call.associate_estack(cpu)?;
+
+        let (cpu, exchanged) = transfer(
+            rt,
+            cpu,
+            &state.client,
+            &state.server,
+            &state.stats,
+            &mut call.meter,
+        );
+        call.serve(cpu, exchanged, false)?;
+
+        kernel_exit(rt, cpu, &mut call.meter, &state);
+        call.kernel_return();
+        call.linkage_pushed = false;
+        pop_linkage(rt, thread, &state.client)?;
+
+        let (cpu, exchanged) = transfer(
+            rt,
+            cpu,
+            &state.server,
+            &state.client,
+            &state.stats,
+            &mut call.meter,
+        );
+        call.fetch(cpu, exchanged)
+    };
+    let out = cross();
+    if out.is_err() {
+        client_state.stats.note_failure();
     }
-
-    let fault = rt.fault_plan();
-    call.push(cpu, args, None, fault.as_deref(), true, false)?;
-    rt.kernel().trap(cpu, &mut call.meter);
-    let (state, handle) = kernel_entry(
-        rt,
-        cpu,
-        &mut call.meter,
-        client_state,
-        fault.as_deref(),
-        "call:binding",
-        handle,
-    )?;
-    let linkage = call.claim(cpu, &state, handle, thread.user_sp())?;
-    thread.push_linkage(linkage);
-    call.linkage_pushed = true;
-    call.associate_estack(cpu)?;
-
-    let (cpu, exchanged) = transfer(
-        rt,
-        cpu,
-        &state.client,
-        &state.server,
-        &state.stats,
-        &mut call.meter,
-    );
-    call.serve(cpu, exchanged, false)?;
-
-    kernel_exit(rt, cpu, &mut call.meter, &state);
-    call.kernel_return();
-    call.linkage_pushed = false;
-    pop_linkage(rt, thread, &state.client)?;
-
-    let (cpu, exchanged) = transfer(
-        rt,
-        cpu,
-        &state.server,
-        &state.client,
-        &state.stats,
-        &mut call.meter,
-    );
-    call.fetch(cpu, exchanged)
+    out
 }

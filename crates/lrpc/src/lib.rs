@@ -78,7 +78,7 @@ pub use recover::{
     BreakerConfig, BreakerState, CircuitBreaker, RecoveryConfig, ResilientClient, RetryPolicy,
 };
 pub use remote::{RemoteReply, RemoteTransport};
-pub use ring::{block_on, BatchOutcome, BatchSummary, CallFuture, CallRing, RingBatch, RING_SLOTS};
+pub use ring::{BatchOutcome, CallRing, RING_SLOTS};
 pub use runtime::{LrpcRuntime, RuntimeConfig, TestRuntime};
 pub use touch::TouchPlan;
 pub use typed::{IntoValue, TypedCall, TypedOutcome};

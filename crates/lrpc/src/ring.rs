@@ -27,13 +27,8 @@
 //! through the binding's `ring:{interface}` record/replay stream, so a
 //! recorded batched run replays bit-identically.
 
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::task::{Context, Poll, Waker};
-
-use parking_lot::Mutex;
 
 use firefly::cost::CostModel;
 use firefly::cpu::Cpu;
@@ -385,27 +380,6 @@ pub struct BatchOutcome {
     pub end_cpu: usize,
 }
 
-/// A compact summary of a submitted [`RingBatch`].
-#[derive(Debug)]
-pub struct BatchSummary {
-    /// Calls submitted.
-    pub calls: usize,
-    /// Calls that completed successfully.
-    pub ok: usize,
-    /// Calls that raised an exception.
-    pub failed: usize,
-    /// Doorbells that actually trapped.
-    pub doorbells: u64,
-    /// Kernel traps paid by the whole batch.
-    pub traps: u64,
-    /// Calls that degraded to the serial path.
-    pub degraded: u64,
-    /// The batch-shared crossing meter.
-    pub batch_meter: Meter,
-    /// Virtual time the batch took.
-    pub elapsed: Nanos,
-}
-
 /// Everything the batch engine threads through its helpers.
 struct BatchEnv<'a> {
     rt: &'a Arc<LrpcRuntime>,
@@ -682,8 +656,6 @@ pub(crate) fn lrpc_call_batch(
                 );
                 if let Ok(o) = &out {
                     cpu_id = o.end_cpu;
-                } else {
-                    client_state.stats.note_failure();
                 }
                 results.push(out);
             }
@@ -757,7 +729,7 @@ pub(crate) fn lrpc_call_batch(
             }
             if full_injected {
                 degraded += 1;
-                let out = lrpc_call(
+                results[index] = Some(lrpc_call(
                     rt,
                     handle,
                     client_state,
@@ -766,11 +738,7 @@ pub(crate) fn lrpc_call_batch(
                     *proc_index,
                     args,
                     metered,
-                );
-                if out.is_err() {
-                    client_state.stats.note_failure();
-                }
-                results[index] = Some(out);
+                ));
                 continue;
             }
         }
@@ -839,137 +807,6 @@ pub(crate) fn lrpc_call_batch(
     })
 }
 
-/// Shared completion cell behind a [`CallFuture`].
-struct CompletionState {
-    result: Option<Result<CallOutcome, CallError>>,
-    waker: Option<Waker>,
-}
-
-/// A future resolved when the batch's completion ring is reaped.
-///
-/// Created by [`RingBatch::call_async`]; resolves after
-/// [`RingBatch::submit`] drains the paired completion ring.
-pub struct CallFuture {
-    shared: Arc<Mutex<CompletionState>>,
-}
-
-impl Future for CallFuture {
-    type Output = Result<CallOutcome, CallError>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut state = self.shared.lock();
-        match state.result.take() {
-            Some(r) => Poll::Ready(r),
-            None => {
-                state.waker = Some(cx.waker().clone());
-                Poll::Pending
-            }
-        }
-    }
-}
-
-/// An open batch of calls accumulating toward one doorbell.
-pub struct RingBatch<'a> {
-    binding: &'a Binding,
-    cpu_id: usize,
-    thread: Arc<Thread>,
-    requests: Vec<(usize, Vec<Value>)>,
-    completions: Vec<Arc<Mutex<CompletionState>>>,
-}
-
-impl<'a> RingBatch<'a> {
-    /// The binding this batch submits through.
-    pub fn binding(&self) -> &'a Binding {
-        self.binding
-    }
-
-    /// Calls enqueued so far.
-    pub fn len(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// True if nothing is enqueued yet.
-    pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
-    }
-
-    /// Enqueues a call by procedure name, returning a future resolved on
-    /// completion-ring reap (i.e. when [`RingBatch::submit`] runs).
-    pub fn call_async(&mut self, proc: &str, args: &[Value]) -> Result<CallFuture, CallError> {
-        let index = self.binding.proc_index(proc)?;
-        Ok(self.call_async_indexed(index, args.to_vec()))
-    }
-
-    /// Enqueues a call by procedure identifier.
-    pub fn call_async_indexed(&mut self, proc_index: usize, args: Vec<Value>) -> CallFuture {
-        let shared = Arc::new(Mutex::new(CompletionState {
-            result: None,
-            waker: None,
-        }));
-        self.requests.push((proc_index, args));
-        self.completions.push(Arc::clone(&shared));
-        CallFuture { shared }
-    }
-
-    /// Rings the doorbell: the whole batch crosses in (at most) one trap
-    /// pair, every [`CallFuture`] resolves, and the crossing-level
-    /// accounting comes back.
-    pub fn submit(self) -> Result<BatchSummary, CallError> {
-        let outcome = lrpc_call_batch(
-            self.binding.runtime(),
-            self.binding.handle(),
-            self.binding.state(),
-            self.cpu_id,
-            &self.thread,
-            self.requests,
-            true,
-        )?;
-        let calls = outcome.results.len();
-        let mut ok = 0usize;
-        let mut failed = 0usize;
-        for (result, cell) in outcome.results.into_iter().zip(&self.completions) {
-            if result.is_ok() {
-                ok += 1;
-            } else {
-                failed += 1;
-            }
-            let waker = {
-                let mut state = cell.lock();
-                state.result = Some(result);
-                state.waker.take()
-            };
-            if let Some(w) = waker {
-                w.wake();
-            }
-        }
-        Ok(BatchSummary {
-            calls,
-            ok,
-            failed,
-            doorbells: outcome.doorbells,
-            traps: outcome.traps,
-            degraded: outcome.degraded,
-            batch_meter: outcome.batch_meter,
-            elapsed: outcome.elapsed,
-        })
-    }
-}
-
-/// Drives a future to completion on the current thread. The LRPC batch
-/// front-end resolves futures synchronously at [`RingBatch::submit`], so
-/// a trivial executor suffices — no reactor, no timers.
-pub fn block_on<F: Future>(fut: F) -> F::Output {
-    let mut fut = Box::pin(fut);
-    let waker = Waker::noop();
-    let mut cx = Context::from_waker(waker);
-    loop {
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(v) => return v,
-            Poll::Pending => std::thread::yield_now(),
-        }
-    }
-}
-
 impl Binding {
     /// Makes a closed batch of calls through the submission/completion
     /// ring: every request is enqueued (the ring flushes as it fills),
@@ -990,18 +827,6 @@ impl Binding {
             requests,
             true,
         )
-    }
-
-    /// Opens an async batch: enqueue with [`RingBatch::call_async`], then
-    /// [`RingBatch::submit`] to ring the doorbell and resolve the futures.
-    pub fn batch(&self, cpu_id: usize, thread: &Arc<Thread>) -> RingBatch<'_> {
-        RingBatch {
-            binding: self,
-            cpu_id,
-            thread: Arc::clone(thread),
-            requests: Vec::new(),
-            completions: Vec::new(),
-        }
     }
 }
 
@@ -1099,26 +924,6 @@ mod tests {
             assert_eq!(m.total_for(Phase::KernelTransfer), Nanos::ZERO);
             assert_eq!(m.total_for(Phase::ContextSwitch), Nanos::ZERO);
         }
-    }
-
-    #[test]
-    fn futures_resolve_on_submit() {
-        let (_rt, thread, binding) = env();
-        let mut batch = binding.batch(0, &thread);
-        let a = batch
-            .call_async("Add", &[Value::Int32(40), Value::Int32(2)])
-            .unwrap();
-        let b = batch.call_async("Neg", &[Value::Int32(7)]).unwrap();
-        assert_eq!(batch.len(), 2);
-        let summary = batch.submit().unwrap();
-        assert_eq!(summary.calls, 2);
-        assert_eq!(summary.ok, 2);
-        assert_eq!(summary.failed, 0);
-        assert_eq!(summary.doorbells, 1);
-        let ra = block_on(a).unwrap();
-        let rb = block_on(b).unwrap();
-        assert_eq!(ra.ret, Some(Value::Int32(42)));
-        assert_eq!(rb.ret, Some(Value::Int32(-7)));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use kernel::Domain;
 use parking_lot::{Mutex, RwLock};
 
 use crate::astack::{AStackMapping, AStackPolicy, AStackSet};
-use crate::binding::{Binding, BindingState, Clerk, Handler};
+use crate::binding::{Binding, BindingState, BindingStats, Clerk, Handler};
 use crate::bulk::BulkArena;
 use crate::error::CallError;
 use crate::estack::{EStackPool, DEFAULT_ESTACK_SIZE, DEFAULT_MAX_ESTACKS};
@@ -39,8 +39,6 @@ pub struct RuntimeConfig {
     pub import_timeout: Duration,
     /// What a call does when its procedure's A-stacks are exhausted.
     pub astack_policy: AStackPolicy,
-    /// Bytes per E-stack.
-    pub estack_size: usize,
     /// E-stacks per server domain before LRU reclamation.
     pub max_estacks: usize,
     /// How A-stack regions are mapped (pairwise, or the Firefly's
@@ -58,7 +56,6 @@ impl Default for RuntimeConfig {
             domain_caching: true,
             import_timeout: Duration::from_secs(5),
             astack_policy: AStackPolicy::Wait(Duration::from_secs(1)),
-            estack_size: DEFAULT_ESTACK_SIZE,
             max_estacks: DEFAULT_MAX_ESTACKS,
             astack_mapping: AStackMapping::Pairwise,
             adapt: None,
@@ -331,31 +328,8 @@ impl LrpcRuntime {
             estack_pool,
             Some(ring),
             false,
+            BindingStats::register(&self.metrics, name, false),
         ));
-        state.stats.attach_latency(
-            self.metrics
-                .histogram(&format!("lrpc_call_latency_ns:{name}")),
-        );
-        state
-            .stats
-            .attach_stub_ns(self.metrics.histogram(&format!("lrpc_stub_ns:{name}")));
-        state
-            .stats
-            .attach_bulk_bytes(self.metrics.histogram(&format!("lrpc_bulk_bytes:{name}")));
-        state
-            .stats
-            .attach_batch_size(self.metrics.histogram(&format!("lrpc_batch_size:{name}")));
-        state
-            .stats
-            .attach_tail_latency(self.metrics.tail(&format!("lrpc_tail_latency_ns:{name}")));
-        state.stats.attach_cache_hits(
-            self.metrics
-                .counter(&format!("lrpc_domain_cache_hits:{name}")),
-        );
-        state.stats.attach_cache_misses(
-            self.metrics
-                .counter(&format!("lrpc_domain_cache_misses:{name}")),
-        );
         let handle = self.bindings.insert(Arc::clone(&state));
         Ok(Binding::new(Arc::clone(self), handle, state))
     }
@@ -431,17 +405,8 @@ impl LrpcRuntime {
             // no pairwise call ring to batch on either.
             None,
             true,
+            BindingStats::register(&self.metrics, name, true),
         ));
-        state.stats.attach_latency(
-            self.metrics
-                .histogram(&format!("lrpc_call_latency_ns:{name}")),
-        );
-        state
-            .stats
-            .attach_stub_ns(self.metrics.histogram(&format!("lrpc_stub_ns:{name}")));
-        state
-            .stats
-            .attach_tail_latency(self.metrics.tail(&format!("lrpc_tail_latency_ns:{name}")));
         let handle = self.bindings.insert(Arc::clone(&state));
         Ok(Binding::new(Arc::clone(self), handle, state))
     }
@@ -615,7 +580,7 @@ impl LrpcRuntime {
         Arc::clone(pools.entry(server.id()).or_insert_with(|| {
             let pool = Arc::new(EStackPool::new(
                 Arc::clone(server),
-                self.config.estack_size,
+                DEFAULT_ESTACK_SIZE,
                 self.config.max_estacks,
             ));
             pool.attach_replay(&self.rr);

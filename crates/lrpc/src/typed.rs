@@ -210,24 +210,6 @@ impl<'a> TypedCall<'a> {
             .call_indexed(cpu_id, thread, self.proc_index, &self.args)?;
         Ok(TypedOutcome { out })
     }
-
-    /// Enqueues this call onto an open [`crate::ring::RingBatch`] instead
-    /// of trapping immediately. The returned future resolves when the
-    /// batch is submitted and its completion ring reaped.
-    pub fn enqueue(
-        self,
-        batch: &mut crate::ring::RingBatch<'_>,
-    ) -> Result<crate::ring::CallFuture, CallError> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
-        if !std::ptr::eq(batch.binding(), self.binding) {
-            return Err(CallError::ServerFault(
-                "batch belongs to a different binding".into(),
-            ));
-        }
-        Ok(batch.call_async_indexed(self.proc_index, self.args))
-    }
 }
 
 /// A completed typed call.

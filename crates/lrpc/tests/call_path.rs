@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use firefly::cost::CostModel;
 use firefly::cpu::Machine;
+use firefly::fault::{FaultConfig, FaultPlan};
 use firefly::meter::Phase;
 use firefly::time::Nanos;
 use firefly::tlb::TlbMode;
@@ -203,11 +204,40 @@ fn forged_binding_object_is_rejected_by_the_kernel() {
 #[test]
 fn bad_procedure_identifier_is_rejected() {
     let env = setup_serial();
+    let stats = &env.binding.state().stats;
     let err = env
         .binding
         .call_indexed(0, &env.thread, 99, &[])
         .unwrap_err();
     assert!(matches!(err, CallError::BadProcedure { index: 99 }));
+    assert_eq!(stats.failures(), 1);
+    // An unmetered call counts its failure too, once.
+    let err = env
+        .binding
+        .call_unmetered(0, &env.thread, 99, &[])
+        .unwrap_err();
+    assert!(matches!(err, CallError::BadProcedure { index: 99 }));
+    assert_eq!(stats.failures(), 2);
+}
+
+#[test]
+fn failed_call_degraded_from_a_full_ring_counts_one_failure() {
+    let env = setup_serial();
+    env.rt.set_fault_plan(Some(FaultPlan::new(FaultConfig {
+        ring_full_every: 1,
+        ..FaultConfig::default()
+    })));
+    let out = env
+        .binding
+        .call_batch(0, &env.thread, vec![(0, vec![]), (99, vec![]), (0, vec![])])
+        .expect("batch");
+    assert_eq!(out.degraded, 3, "every call found the ring full");
+    assert!(out.results[0].is_ok() && out.results[2].is_ok());
+    assert!(matches!(
+        out.results[1],
+        Err(CallError::BadProcedure { index: 99 })
+    ));
+    assert_eq!(env.binding.state().stats.failures(), 1);
 }
 
 #[test]
