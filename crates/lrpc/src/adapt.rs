@@ -27,7 +27,9 @@ pub struct AdaptConfig {
     pub max_astacks: u32,
     /// Never recommend a shallower ring than this.
     pub min_ring_slots: u32,
-    /// Never recommend a deeper ring than this.
+    /// Never recommend a deeper ring than this. A call ring is at most
+    /// 256 slots deep ([`crate::CallRing::with_slots`] clamps), so larger
+    /// values act as 256.
     pub max_ring_slots: u32,
     /// Interfaces whose observed p99 exceeds this get headroom beyond
     /// their bare occupancy peak even without stall events.

@@ -23,6 +23,17 @@
 //! exchanges processors, and flushes rather than waits when a class of
 //! A-stacks runs dry while the batch itself holds some.
 //!
+//! The descriptors themselves move once per pass, not once per call. The
+//! client writes a flush's whole submission window just before the
+//! doorbell and publishes the tail behind it; after its one switch the
+//! server reads the window in one pass, and after serving it posts every
+//! completion in one; back in the client, one pass reaps them. Each pass
+//! makes one protection check, one region access (two when the window
+//! wraps past the ring's end) and one TLB run that still touches each
+//! descriptor's page once per descriptor, so hits and misses are those of
+//! per-descriptor accesses. The three virtual `QueueOp` charges per call
+//! stay where the per-call stages put them.
+//!
 //! Ring decisions (enqueue slot, doorbell outcome, drain order) flow
 //! through the binding's `ring:{interface}` record/replay stream, so a
 //! recorded batched run replays bit-identically.
@@ -55,14 +66,38 @@ use crate::runtime::LrpcRuntime;
 /// simply flush mid-way — the ring is a window, not a limit.
 pub const RING_SLOTS: u32 = 64;
 
-/// Bytes per descriptor: `[proc | astack | seq | magic]`, four u32s.
+/// The deepest ring, and so the widest window a pass stages on the stack
+/// (4 KB of descriptors): the adaptive controller's default ceiling
+/// (`AdaptConfig::max_ring_slots`). Deeper requests are clamped to it.
+const MAX_SLOTS: usize = 256;
+
+/// Bytes per descriptor: four little-endian u32s, `[proc | astack | seq |
+/// magic]` for a submission and `[status | 0 | seq | magic]` for a
+/// completion.
 const DESC_BYTES: usize = 16;
+
+/// One descriptor's bytes.
+type Desc = [u8; DESC_BYTES];
 
 /// Magic stamped into submission descriptors.
 const DESC_MAGIC: u32 = 0xBE11_CA11;
 
 /// Magic stamped into completion descriptors.
 const COMP_MAGIC: u32 = 0xD04E_F14E;
+
+/// Packs four words into a descriptor.
+fn desc(words: [u32; 4]) -> Desc {
+    let mut d = [0u8; DESC_BYTES];
+    for (bytes, w) in d.chunks_exact_mut(4).zip(words) {
+        bytes.copy_from_slice(&w.to_le_bytes());
+    }
+    d
+}
+
+/// Word `i` of a descriptor.
+fn word(d: &Desc, i: usize) -> u32 {
+    u32::from_le_bytes([d[4 * i], d[4 * i + 1], d[4 * i + 2], d[4 * i + 3]])
+}
 
 /// A pairwise submission/completion ring for one binding.
 ///
@@ -91,14 +126,6 @@ pub struct CallRing {
     rr: OnceLock<replay::Handle>,
 }
 
-/// One drained submission descriptor.
-pub(crate) struct RingDescriptor {
-    pub(crate) slot: u32,
-    pub(crate) proc_index: usize,
-    pub(crate) astack_idx: usize,
-    pub(crate) seq: u32,
-}
-
 impl CallRing {
     /// Maps the ring region pairwise into both domains and wires the
     /// metrics instruments. Called by the runtime at import time.
@@ -122,7 +149,8 @@ impl CallRing {
     }
 
     /// Like [`CallRing::new`] with an explicit depth — the adaptive sizing
-    /// controller's ring-depth recommendations land here.
+    /// controller's ring-depth recommendations land here. The depth is
+    /// clamped to 1..=256 slots.
     pub fn with_slots(
         kernel: &Arc<Kernel>,
         client: &Arc<Domain>,
@@ -132,7 +160,7 @@ impl CallRing {
         doorbells_total: obs::Counter,
         slots: u32,
     ) -> CallRing {
-        let slots = slots.max(1);
+        let slots = slots.clamp(1, MAX_SLOTS as u32);
         let region = kernel.map_pairwise(
             format!("call-ring:{name}"),
             client,
@@ -180,16 +208,12 @@ impl CallRing {
         self.slots
     }
 
-    /// Entries currently enqueued and not yet drained.
+    /// Descriptors published and not yet drained. A flush publishes its
+    /// whole window at once, so between flushes this is 0.
     pub fn occupancy_now(&self) -> u32 {
         self.tail
             .load(Ordering::Acquire)
             .wrapping_sub(self.head.load(Ordering::Acquire))
-    }
-
-    /// True when no submission slot is free.
-    pub fn is_full(&self) -> bool {
-        self.occupancy_now() >= self.slots
     }
 
     /// True when nothing is enqueued.
@@ -220,140 +244,151 @@ impl CallRing {
         self.doorbell.take();
     }
 
-    /// Client side: writes one call descriptor into the next free slot.
-    pub(crate) fn enqueue(
+    /// Byte offset of `slot` in the half that starts at slot `half` (0 for
+    /// submissions, `slots` for completions).
+    fn offset(&self, half: u32, slot: u32) -> usize {
+        (half + slot) as usize * DESC_BYTES
+    }
+
+    /// One TLB run over a window: each descriptor's page once per
+    /// descriptor, in slot order.
+    fn touch(&self, cpu: &Cpu, half: u32, first: u32, n: usize) {
+        let pages = (0..n as u32).flat_map(|i| {
+            self.region
+                .pages_for(self.offset(half, (first + i) % self.slots), DESC_BYTES)
+        });
+        cpu.touch_pages(pages, &mut Meter::disabled());
+    }
+
+    /// Writes `descs` to the slots from `first` on in one pass: one
+    /// protection check, one region write per contiguous run, one TLB run.
+    fn write_pass(
         &self,
         cpu: &Cpu,
         ctx: &VmContext,
-        proc_index: usize,
-        astack_idx: usize,
-        seq: u32,
-    ) -> Result<u32, CallError> {
-        let head = self.head.load(Ordering::Acquire);
-        let tail = self.tail.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) >= self.slots {
-            // Callers check `is_full` and flush first; hitting this is a
-            // batching bug, surfaced as a failed call rather than a panic.
-            return Err(CallError::CallFailed);
-        }
-        let slot = tail % self.slots;
-        ctx.check(self.region.id(), true, false)
-            .map_err(CallError::Mem)?;
-        let mut desc = [0u8; DESC_BYTES];
-        desc[..4].copy_from_slice(&(proc_index as u32).to_le_bytes());
-        desc[4..8].copy_from_slice(&(astack_idx as u32).to_le_bytes());
-        desc[8..12].copy_from_slice(&seq.to_le_bytes());
-        desc[12..].copy_from_slice(&DESC_MAGIC.to_le_bytes());
-        self.region
-            .write_raw(slot as usize * DESC_BYTES, &desc)
-            .map_err(CallError::Mem)?;
-        let mut scratch = Meter::disabled();
-        cpu.touch_pages(
-            self.region
-                .pages_for(slot as usize * DESC_BYTES, DESC_BYTES),
-            &mut scratch,
-        );
-        self.tail.store(tail.wrapping_add(1), Ordering::Release);
-        self.occupancy.set(self.occupancy_now() as i64);
-        self.emit(
-            replay::kind::RING_ENQUEUE,
-            (u64::from(slot) << 32) | proc_index as u64,
-        );
-        Ok(slot)
-    }
-
-    /// Server side: pops the next descriptor, or `None` when drained dry.
-    pub(crate) fn drain(
-        &self,
-        cpu: &Cpu,
-        server_ctx: &VmContext,
-    ) -> Result<Option<RingDescriptor>, CallError> {
-        let head = self.head.load(Ordering::Acquire);
-        let tail = self.tail.load(Ordering::Acquire);
-        if head == tail {
-            return Ok(None);
-        }
-        let slot = head % self.slots;
-        server_ctx
-            .check(self.region.id(), false, false)
-            .map_err(CallError::Mem)?;
-        let mut desc = [0u8; DESC_BYTES];
-        self.region
-            .read_raw(slot as usize * DESC_BYTES, &mut desc)
-            .map_err(CallError::Mem)?;
-        let magic = u32::from_le_bytes([desc[12], desc[13], desc[14], desc[15]]);
-        if magic != DESC_MAGIC {
-            return Err(CallError::CallFailed);
-        }
-        let mut scratch = Meter::disabled();
-        cpu.touch_pages(
-            self.region
-                .pages_for(slot as usize * DESC_BYTES, DESC_BYTES),
-            &mut scratch,
-        );
-        let proc_index = u32::from_le_bytes([desc[0], desc[1], desc[2], desc[3]]) as usize;
-        let astack_idx = u32::from_le_bytes([desc[4], desc[5], desc[6], desc[7]]) as usize;
-        let seq = u32::from_le_bytes([desc[8], desc[9], desc[10], desc[11]]);
-        self.head.store(head.wrapping_add(1), Ordering::Release);
-        self.occupancy.set(self.occupancy_now() as i64);
-        self.emit(
-            replay::kind::RING_DRAIN,
-            (u64::from(slot) << 32) | proc_index as u64,
-        );
-        Ok(Some(RingDescriptor {
-            slot,
-            proc_index,
-            astack_idx,
-            seq,
-        }))
-    }
-
-    /// Server side: posts the completion for submission slot `slot`.
-    pub(crate) fn post_completion(
-        &self,
-        cpu: &Cpu,
-        ctx: &VmContext,
-        slot: u32,
-        seq: u32,
-        status: u32,
+        half: u32,
+        first: u32,
+        descs: &[Desc],
     ) -> Result<(), CallError> {
         ctx.check(self.region.id(), true, false)
             .map_err(CallError::Mem)?;
-        let off = (self.slots + slot) as usize * DESC_BYTES;
-        let mut desc = [0u8; DESC_BYTES];
-        desc[..4].copy_from_slice(&status.to_le_bytes());
-        desc[8..12].copy_from_slice(&seq.to_le_bytes());
-        desc[12..].copy_from_slice(&COMP_MAGIC.to_le_bytes());
-        self.region.write_raw(off, &desc).map_err(CallError::Mem)?;
-        let mut scratch = Meter::disabled();
-        cpu.touch_pages(self.region.pages_for(off, DESC_BYTES), &mut scratch);
+        // The run up to the ring's end, then what wraps to slot 0.
+        let (run, wrapped) = descs.split_at(descs.len().min((self.slots - first) as usize));
+        self.region
+            .write_raw(self.offset(half, first), run.as_flattened())
+            .map_err(CallError::Mem)?;
+        if !wrapped.is_empty() {
+            self.region
+                .write_raw(self.offset(half, 0), wrapped.as_flattened())
+                .map_err(CallError::Mem)?;
+        }
+        self.touch(cpu, half, first, descs.len());
         Ok(())
     }
 
-    /// Client side: reads back the completion for `slot`, returning its
-    /// status word. The sequence number must match the submission.
-    pub(crate) fn reap(
+    /// Reads the slots from `first` on into `descs` in one pass: one
+    /// protection check, one region read per contiguous run, one TLB run.
+    fn read_pass(
         &self,
         cpu: &Cpu,
         ctx: &VmContext,
-        slot: u32,
-        seq: u32,
-    ) -> Result<u32, CallError> {
+        half: u32,
+        first: u32,
+        descs: &mut [Desc],
+    ) -> Result<(), CallError> {
         ctx.check(self.region.id(), false, false)
             .map_err(CallError::Mem)?;
-        let off = (self.slots + slot) as usize * DESC_BYTES;
-        let mut desc = [0u8; DESC_BYTES];
+        let n = descs.len();
+        let (run, wrapped) = descs.split_at_mut(n.min((self.slots - first) as usize));
         self.region
-            .read_raw(off, &mut desc)
+            .read_raw(self.offset(half, first), run.as_flattened_mut())
             .map_err(CallError::Mem)?;
-        let magic = u32::from_le_bytes([desc[12], desc[13], desc[14], desc[15]]);
-        let got_seq = u32::from_le_bytes([desc[8], desc[9], desc[10], desc[11]]);
-        if magic != COMP_MAGIC || got_seq != seq {
+        if !wrapped.is_empty() {
+            self.region
+                .read_raw(self.offset(half, 0), wrapped.as_flattened_mut())
+                .map_err(CallError::Mem)?;
+        }
+        self.touch(cpu, half, first, n);
+        Ok(())
+    }
+
+    /// Client side: writes a flush's submission descriptors in one pass,
+    /// then publishes the tail behind them. Returns the window's first
+    /// slot; descriptor `i` sits in slot `(first + i) % slots`.
+    fn submit(&self, cpu: &Cpu, ctx: &VmContext, descs: &[Desc]) -> Result<u32, CallError> {
+        let head = self.head.load(Ordering::Acquire);
+        let tail = self.tail.load(Ordering::Acquire);
+        if tail.wrapping_sub(head) as usize + descs.len() > self.slots as usize {
+            // The batch flushes before its window outgrows the free slots;
+            // hitting this is a batching bug, surfaced as failed calls
+            // rather than a panic.
             return Err(CallError::CallFailed);
         }
-        let mut scratch = Meter::disabled();
-        cpu.touch_pages(self.region.pages_for(off, DESC_BYTES), &mut scratch);
-        Ok(u32::from_le_bytes([desc[0], desc[1], desc[2], desc[3]]))
+        let first = tail % self.slots;
+        self.write_pass(cpu, ctx, 0, first, descs)?;
+        self.tail
+            .store(tail.wrapping_add(descs.len() as u32), Ordering::Release);
+        self.occupancy.set(self.occupancy_now() as i64);
+        for (i, d) in descs.iter().enumerate() {
+            let slot = (first + i as u32) % self.slots;
+            self.emit(
+                replay::kind::RING_ENQUEUE,
+                (u64::from(slot) << 32) | u64::from(word(d, 0)),
+            );
+        }
+        Ok(first)
+    }
+
+    /// Server side: reads the whole published window into `buf` in one
+    /// pass and consumes it. Returns the window, which starts at slot
+    /// `head % slots`.
+    fn drain<'b>(
+        &self,
+        cpu: &Cpu,
+        ctx: &VmContext,
+        buf: &'b mut [Desc; MAX_SLOTS],
+    ) -> Result<&'b [Desc], CallError> {
+        let head = self.head.load(Ordering::Acquire);
+        let tail = self.tail.load(Ordering::Acquire);
+        let first = head % self.slots;
+        let window = &mut buf[..tail.wrapping_sub(head) as usize];
+        self.read_pass(cpu, ctx, 0, first, window)?;
+        self.head.store(tail, Ordering::Release);
+        self.occupancy.set(self.occupancy_now() as i64);
+        for (i, d) in window.iter().enumerate() {
+            if word(d, 3) == DESC_MAGIC {
+                let slot = (first + i as u32) % self.slots;
+                self.emit(
+                    replay::kind::RING_DRAIN,
+                    (u64::from(slot) << 32) | u64::from(word(d, 0)),
+                );
+            }
+        }
+        Ok(window)
+    }
+
+    /// Server side: posts the completions of the window from slot `first`
+    /// on, in one pass.
+    fn post(
+        &self,
+        cpu: &Cpu,
+        ctx: &VmContext,
+        first: u32,
+        descs: &[Desc],
+    ) -> Result<(), CallError> {
+        self.write_pass(cpu, ctx, self.slots, first, descs)
+    }
+
+    /// Client side: reads back the completions of the window from slot
+    /// `first` on, in one pass.
+    fn reap(
+        &self,
+        cpu: &Cpu,
+        ctx: &VmContext,
+        first: u32,
+        descs: &mut [Desc],
+    ) -> Result<(), CallError> {
+        self.read_pass(cpu, ctx, self.slots, first, descs)
     }
 }
 
@@ -393,21 +428,48 @@ struct BatchEnv<'a> {
     fault: Option<Arc<FaultPlan>>,
 }
 
-/// One enqueued-but-not-completed call: its in-flight stages, plus where
-/// it sits in the ring and the request vector.
+/// One enqueued-but-not-completed call: its in-flight stages, plus its
+/// place in the request vector. Its ring slot follows from its place in
+/// the flush's window.
 struct PendingCall<'a> {
     /// Position in the request (and results) vector.
     index: usize,
-    slot: u32,
     seq: u32,
     call: InFlight<'a>,
     error: Option<CallError>,
 }
 
+impl PendingCall<'_> {
+    /// The submission descriptor this call enqueues.
+    fn submission(&self) -> Desc {
+        desc([
+            self.call.proc_index() as u32,
+            self.call.astack_index() as u32,
+            self.seq,
+            DESC_MAGIC,
+        ])
+    }
+}
+
+/// Records a batched call's result, counting a failure. Every request the
+/// ring handles is settled here exactly once; calls degraded to the serial
+/// path count themselves in `lrpc_call`.
+fn settle(
+    state: &BindingState,
+    out: &mut Option<Result<CallOutcome, CallError>>,
+    result: Result<CallOutcome, CallError>,
+) {
+    if result.is_err() {
+        state.stats.note_failure();
+    }
+    *out = Some(result);
+}
+
 /// Client half of one batched call: the client push, with the
 /// client-context load on the batch meter, then the ring-descriptor
-/// enqueue. `holding` says earlier calls of the batch still hold
-/// A-stacks.
+/// enqueue's queue op. The descriptor itself is written with the rest of
+/// the window at the flush. `holding` says earlier calls of the batch
+/// still hold A-stacks.
 fn enqueue_one<'a>(
     env: &BatchEnv<'a>,
     batch_meter: &mut Meter,
@@ -427,15 +489,8 @@ fn enqueue_one<'a>(
         false,
         holding,
     )?;
-    // The descriptor write replaces the serial path's register setup +
-    // trap: one ring-descriptor queue op on the batch meter.
-    let slot = env.ring.enqueue(
-        cpu,
-        env.state.client.ctx(),
-        proc_index,
-        call.astack_index(),
-        seq,
-    )?;
+    // The descriptor replaces the serial path's register setup + trap:
+    // one ring-descriptor queue op on the batch meter.
     charge(
         cpu,
         batch_meter,
@@ -444,16 +499,15 @@ fn enqueue_one<'a>(
     );
     Ok(PendingCall {
         index,
-        slot,
         seq,
         call,
         error: None,
     })
 }
 
-/// Aborts a flushed batch at the crossing level (binding validation or
-/// domain liveness failed): every pending call fails with the crossing's
-/// error, its resources drain, and the ring is reset.
+/// Aborts a flushed batch at the crossing level (submission, binding
+/// validation or domain liveness failed): every pending call fails with
+/// the crossing's error, its resources drain, and the ring is reset.
 fn abort_batch(
     env: &BatchEnv<'_>,
     pending: &mut Vec<PendingCall<'_>>,
@@ -462,15 +516,15 @@ fn abort_batch(
 ) {
     env.ring.reset();
     for pc in pending.drain(..) {
-        env.state.stats.note_failure();
-        results[pc.index] = Some(Err(e.clone()));
+        settle(env.state, &mut results[pc.index], Err(e.clone()));
     }
 }
 
-/// Rings the doorbell and performs one full crossing: kernel validation,
-/// per-call claims, context switch, server-side drain/serve of every
-/// pending call, completion posting, and the return crossing with
-/// per-call result fetch.
+/// Writes the window, rings the doorbell and performs one full crossing:
+/// kernel validation, per-call claims, context switch, the server's
+/// one-pass drain, serve of every pending call, the one-pass completion
+/// post, and the return crossing with the one-pass reap and per-call
+/// result fetch.
 #[allow(clippy::too_many_arguments)]
 fn flush<'a>(
     env: &BatchEnv<'a>,
@@ -487,17 +541,33 @@ fn flush<'a>(
     let cpu = env.cpu;
     let cost = &env.cost;
     let state = env.state;
+    let ring = env.ring;
     let client_ctx = state.client.ctx();
     let server_ctx = state.server.ctx();
+    let n = pending.len();
+    // Each pass stages its window here in turn.
+    let mut buf = [[0u8; DESC_BYTES]; MAX_SLOTS];
+
+    // ---- Submission: the whole window in one write --------------------
+    for (d, pc) in buf.iter_mut().zip(pending.iter()) {
+        *d = pc.submission();
+    }
+    let first = match ring.submit(cpu, client_ctx, &buf[..n]) {
+        Ok(first) => first,
+        Err(e) => {
+            abort_batch(env, pending, results, &e);
+            return;
+        }
+    };
 
     // ---- Doorbell -----------------------------------------------------
     // One trap per doorbell — the whole point. A coalesced ring (server
     // wakeup still pending) costs nothing; a lost doorbell (fault
     // injection) must be rung again: two traps, still fewer than N.
-    let coalesced = env.ring.doorbell().ring();
-    let lost = !coalesced
-        && matches!(&env.fault, Some(plan) if plan.lose_doorbell(&env.ring.doorbell_site));
-    env.ring.emit(
+    let coalesced = ring.doorbell().ring();
+    let lost =
+        !coalesced && matches!(&env.fault, Some(plan) if plan.lose_doorbell(&ring.doorbell_site));
+    ring.emit(
         replay::kind::RING_DOORBELL,
         if coalesced {
             0
@@ -512,12 +582,12 @@ fn flush<'a>(
             env.rt.kernel().trap(cpu, batch_meter);
             *traps += 1;
             *doorbells += 1;
-            env.ring.doorbells_total().inc();
+            ring.doorbells_total().inc();
         }
         env.rt.kernel().trap(cpu, batch_meter);
         *traps += 1;
         *doorbells += 1;
-        env.ring.doorbells_total().inc();
+        ring.doorbells_total().inc();
     }
 
     // ---- Kernel, call crossing (once per batch) -----------------------
@@ -554,18 +624,20 @@ fn flush<'a>(
 
     // ---- Transfer into the server domain (once per batch) -------------
     cpu.switch_context(server_ctx.id(), cost, batch_meter);
-    env.ring.take_doorbell();
+    ring.take_doorbell();
 
-    // ---- Server drain: the whole batch per wakeup ---------------------
-    for pc in pending.iter_mut() {
-        let desc = env.ring.drain(cpu, server_ctx).ok().flatten();
+    // ---- Server drain: the whole window in one read, then every call --
+    // A window that is not exactly this flush's serves nothing.
+    let window = ring
+        .drain(cpu, server_ctx, &mut buf)
+        .ok()
+        .filter(|w| w.len() == n);
+    for (i, pc) in pending.iter_mut().enumerate() {
         charge(cpu, batch_meter, Phase::QueueOp, cost.ring_descriptor_op);
-        let matched = desc.is_some_and(|d| {
-            d.slot == pc.slot
-                && d.proc_index == pc.call.proc_index()
-                && d.astack_idx == pc.call.astack_index()
-                && d.seq == pc.seq
-        });
+        // An earlier call of the window may have terminated the server
+        // (Section 5.3). The calls behind it are not served: the dead
+        // domain drains nothing more, so they fail as call-failed.
+        let matched = window.is_some_and(|w| w[i] == pc.submission()) && state.server.is_active();
         if !matched && pc.error.is_none() {
             pc.error = Some(CallError::CallFailed);
         }
@@ -577,11 +649,13 @@ fn flush<'a>(
                 .and_then(|()| pc.call.serve(cpu, false, true));
             pc.error = served.err();
         }
-        let status = u32::from(pc.error.is_some());
-        let _ = env
-            .ring
-            .post_completion(cpu, server_ctx, pc.slot, pc.seq, status);
     }
+
+    // ---- Completions: every status in one write -----------------------
+    for (d, pc) in buf.iter_mut().zip(pending.iter()) {
+        *d = desc([u32::from(pc.error.is_some()), 0, pc.seq, COMP_MAGIC]);
+    }
+    let _ = ring.post(cpu, server_ctx, first, &buf[..n]);
 
     // ---- Kernel, return crossing (once per batch) ---------------------
     kernel_exit(env.rt, cpu, batch_meter, state);
@@ -598,33 +672,34 @@ fn flush<'a>(
         }
     }
 
-    // ---- Transfer back and reap completions ---------------------------
-    if !*thread_dead {
+    // ---- Transfer back, reap every completion in one read -------------
+    let reaped = !*thread_dead && {
         cpu.switch_context(client_ctx.id(), cost, batch_meter);
-    }
-    for pc in pending.drain(..) {
+        ring.reap(cpu, client_ctx, first, &mut buf[..n]).is_ok()
+    };
+    for (i, mut pc) in pending.drain(..).enumerate() {
         if !*thread_dead {
-            let _ = env.ring.reap(cpu, client_ctx, pc.slot, pc.seq);
             charge(cpu, batch_meter, Phase::QueueOp, cost.ring_descriptor_op);
+            let c = &buf[i];
+            if !(reaped && word(c, 3) == COMP_MAGIC && word(c, 2) == pc.seq) {
+                pc.error.get_or_insert(CallError::CallFailed);
+            }
         }
         let result = match pc.error {
             Some(e) => Err(e),
             None => pc.call.fetch(cpu, false),
         };
-        if result.is_err() {
-            state.stats.note_failure();
-        }
-        results[pc.index] = Some(result);
+        settle(state, &mut results[pc.index], result);
     }
     if *thread_dead {
-        env.ring.reset();
+        ring.reset();
     }
 }
 
-/// The batched call path: enqueue every request onto the submission ring
-/// (flushing whenever it fills), ring the doorbell once per flush, and
-/// reap completions. Remote and ringless bindings degrade to serial
-/// calls, as do calls the `ring_full` fault knob rejects.
+/// The batched call path: enqueue every request (flushing whenever the
+/// window fills the ring), ring the doorbell once per flush, and reap
+/// completions. Remote and ringless bindings degrade to serial calls, as
+/// do calls the `ring_full` fault knob rejects.
 pub(crate) fn lrpc_call_batch(
     rt: &Arc<LrpcRuntime>,
     handle: RawHandle,
@@ -705,15 +780,13 @@ pub(crate) fn lrpc_call_batch(
     let mut seq = 0u32;
 
     for (index, (proc_index, args)) in requests.iter().enumerate() {
-        if thread_dead {
-            results[index] = Some(Err(CallError::CallFailed));
-            continue;
-        }
         // Fault injection: the submission ring is presented as full and
         // this call degrades gracefully to a single-call trap. The real
         // full condition flushes and retries — no degradation needed.
-        let full_injected = matches!(&env.fault, Some(p) if p.ring_full(&ring.ring_full_site));
-        if full_injected || env.ring.is_full() {
+        let full_injected =
+            !thread_dead && matches!(&env.fault, Some(p) if p.ring_full(&ring.ring_full_site));
+        let window_full = ring.occupancy_now() as usize + pending.len() >= ring.slots() as usize;
+        if full_injected || window_full {
             flush(
                 &env,
                 &mut batch_meter,
@@ -723,24 +796,28 @@ pub(crate) fn lrpc_call_batch(
                 &mut traps,
                 &mut thread_dead,
             );
-            if thread_dead {
-                results[index] = Some(Err(CallError::CallFailed));
-                continue;
-            }
-            if full_injected {
-                degraded += 1;
-                results[index] = Some(lrpc_call(
-                    rt,
-                    handle,
-                    client_state,
-                    cpu.id(),
-                    thread,
-                    *proc_index,
-                    args,
-                    metered,
-                ));
-                continue;
-            }
+        }
+        if thread_dead {
+            settle(
+                client_state,
+                &mut results[index],
+                Err(CallError::CallFailed),
+            );
+            continue;
+        }
+        if full_injected {
+            degraded += 1;
+            results[index] = Some(lrpc_call(
+                rt,
+                handle,
+                client_state,
+                cpu.id(),
+                thread,
+                *proc_index,
+                args,
+                metered,
+            ));
+            continue;
         }
         let enqueued = match enqueue_one(
             &env,
@@ -764,10 +841,10 @@ pub(crate) fn lrpc_call_batch(
                     &mut thread_dead,
                 );
                 if thread_dead {
-                    results[index] = Some(Err(CallError::CallFailed));
-                    continue;
+                    Err(CallError::CallFailed)
+                } else {
+                    enqueue_one(&env, &mut batch_meter, index, *proc_index, args, seq, false)
                 }
-                enqueue_one(&env, &mut batch_meter, index, *proc_index, args, seq, false)
             }
             other => other,
         };
@@ -776,10 +853,7 @@ pub(crate) fn lrpc_call_batch(
                 seq = seq.wrapping_add(1);
                 pending.push(pc);
             }
-            Err(e) => {
-                client_state.stats.note_failure();
-                results[index] = Some(Err(e));
-            }
+            Err(e) => settle(client_state, &mut results[index], Err(e)),
         }
     }
     flush(

@@ -241,6 +241,102 @@ fn failed_call_degraded_from_a_full_ring_counts_one_failure() {
 }
 
 #[test]
+fn batched_calls_failed_after_the_thread_dies_count_one_failure_each() {
+    // One A-stack per procedure: the second `Kill` finds its class empty
+    // and flushes the first, whose handler terminates the client domain.
+    // The thread dies on the way back, so the second `Kill` and both
+    // `Null`s fail without ever being enqueued.
+    let rt = TestRuntime::new().domain_caching(false).build();
+    let server = rt.kernel().create_domain("killer");
+    let client = rt.kernel().create_domain("doomed");
+    let victim = Arc::clone(&client);
+    rt.export(
+        &server,
+        "interface Doom {
+            [astacks = 1] procedure Kill();
+            [astacks = 1] procedure Null();
+        }",
+        vec![
+            Box::new(move |ctx: &ServerCtx, _: &[Value]| {
+                ctx.rt.terminate_domain(&victim);
+                Ok(Reply::none())
+            }) as Handler,
+            Box::new(|_: &ServerCtx, _: &[Value]| Ok(Reply::none())),
+        ],
+    )
+    .expect("export");
+    let thread = rt.kernel().spawn_thread(&client);
+    let binding = rt.import(&client, "Doom").expect("import");
+    let (kill, null) = (0, 1);
+    let out = binding
+        .call_batch(
+            0,
+            &thread,
+            vec![
+                (kill, vec![]),
+                (kill, vec![]),
+                (null, vec![]),
+                (null, vec![]),
+            ],
+        )
+        .expect("batch");
+    assert!(out.results.iter().all(Result::is_err), "{:?}", out.results);
+    assert_eq!(binding.state().stats.failures(), 4);
+}
+
+#[test]
+fn calls_behind_a_server_termination_in_one_flush_are_not_served() {
+    // One flush of four calls; the second terminates the server domain.
+    // The server drained the whole window before serving, yet the two
+    // calls behind the termination never run in the dead domain: every
+    // call raises call-failed (Section 5.3) and the ring is left empty.
+    let rt = TestRuntime::new().domain_caching(false).build();
+    let server = rt.kernel().create_domain("short-lived");
+    let served = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let (count, doomed) = (Arc::clone(&served), Arc::clone(&server));
+    rt.export(
+        &server,
+        "interface Stop {
+            [astacks = 4] procedure Count();
+            [astacks = 4] procedure Stop();
+        }",
+        vec![
+            Box::new(move |_: &ServerCtx, _: &[Value]| {
+                count.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                Ok(Reply::none())
+            }) as Handler,
+            Box::new(move |ctx: &ServerCtx, _: &[Value]| {
+                ctx.rt.terminate_domain(&doomed);
+                Ok(Reply::none())
+            }),
+        ],
+    )
+    .expect("export");
+    let client = rt.kernel().create_domain("caller");
+    let thread = rt.kernel().spawn_thread(&client);
+    let binding = rt.import(&client, "Stop").expect("import");
+    let out = binding
+        .call_batch(
+            0,
+            &thread,
+            vec![(0, vec![]), (1, vec![]), (0, vec![]), (0, vec![])],
+        )
+        .expect("batch");
+    assert_eq!(out.doorbells, 1, "one flush");
+    assert!(
+        out.results
+            .iter()
+            .all(|r| matches!(r, Err(CallError::CallFailed))),
+        "{:?}",
+        out.results
+    );
+    assert_eq!(served.load(std::sync::atomic::Ordering::Relaxed), 1);
+    assert_eq!(binding.state().stats.failures(), 4);
+    let ring = binding.state().ring.as_ref().expect("local ring");
+    assert_eq!(ring.occupancy_now(), 0, "ring slot leaked");
+}
+
+#[test]
 fn server_termination_revokes_binding_and_raises_call_failed() {
     let env = setup_serial();
     env.binding.call(0, &env.thread, "Null", &[]).unwrap();

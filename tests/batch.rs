@@ -23,9 +23,11 @@ use idl::wire::Value;
 use kernel::kernel::Kernel;
 use kernel::Domain;
 use lrpc::{
-    AStackPolicy, Binding, CallOutcome, Handler, LrpcRuntime, Reply, RuntimeConfig, ServerCtx,
+    AStackPolicy, BatchOutcome, Binding, CallOutcome, Handler, LrpcRuntime, Reply, RuntimeConfig,
+    ServerCtx,
 };
 use proptest::prelude::*;
+use replay::{kind, Session};
 
 const BATCH_IDL: &str = r#"
     interface Batch {
@@ -82,8 +84,21 @@ fn make_env_with(
     Binding,
     Arc<kernel::thread::Thread>,
 ) {
+    make_env_in(astack_policy, Session::live())
+}
+
+/// [`make_env_with`] under a record/replay session.
+fn make_env_in(
+    astack_policy: AStackPolicy,
+    session: Arc<Session>,
+) -> (
+    Arc<LrpcRuntime>,
+    Arc<Domain>,
+    Binding,
+    Arc<kernel::thread::Thread>,
+) {
     let kernel = Kernel::new(Machine::new(1, CostModel::cvax_firefly()));
-    let rt = LrpcRuntime::with_config(
+    let rt = LrpcRuntime::with_session(
         kernel,
         RuntimeConfig {
             domain_caching: false,
@@ -91,6 +106,7 @@ fn make_env_with(
             import_timeout: Duration::from_millis(50),
             ..RuntimeConfig::default()
         },
+        session,
     );
     let server = rt.kernel().create_domain("batch-server");
     rt.export(&server, BATCH_IDL, batch_handlers())
@@ -322,23 +338,25 @@ fn outcome_key(o: &CallOutcome) -> (Option<Value>, Vec<(usize, Value)>, String) 
     (o.ret.clone(), o.outs.clone(), format!("{:?}", o.copies))
 }
 
-/// Runs `requests` serially in one fresh environment and batched in
-/// another, both warmed first so lazily allocated resources (E-stacks,
-/// TLB entries, bulk chunks) exist on both sides, and compares.
-fn differential(requests: &[(usize, Vec<Value>)]) {
-    // ---- Serial side -------------------------------------------------
-    let (_rt_s, _server_s, binding_s, thread_s) = make_env();
+/// `requests` made serially in a fresh environment, warmed first so
+/// lazily allocated resources (E-stacks, TLB entries, bulk chunks) exist.
+fn serial_outcomes(requests: &[(usize, Vec<Value>)]) -> Vec<CallOutcome> {
+    let (_rt, _server, binding, thread) = make_env();
     for (proc, args) in requests {
-        binding_s
-            .call_indexed(0, &thread_s, *proc, args)
+        binding
+            .call_indexed(0, &thread, *proc, args)
             .expect("serial warm-up");
     }
-    let serial: Vec<CallOutcome> = requests
+    requests
         .iter()
-        .map(|(proc, args)| binding_s.call_indexed(0, &thread_s, *proc, args).unwrap())
-        .collect();
+        .map(|(proc, args)| binding.call_indexed(0, &thread, *proc, args).unwrap())
+        .collect()
+}
 
-    // ---- Batched side ------------------------------------------------
+/// Runs `requests` serially in one fresh environment and batched in
+/// another, both warmed first, and compares.
+fn differential(requests: &[(usize, Vec<Value>)]) {
+    let serial = serial_outcomes(requests);
     let (_rt_b, _server_b, binding_b, thread_b) = make_env();
     binding_b
         .call_batch(0, &thread_b, requests.to_vec())
@@ -347,7 +365,13 @@ fn differential(requests: &[(usize, Vec<Value>)]) {
         .call_batch(0, &thread_b, requests.to_vec())
         .unwrap();
     assert_eq!(batch.degraded, 0);
+    assert_matches_serial(&serial, &batch);
+}
 
+/// A batch's results and per-call phase charges equal the serial calls',
+/// minus the amortized crossing phases.
+fn assert_matches_serial(serial: &[CallOutcome], batch: &BatchOutcome) {
+    assert_eq!(batch.results.len(), serial.len());
     for (i, (s, b)) in serial.iter().zip(&batch.results).enumerate() {
         let b = b
             .as_ref()
@@ -376,7 +400,7 @@ fn differential(requests: &[(usize, Vec<Value>)]) {
         .iter()
         .map(|o| o.meter.total_for(Phase::Trap))
         .fold(Nanos::ZERO, |a, b| a + b);
-    assert!(serial_traps > batch.batch_meter.total_for(Phase::Trap) || requests.len() <= 2);
+    assert!(serial_traps > batch.batch_meter.total_for(Phase::Trap) || serial.len() <= 2);
 }
 
 proptest! {
@@ -400,4 +424,67 @@ fn fixed_differential_with_every_procedure() {
     // A deterministic instance of the property (fast path for CI).
     let requests: Vec<(usize, Vec<Value>)> = (0..6).map(|i| request(i as u8, i)).collect();
     differential(&requests);
+}
+
+#[test]
+fn flush_window_straddling_the_ring_end_matches_serial_calls() {
+    // Seven calls a batch over eight A-stacks a procedure: every batch is
+    // one flush. Nine flushes fill slots 0..=62 of the 64-slot ring, so
+    // the tenth window spans slot 63 and wraps to slots 0..=5.
+    let requests: Vec<(usize, Vec<Value>)> = (0..7).map(|i| request(i as u8, i)).collect();
+    let serial = serial_outcomes(&requests);
+    let session = Session::recorder();
+    let (rt, server, binding, thread) = make_env_in(AStackPolicy::Fail, Arc::clone(&session));
+    for flush in 1..=10 {
+        let out = binding.call_batch(0, &thread, requests.clone()).unwrap();
+        assert_eq!((out.doorbells, out.degraded), (1, 0), "batch {flush}");
+        // The first batch warms the lazily allocated resources.
+        if flush > 1 {
+            assert_matches_serial(&serial, &out);
+        }
+    }
+    let ring = binding.state().ring.as_ref().expect("local ring");
+    assert_eq!(ring.occupancy_now(), 0);
+    assert_no_leaks(&rt, &server, &binding);
+
+    // The recorded slots confirm the last window wrapped.
+    let log = session.finish();
+    let slots = |k: u16| -> Vec<u64> {
+        log.streams["ring:Batch"]
+            .iter()
+            .filter(|e| e.kind == k)
+            .map(|e| e.payload >> 32)
+            .collect()
+    };
+    for k in [kind::RING_ENQUEUE, kind::RING_DRAIN] {
+        let slots = slots(k);
+        assert_eq!(slots.len(), 70);
+        assert_eq!(slots[63..], [63, 0, 1, 2, 3, 4, 5], "event kind {k}");
+    }
+}
+
+#[test]
+fn warmed_batch_tlb_hits_and_misses_are_pinned() {
+    // A flush moves its descriptors in one pass per direction, but each
+    // pass touches every descriptor's page once per descriptor, exactly
+    // as one access per descriptor would. Touching each ring page once
+    // per pass instead leaves the misses alone and drops hits, which the
+    // replay corpus reports only as a metrics-digest mismatch.
+    let (rt, _server, binding, thread) = make_env();
+    let requests: Vec<(usize, Vec<Value>)> = (0..16).map(|i| request(i as u8, i)).collect();
+    for _ in 0..2 {
+        binding
+            .call_batch(0, &thread, requests.clone())
+            .expect("warm-up");
+    }
+    let cpu = rt.kernel().machine().cpu(0);
+    let (hits, misses) = (cpu.tlb_hits(), cpu.tlb_misses());
+    let out = binding.call_batch(0, &thread, requests).unwrap();
+    assert_eq!((out.doorbells, out.degraded), (1, 0));
+    assert!(out.results.iter().all(Result::is_ok));
+    assert_eq!(
+        (cpu.tlb_hits() - hits, cpu.tlb_misses() - misses),
+        (555, 75),
+        "TLB (hits, misses) of a warmed 16-call batch"
+    );
 }
