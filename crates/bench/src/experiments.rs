@@ -7,7 +7,6 @@
 
 use firefly::contention::{simulate_throughput, CallProfile, ResourceId, ResourcePlan, Seg};
 use firefly::cost::CostModel;
-use firefly::meter::Phase;
 use firefly::time::Nanos;
 use idl::stubgen::compile;
 use idl::stubvm::{LocalFrame, OobStore, StubVm};
@@ -16,6 +15,7 @@ use msgrpc::MsgRpcCost;
 use workload::{ActivityModel, Histogram, PopularityModel, SizeDistribution};
 
 use crate::common::{format_table, four_tests, LrpcEnv, MsgEnv};
+use crate::phases::TABLE5_ROWS;
 
 /// One second of virtual time.
 const SECOND: Nanos = Nanos::from_secs(1);
@@ -530,28 +530,14 @@ pub fn table5() -> Table5 {
     env.binding.call(0, &env.thread, "Null", &[]).unwrap();
     let out = env.binding.call(0, &env.thread, "Null", &[]).unwrap();
     let m = &out.meter;
-    let us = |p: Phase| m.total_for(p).as_micros_f64();
-
-    let stubs = us(Phase::ClientStub) + us(Phase::ServerStub) + us(Phase::QueueOp);
-    let rows = vec![
-        (
-            "Modula2+ procedure call".to_string(),
-            us(Phase::ProcedureCall),
-            0.0,
-        ),
-        ("Two kernel traps".to_string(), us(Phase::Trap), 0.0),
-        (
-            "Two context switches".to_string(),
-            us(Phase::ContextSwitch),
-            0.0,
-        ),
-        ("Stubs".to_string(), 0.0, stubs),
-        (
-            "Kernel transfer".to_string(),
-            0.0,
-            us(Phase::KernelTransfer),
-        ),
-    ];
+    let rows = TABLE5_ROWS
+        .iter()
+        .map(|&(operation, overhead, phases)| {
+            let us = phases.iter().map(|&p| m.total_for(p).as_micros_f64()).sum();
+            let (min, ovh) = if overhead { (0.0, us) } else { (us, 0.0) };
+            (operation.to_string(), min, ovh)
+        })
+        .collect();
     let total_us = out.elapsed.as_micros_f64();
     let tlb_misses = m.tlb_misses();
     let tlb_cost = CostModel::cvax_firefly().hw.tlb_miss.as_micros_f64() * tlb_misses as f64;

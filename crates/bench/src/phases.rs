@@ -32,6 +32,22 @@ pub const MAX_TOTAL_DRIFT: f64 = 0.01;
 /// charging the clock.
 pub const MAX_RECORDER_OVERHEAD: f64 = 0.05;
 
+/// Table 5's rows in the paper's order: the operation, whether it sits in
+/// the "LRPC Overhead" column rather than "Minimum", and the phases whose
+/// time it sums. [`crate::experiments::table5`] (from a call's `Meter`)
+/// and [`table5_from_breakdown`] (from its flight spans) both read it.
+pub const TABLE5_ROWS: [(&str, bool, &[Phase]); 5] = [
+    ("Modula2+ procedure call", false, &[Phase::ProcedureCall]),
+    ("Two kernel traps", false, &[Phase::Trap]),
+    ("Two context switches", false, &[Phase::ContextSwitch]),
+    (
+        "Stubs",
+        true,
+        &[Phase::ClientStub, Phase::ServerStub, Phase::QueueOp],
+    ),
+    ("Kernel transfer", true, &[Phase::KernelTransfer]),
+];
+
 /// Per-phase totals of one recorded call.
 #[derive(Clone, Debug)]
 pub struct PhaseBreakdown {
@@ -121,55 +137,34 @@ pub fn table5_from_breakdown(breakdown: &PhaseBreakdown, cost: &CostModel) -> Ve
             .map(|&(_, d)| d)
             .sum()
     };
-    let stubs =
-        total_for(Phase::ClientStub) + total_for(Phase::ServerStub) + total_for(Phase::QueueOp);
-    let accounted = [
-        Phase::ProcedureCall,
-        Phase::Trap,
-        Phase::ContextSwitch,
-        Phase::ClientStub,
-        Phase::ServerStub,
-        Phase::QueueOp,
-        Phase::KernelTransfer,
+    // The cost model's prediction for each row of `TABLE5_ROWS`.
+    let predicted = [
+        cost.hw.procedure_call,
+        cost.hw.kernel_trap * 2,
+        cost.hw.context_switch * 2,
+        cost.stub_overhead(),
+        cost.kernel_transfer_overhead(),
     ];
-    let other: Nanos = breakdown
+    let other = breakdown
         .totals
         .iter()
-        .filter(|&&(p, _)| !accounted.contains(&p))
+        .filter(|&&(p, _)| !TABLE5_ROWS.iter().any(|r| r.2.contains(&p)))
         .map(|&(_, d)| d)
         .sum();
-    vec![
-        FlightRow {
-            operation: "Modula2+ procedure call".into(),
-            measured: total_for(Phase::ProcedureCall),
-            predicted: cost.hw.procedure_call,
-        },
-        FlightRow {
-            operation: "Two kernel traps".into(),
-            measured: total_for(Phase::Trap),
-            predicted: cost.hw.kernel_trap * 2,
-        },
-        FlightRow {
-            operation: "Two context switches".into(),
-            measured: total_for(Phase::ContextSwitch),
-            predicted: cost.hw.context_switch * 2,
-        },
-        FlightRow {
-            operation: "Stubs".into(),
-            measured: stubs,
-            predicted: cost.stub_overhead(),
-        },
-        FlightRow {
-            operation: "Kernel transfer".into(),
-            measured: total_for(Phase::KernelTransfer),
-            predicted: cost.kernel_transfer_overhead(),
-        },
-        FlightRow {
+    TABLE5_ROWS
+        .iter()
+        .zip(predicted)
+        .map(|(&(operation, _, phases), predicted)| FlightRow {
+            operation: operation.into(),
+            measured: phases.iter().map(|&p| total_for(p)).sum(),
+            predicted,
+        })
+        .chain([FlightRow {
             operation: "Other".into(),
             measured: other,
             predicted: Nanos::ZERO,
-        },
-    ]
+        }])
+        .collect()
 }
 
 /// Runs the flight-recorded Null experiment: a steady-state serial Null

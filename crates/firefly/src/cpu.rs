@@ -110,13 +110,6 @@ impl Cpu {
         self.current_ctx.store(ctx.0, Ordering::Release);
     }
 
-    /// Loads `ctx` without charging (processor-exchange path: the context
-    /// is already loaded on the CPU being claimed; this is used to restore
-    /// bookkeeping, not to model a hardware reload).
-    pub fn set_context_free(&self, ctx: ContextId) {
-        self.current_ctx.store(ctx.0, Ordering::Release);
-    }
-
     /// Touches pages through the TLB in the current context; returns the
     /// number of misses and reports them to the meter.
     pub fn touch_pages(
@@ -174,11 +167,6 @@ impl Cpu {
     /// Lifetime TLB hit count for this CPU.
     pub fn tlb_hits(&self) -> u64 {
         self.tlb.lock().hits()
-    }
-
-    /// Resets the CPU's TLB statistics.
-    pub fn reset_tlb_stats(&self) {
-        self.tlb.lock().reset_stats();
     }
 }
 
@@ -407,14 +395,6 @@ impl Machine {
             .map(Cpu::now)
             .max()
             .unwrap_or(Nanos::from_nanos(0))
-    }
-
-    /// Resets all CPU clocks and TLB statistics (between experiments).
-    pub fn reset_clocks(&self) {
-        for c in &self.cpus {
-            c.reset_clock();
-            c.reset_tlb_stats();
-        }
     }
 }
 

@@ -95,11 +95,6 @@ impl VmContext {
         self.maps.read().len()
     }
 
-    /// Ids of every mapped region.
-    pub fn mapped_regions(&self) -> Vec<RegionId> {
-        self.maps.read().keys().copied().collect()
-    }
-
     /// Checks that this context may access `region` with the requested
     /// intent.
     ///

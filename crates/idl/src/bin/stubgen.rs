@@ -3,9 +3,11 @@
 //! "The LRPC stub generator produces run-time stubs in assembly language
 //! directly from Modula2+ definition files" (Section 3.3). This tool reads
 //! an interface definition (from a file argument or stdin) and prints what
-//! the generator produced: the A-stack layouts, the Procedure Descriptor
-//! List the clerk will hand the kernel at bind time, and the disassembled
-//! stub programs.
+//! the generator produced: the A-stack layouts (marking the in-parameters
+//! the server stub copies off the shared A-stack, Section 3.5), the
+//! Procedure Descriptor List the clerk will hand the kernel at bind time,
+//! and what runs for each stub half — the bind-time copy plan, with the
+//! client call's moves, or the stub interpreter.
 //!
 //! ```text
 //! cargo run -p idl --bin stubgen -- interface.idl
@@ -16,17 +18,46 @@
 use std::io::Read;
 
 use idl::layout::SlotKind;
+use idl::plan::{ProcPlan, PushStep};
 use idl::stubgen::{compile, CompiledProc, StubLang};
+use idl::stubvm::needs_server_copy;
+
+/// One client-call move, e.g. `fused move of 8 bytes to +0: a, b`.
+fn describe_move(p: &CompiledProc, step: &PushStep) -> String {
+    let (kind, bytes, offset, params) = match *step {
+        PushStep::Run {
+            first,
+            count,
+            offset,
+            len,
+        } => {
+            let kind = if count > 1 { "fused move" } else { "move" };
+            (kind, len.to_string(), offset, first..first + count)
+        }
+        PushStep::Bytes { param, offset, len } => {
+            ("direct move", len.to_string(), offset, param..param + 1)
+        }
+        PushStep::Var { param, offset, max } => (
+            "length-prefixed move",
+            format!("4 + up to {max}"),
+            offset,
+            param..param + 1,
+        ),
+    };
+    let names: Vec<&str> = p.def.params[params]
+        .iter()
+        .map(|q| q.name.as_str())
+        .collect();
+    format!("{kind} of {bytes} bytes to +{offset}: {}", names.join(", "))
+}
 
 fn print_proc(p: &CompiledProc) {
+    let (lang, path) = match p.lang {
+        StubLang::Assembly => ("assembly", "fast path"),
+        StubLang::Modula2Plus => ("Modula2+", "marshaling path"),
+    };
     println!("procedure {} (identifier {})", p.name, p.index);
-    println!(
-        "  language: {}",
-        match p.lang {
-            StubLang::Assembly => "assembly (fast path)",
-            StubLang::Modula2Plus => "Modula2+ (marshaling path)",
-        }
-    );
+    println!("  language: {lang} ({path})");
     println!(
         "  A-stacks: {} x {} bytes{}",
         p.pd.simultaneous_calls,
@@ -42,16 +73,19 @@ fn print_proc(p: &CompiledProc) {
     }
     println!("  frame layout ({} bytes used):", p.layout.frame_size);
     for (slot, param) in p.layout.params.iter().zip(&p.def.params) {
+        let note = match slot.kind {
+            SlotKind::OutOfBand => "(out-of-band descriptor)",
+            SlotKind::Inline if param.dir.is_in() && needs_server_copy(param, p.def.inplace) => {
+                "(server copy)"
+            }
+            SlotKind::Inline => "",
+        };
         println!(
-            "    +{:<4} {:<5} {:<24} {:?} {}",
+            "    +{:<4} {:<5} {:<24} {:?} {note}",
             slot.offset,
             format!("[{}]", slot.size),
             format!("{}: {}", param.name, param.ty),
             param.dir,
-            match slot.kind {
-                SlotKind::Inline => "",
-                SlotKind::OutOfBand => "(out-of-band descriptor)",
-            }
         );
     }
     if let (Some(slot), Some(ret)) = (&p.layout.ret, &p.def.ret) {
@@ -62,22 +96,21 @@ fn print_proc(p: &CompiledProc) {
             ret
         );
     }
-    println!("  client call stub:");
-    for line in p.client_call.disassemble().lines().skip(1) {
-        println!("  {line}");
+    let plan = ProcPlan::compile(p);
+    let interpreter = format!("interpreter ({lang})");
+    let half = |label: &str, compiled: bool| {
+        println!(
+            "  {label:<14} {}",
+            if compiled { "copy plan" } else { &interpreter }
+        );
+    };
+    half("client call:", plan.push.is_some());
+    for step in plan.push.iter().flat_map(|push| push.steps()) {
+        println!("    {}", describe_move(p, step));
     }
-    println!("  server entry stub:");
-    for line in p.server_entry.disassemble().lines().skip(1) {
-        println!("  {line}");
-    }
-    println!("  server return stub:");
-    for line in p.server_return.disassemble().lines().skip(1) {
-        println!("  {line}");
-    }
-    println!("  client return stub:");
-    for line in p.client_return.disassemble().lines().skip(1) {
-        println!("  {line}");
-    }
+    half("server entry:", plan.read.is_some());
+    half("server return:", plan.place.is_some());
+    half("client return:", plan.fetch.is_some());
     println!();
 }
 

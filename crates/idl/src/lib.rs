@@ -11,14 +11,15 @@
 //! * [`layout`] — A-stack frame layout and the Section 5.2 sizing rules
 //!   (exact for fixed procedures, Ethernet-packet default for variable,
 //!   out-of-band segments for oversized or complex values);
-//! * [`stubgen`] — compiles interfaces to stub programs, choosing at
-//!   compile time between assembly fast-path stubs and Modula2+ marshaling
-//!   stubs, and emits Procedure Descriptor Lists;
-//! * [`stubvm`] — interprets stub data operations against a frame,
-//!   charging calibrated costs (the marshaling path is 4× slower);
-//! * [`plan`] — the bind-time specializer: lowers stub programs into
-//!   fused, zero-allocation copy plans that charge identical virtual
-//!   costs, with interpreter fallback for complex/out-of-band paths;
+//! * [`stubgen`] — compiles interfaces to frame layouts and Procedure
+//!   Descriptor Lists, choosing at compile time between assembly fast-path
+//!   stubs and Modula2+ marshaling stubs;
+//! * [`plan`] — the bind-time specializer: lowers each procedure's frame
+//!   layout into fused, zero-allocation copy plans, one per stub half;
+//! * [`stubvm`] — the stub interpreter: performs a stub half's moves slot
+//!   by slot, charging calibrated costs (the marshaling path is 4×
+//!   slower); the plans' charge-identical reference and the path for the
+//!   halves no plan covers (complex types, out-of-band slots);
 //! * [`wire`] — byte encodings with receiver-side conformance checks
 //!   folded into the copy (Section 3.5).
 
@@ -40,8 +41,7 @@ pub use parse::{parse, ParseError};
 pub use plan::{ArgVec, InterfacePlans, ProcPlan, ARGVEC_INLINE, SCRATCH_BYTES};
 pub use print::print_interface;
 pub use stubgen::{
-    compile, CompiledInterface, CompiledProc, ProcedureDescriptor, StubLang, StubOp, StubProgram,
-    DEFAULT_ASTACK_COUNT,
+    compile, CompiledInterface, CompiledProc, ProcedureDescriptor, StubLang, DEFAULT_ASTACK_COUNT,
 };
 pub use stubvm::{
     needs_server_copy, Frame, LocalFrame, OobStore, StubError, StubVm, MODULA2_SLOWDOWN,

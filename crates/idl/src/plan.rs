@@ -9,9 +9,9 @@
 //! frame read.
 //!
 //! This module is the missing compile step. [`InterfacePlans::compile`]
-//! lowers each [`CompiledProc`]'s four stub halves into [`ProcPlan`]s whose
-//! offsets, sizes, conformance-check decisions and cost totals are all
-//! computed once, at binding time:
+//! lowers each [`CompiledProc`]'s frame layout into a [`ProcPlan`] of four
+//! stub halves whose offsets, sizes, conformance-check decisions and cost
+//! totals are all computed once, at binding time:
 //!
 //! * adjacent fixed-size scalar slots are coalesced into single bulk moves
 //!   ([`PushStep::Run`]) when their encodings tile the frame gap-free;
@@ -408,7 +408,7 @@ impl PushPlan {
                     Value::Var(b) if b.len() <= *max => {
                         // Run-time-length charge: one data op over the
                         // 4-byte prefix plus the payload, exactly the
-                        // interpreter's `charge_op(lang, encoded.len())`.
+                        // interpreter's charge for the encoded value.
                         vm.charge_bulk(self.lang, 1, 4 + b.len() as u64);
                         frame.write(*offset, &(b.len() as u32).to_le_bytes())?;
                         frame.write(*offset + 4, b)?;
@@ -428,7 +428,7 @@ impl PushPlan {
         Ok(())
     }
 
-    /// The compiled move steps (for disassembly/inspection).
+    /// The compiled move steps (listed by the `stubgen` tool).
     pub fn steps(&self) -> &[PushStep] {
         &self.steps
     }
@@ -614,7 +614,7 @@ impl ProcPlan {
         self.push.is_some() && self.read.is_some() && self.place.is_some() && self.fetch.is_some()
     }
 
-    /// A one-line summary of what compiled, for disassembly listings.
+    /// A one-line summary of what compiled, for diagnostics.
     pub fn describe(&self) -> String {
         let half = |b: bool| if b { "plan" } else { "interp" };
         let moves = self.push.as_ref().map_or(0, |p| p.steps.len());
@@ -868,7 +868,10 @@ mod tests {
 
     #[test]
     fn add_pushes_coalesce_into_one_bulk_move() {
-        let iface = compiled("interface B { procedure Add(a: int32, b: int32) -> int32; }");
+        let iface = compiled(
+            "interface B { procedure Add(a: int32, b: int32) -> int32; \
+             procedure Read(h: int32, buf: out bytes[64]) -> int32; }",
+        );
         let plan = ProcPlan::compile(&iface.procs[0]);
         let push = plan.push.as_ref().expect("fixed args compile");
         assert_eq!(push.steps.len(), 1, "two adjacent int32 slots fuse");
@@ -886,6 +889,12 @@ mod tests {
         assert!(plan.fully_compiled());
         assert_eq!(plan.in_bytes, 8);
         assert_eq!(plan.out_bytes, 4);
+
+        // Out parameters travel only out: the handle is the one move in.
+        let read = ProcPlan::compile(&iface.procs[1]);
+        assert_eq!(read.push.unwrap().steps.len(), 1);
+        assert_eq!(read.in_bytes, 4);
+        assert_eq!(read.out_bytes, 64 + 4);
     }
 
     #[test]
@@ -920,6 +929,8 @@ mod tests {
         let iface = compiled(
             "interface B { procedure Walk(t: tree); procedure Send(pkt: var bytes[4096]); }",
         );
+        assert_eq!(iface.procs[0].lang, StubLang::Modula2Plus);
+        assert_eq!(iface.procs[1].lang, StubLang::Assembly);
         let walk = ProcPlan::compile(&iface.procs[0]);
         assert!(walk.push.is_none() && walk.read.is_none());
         let send = ProcPlan::compile(&iface.procs[1]);
@@ -1016,6 +1027,17 @@ mod tests {
         let interp = cycle(&iface, &args, Some(Value::Int32(5)), &[], false);
         let plan = cycle(&iface, &args, Some(Value::Int32(5)), &[], true);
         assert_eq!(interp, plan);
+
+        // Null moves and charges nothing, on either path.
+        let null = compiled("interface B { procedure Null(); }");
+        assert!(ProcPlan::compile(&null.procs[0])
+            .push
+            .unwrap()
+            .steps
+            .is_empty());
+        let plan = cycle(&null, &[], None, &[], true);
+        assert_eq!(plan, cycle(&null, &[], None, &[], false));
+        assert_eq!(plan.3, 0);
     }
 
     #[test]

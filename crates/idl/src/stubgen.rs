@@ -10,16 +10,14 @@
 //! shift occurs at compile-time, eliminating the need to make run-time
 //! decisions." (Section 3.3)
 //!
-//! In this reproduction, "assembly stubs" are [`StubProgram`]s: short
-//! sequences of move/check/trap operations interpreted by the stub VM with
-//! per-op costs. A procedure whose signature contains a complex type is
-//! compiled to a [`StubLang::Modula2Plus`] program whose data ops run on
-//! the (4× slower) marshaling path — the compile-time shift the paper
-//! describes.
+//! In this reproduction the generator's output is, per procedure, the
+//! A-stack [`FrameLayout`], the [`ProcedureDescriptor`] and the
+//! [`StubLang`] (Modula2+ when the signature has a complex type). At bind
+//! time [`crate::plan`] lowers each stub half from the layout into a copy
+//! plan; [`crate::stubvm`] interprets the halves no plan covers.
 
 use crate::ast::{InterfaceDef, ProcDef};
-use crate::layout::{layout, FrameLayout, SlotKind};
-use crate::types::Ty;
+use crate::layout::{layout, FrameLayout};
 
 /// Default number of simultaneous calls (A-stacks) per procedure
 /// (Section 5.2: "The number defaults to five").
@@ -32,113 +30,6 @@ pub enum StubLang {
     Assembly,
     /// Modula2+ marshaling code — complex/heavyweight parameters.
     Modula2Plus,
-}
-
-/// One stub operation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StubOp {
-    /// Client: take an A-stack off the procedure's LIFO queue.
-    GetAStack,
-    /// Client: move one argument into its A-stack slot.
-    PushArg {
-        /// Parameter index.
-        param: usize,
-    },
-    /// Client: move one argument with the CARDINAL conformance check folded
-    /// into the copy.
-    PushArgChecked {
-        /// Parameter index.
-        param: usize,
-    },
-    /// Client: copy a by-reference referent onto the A-stack.
-    CopyRefIn {
-        /// Parameter index.
-        param: usize,
-    },
-    /// Client/server: marshal a complex value into an out-of-band segment
-    /// (Modula2+ library path).
-    MarshalArg {
-        /// Parameter index.
-        param: usize,
-    },
-    /// Client: load the A-stack address, Binding Object and procedure
-    /// identifier into registers.
-    LoadRegisters,
-    /// Trap to the kernel (call or return direction).
-    Trap,
-    /// Server: recreate a reference on the private E-stack ("The reference
-    /// must be recreated to prevent the caller from passing in a bad
-    /// address").
-    RebuildRef {
-        /// Parameter index.
-        param: usize,
-    },
-    /// Server: defensively copy an interpreted argument off the shared
-    /// A-stack before use (skipped for `noninterpreted` parameters).
-    CopyArgIn {
-        /// Parameter index.
-        param: usize,
-    },
-    /// Server: unmarshal a complex argument.
-    UnmarshalArg {
-        /// Parameter index.
-        param: usize,
-    },
-    /// Server: branch to the first instruction of the procedure.
-    BranchToProc,
-    /// Server: place the result (and `out` parameters) on the A-stack.
-    PlaceResult,
-    /// Client: copy returned values from the A-stack into their final
-    /// destination.
-    FetchResult,
-    /// Client: push the A-stack back on the LIFO queue.
-    ReleaseAStack,
-}
-
-impl StubOp {
-    /// True for operations that move or check argument data (these charge
-    /// per-op and per-byte costs in the stub VM; control ops are part of
-    /// the fixed stub overhead).
-    pub fn is_data_op(self) -> bool {
-        !matches!(
-            self,
-            StubOp::GetAStack
-                | StubOp::LoadRegisters
-                | StubOp::Trap
-                | StubOp::BranchToProc
-                | StubOp::ReleaseAStack
-        )
-    }
-}
-
-/// A generated stub: an operation sequence in one of the two stub
-/// languages.
-#[derive(Clone, Debug)]
-pub struct StubProgram {
-    /// The language the generator chose at compile time.
-    pub lang: StubLang,
-    /// Operations, in execution order.
-    pub ops: Vec<StubOp>,
-}
-
-impl StubProgram {
-    /// A human-readable listing (what the generator would have emitted).
-    pub fn disassemble(&self) -> String {
-        let mut out = String::new();
-        out.push_str(match self.lang {
-            StubLang::Assembly => "; assembly stub\n",
-            StubLang::Modula2Plus => "; Modula2+ marshaling stub\n",
-        });
-        for op in &self.ops {
-            out.push_str(&format!("    {op:?}\n"));
-        }
-        out
-    }
-
-    /// Number of data-movement operations.
-    pub fn data_op_count(&self) -> usize {
-        self.ops.iter().filter(|o| o.is_data_op()).count()
-    }
 }
 
 /// One entry of the Procedure Descriptor List (Section 3.1).
@@ -157,8 +48,8 @@ pub struct ProcedureDescriptor {
     pub idempotent: bool,
 }
 
-/// A fully compiled procedure: layout, descriptors and all four stub
-/// halves.
+/// A compiled procedure: its frame layout, stub language and procedure
+/// descriptor.
 #[derive(Clone, Debug)]
 pub struct CompiledProc {
     /// Procedure index within the interface.
@@ -171,14 +62,6 @@ pub struct CompiledProc {
     pub layout: FrameLayout,
     /// Stub language chosen at compile time.
     pub lang: StubLang,
-    /// Client stub, call half.
-    pub client_call: StubProgram,
-    /// Client stub, return half.
-    pub client_return: StubProgram,
-    /// Server entry stub.
-    pub server_entry: StubProgram,
-    /// Server return stub.
-    pub server_return: StubProgram,
     /// Procedure descriptor for the PDL.
     pub pd: ProcedureDescriptor,
 }
@@ -205,10 +88,6 @@ impl CompiledInterface {
     }
 }
 
-fn needs_check(ty: &Ty) -> bool {
-    ty.needs_conformance_check()
-}
-
 fn compile_proc(index: usize, def: &ProcDef) -> CompiledProc {
     let layout = layout(def);
     let lang = if def.has_complex() {
@@ -216,101 +95,24 @@ fn compile_proc(index: usize, def: &ProcDef) -> CompiledProc {
     } else {
         StubLang::Assembly
     };
-
-    // Client call half: dequeue, push each in-direction argument, load
-    // registers, trap.
-    let mut client_call = vec![StubOp::GetAStack];
-    for (i, p) in def.params.iter().enumerate() {
-        if !p.dir.is_in() {
-            continue;
-        }
-        let op = if layout.params[i].kind == SlotKind::OutOfBand {
-            StubOp::MarshalArg { param: i }
-        } else if p.by_ref {
-            StubOp::CopyRefIn { param: i }
-        } else if needs_check(&p.ty) {
-            // The check is folded into the receiving copy; the client push
-            // is an ordinary move.
-            StubOp::PushArg { param: i }
-        } else {
-            StubOp::PushArg { param: i }
-        };
-        client_call.push(op);
-    }
-    client_call.push(StubOp::LoadRegisters);
-    client_call.push(StubOp::Trap);
-
-    // Server entry half: rebuild references, checked/defensive copies where
-    // the server interprets the value, unmarshal complex arguments, branch.
-    let mut server_entry = Vec::new();
-    for (i, p) in def.params.iter().enumerate() {
-        if !p.dir.is_in() {
-            continue;
-        }
-        if layout.params[i].kind == SlotKind::OutOfBand {
-            server_entry.push(StubOp::UnmarshalArg { param: i });
-        } else if p.by_ref {
-            server_entry.push(StubOp::RebuildRef { param: i });
-        } else if needs_check(&p.ty) {
-            server_entry.push(StubOp::CopyArgIn { param: i });
-        } else if !def.inplace && !p.noninterpreted && p.ty.fixed_size().is_none() {
-            // Interpreted variable data is copied off the shared A-stack so
-            // the client cannot change it mid-use — unless the procedure is
-            // declared `[inplace]` and accepts the shared view.
-            server_entry.push(StubOp::CopyArgIn { param: i });
-        }
-    }
-    server_entry.push(StubOp::BranchToProc);
-
-    // Server return half: place results, trap back.
-    let mut server_return = Vec::new();
-    if def.ret.is_some() || def.params.iter().any(|p| p.dir.is_out()) {
-        server_return.push(StubOp::PlaceResult);
-    }
-    server_return.push(StubOp::Trap);
-
-    // Client return half: fetch results into their destination, requeue the
-    // A-stack.
-    let mut client_return = Vec::new();
-    if def.ret.is_some() || def.params.iter().any(|p| p.dir.is_out()) {
-        client_return.push(StubOp::FetchResult);
-    }
-    client_return.push(StubOp::ReleaseAStack);
-
     let pd = ProcedureDescriptor {
         entry: index,
         simultaneous_calls: def.astack_count.unwrap_or(DEFAULT_ASTACK_COUNT),
         astack_size: layout.astack_size,
         idempotent: def.idempotent,
     };
-
     CompiledProc {
         index,
         name: def.name.clone(),
         def: def.clone(),
         layout,
         lang,
-        client_call: StubProgram {
-            lang,
-            ops: client_call,
-        },
-        client_return: StubProgram {
-            lang,
-            ops: client_return,
-        },
-        server_entry: StubProgram {
-            lang,
-            ops: server_entry,
-        },
-        server_return: StubProgram {
-            lang,
-            ops: server_return,
-        },
         pd,
     }
 }
 
-/// Compiles an interface definition into stubs, layouts and descriptors.
+/// Compiles an interface definition into frame layouts, stub languages and
+/// procedure descriptors.
 pub fn compile(def: &InterfaceDef) -> CompiledInterface {
     CompiledInterface {
         name: def.name.clone(),
@@ -326,135 +128,10 @@ pub fn compile(def: &InterfaceDef) -> CompiledInterface {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{Dir, Param};
     use crate::parse::parse;
 
     fn compiled(src: &str) -> CompiledInterface {
         compile(&parse(src).unwrap())
-    }
-
-    #[test]
-    fn null_stub_is_move_and_trap_only() {
-        let c = compiled("interface B { procedure Null(); }");
-        let p = &c.procs[0];
-        assert_eq!(p.lang, StubLang::Assembly);
-        assert_eq!(
-            p.client_call.ops,
-            vec![StubOp::GetAStack, StubOp::LoadRegisters, StubOp::Trap]
-        );
-        assert_eq!(p.client_return.ops, vec![StubOp::ReleaseAStack]);
-        assert_eq!(p.server_entry.ops, vec![StubOp::BranchToProc]);
-        assert_eq!(p.server_return.ops, vec![StubOp::Trap]);
-        assert_eq!(p.client_call.data_op_count(), 0);
-    }
-
-    #[test]
-    fn add_stub_pushes_two_args_and_fetches_result() {
-        let c = compiled("interface B { procedure Add(a: int32, b: int32) -> int32; }");
-        let p = &c.procs[0];
-        assert_eq!(p.client_call.data_op_count(), 2);
-        assert!(p.client_return.ops.contains(&StubOp::FetchResult));
-        assert!(p.server_return.ops.contains(&StubOp::PlaceResult));
-    }
-
-    #[test]
-    fn complex_params_force_modula2_stubs_at_compile_time() {
-        let c = compiled("interface B { procedure Walk(t: tree); }");
-        let p = &c.procs[0];
-        assert_eq!(p.lang, StubLang::Modula2Plus);
-        assert!(p.client_call.ops.contains(&StubOp::MarshalArg { param: 0 }));
-        assert!(p
-            .server_entry
-            .ops
-            .contains(&StubOp::UnmarshalArg { param: 0 }));
-    }
-
-    #[test]
-    fn by_ref_params_copy_in_and_rebuild() {
-        let c = compiled("interface B { procedure W(h: int32, d: in ref bytes[100]); }");
-        let p = &c.procs[0];
-        assert!(p.client_call.ops.contains(&StubOp::CopyRefIn { param: 1 }));
-        assert!(p
-            .server_entry
-            .ops
-            .contains(&StubOp::RebuildRef { param: 1 }));
-    }
-
-    #[test]
-    fn interpreted_variable_data_is_defensively_copied() {
-        let c = compiled(
-            "interface B { procedure A(d: var bytes[64]); procedure B(d: var bytes[64] noninterpreted); }",
-        );
-        assert!(c.procs[0]
-            .server_entry
-            .ops
-            .contains(&StubOp::CopyArgIn { param: 0 }));
-        assert!(
-            !c.procs[1]
-                .server_entry
-                .ops
-                .contains(&StubOp::CopyArgIn { param: 0 }),
-            "noninterpreted data needs no defensive copy (Section 3.5)"
-        );
-    }
-
-    #[test]
-    fn inplace_procedures_accept_the_shared_view() {
-        let c = compiled(
-            "interface B { [inplace = 1] procedure A(d: var bytes[64]); \
-             [inplace = 1] procedure C(n: cardinal, d: in ref bytes[32]); }",
-        );
-        assert!(
-            !c.procs[0]
-                .server_entry
-                .ops
-                .contains(&StubOp::CopyArgIn { param: 0 }),
-            "[inplace] waives the defensive copy of interpreted variable data"
-        );
-        assert!(c.procs[0].def.inplace);
-        // Conformance checks and reference rebuilds are not waivable.
-        assert!(c.procs[1]
-            .server_entry
-            .ops
-            .contains(&StubOp::CopyArgIn { param: 0 }));
-        assert!(c.procs[1]
-            .server_entry
-            .ops
-            .contains(&StubOp::RebuildRef { param: 1 }));
-    }
-
-    #[test]
-    fn cardinal_gets_checked_copy_on_the_server_side() {
-        let c = compiled("interface B { procedure P(n: cardinal); }");
-        let p = &c.procs[0];
-        assert!(p.server_entry.ops.contains(&StubOp::CopyArgIn { param: 0 }));
-    }
-
-    #[test]
-    fn out_params_do_not_travel_in() {
-        let def = InterfaceDef::new(
-            "B",
-            vec![ProcDef::new(
-                "Read",
-                vec![
-                    Param::value("h", Ty::Int32),
-                    Param {
-                        name: "buf".into(),
-                        ty: Ty::ByteArray(64),
-                        dir: Dir::Out,
-                        noninterpreted: false,
-                        by_ref: false,
-                    },
-                ],
-                Some(Ty::Int32),
-            )],
-        );
-        let c = compile(&def);
-        assert_eq!(
-            c.procs[0].client_call.data_op_count(),
-            1,
-            "only the handle travels in"
-        );
     }
 
     #[test]
@@ -467,104 +144,21 @@ mod tests {
         assert_eq!(c.proc_by_name("Q").unwrap().index, 1);
     }
 
+    /// The A-stack sizing of the paper's four benchmark procedures: exact
+    /// fixed sizes, all on the assembly path.
     #[test]
-    fn disassembly_mentions_the_language() {
-        let c = compiled("interface B { procedure Walk(t: tree); }");
-        let asm = c.procs[0].client_call.disassemble();
-        assert!(asm.contains("Modula2+"));
-        assert!(asm.contains("MarshalArg"));
-    }
-
-    use crate::types::Ty;
-}
-
-#[cfg(test)]
-mod golden_tests {
-    use super::*;
-    use crate::parse::parse;
-
-    /// The exact stub programs for the paper's benchmark interface — a
-    /// golden test so accidental stub-shape changes are caught.
-    #[test]
-    fn bench_interface_stubs_are_stable() {
-        let iface = compile(
-            &parse(
-                r#"interface Bench {
-                    procedure Null();
-                    procedure Add(a: int32, b: int32) -> int32;
-                    procedure BigIn(data: in bytes[200] noninterpreted);
-                    procedure BigInOut(data: inout bytes[200] noninterpreted);
-                }"#,
-            )
-            .unwrap(),
+    fn bench_interface_astacks_are_exact() {
+        let iface = compiled(
+            r#"interface Bench {
+                procedure Null();
+                procedure Add(a: int32, b: int32) -> int32;
+                procedure BigIn(data: in bytes[200] noninterpreted);
+                procedure BigInOut(data: inout bytes[200] noninterpreted);
+            }"#,
         );
-
-        let shapes: Vec<(Vec<StubOp>, Vec<StubOp>)> = iface
-            .procs
-            .iter()
-            .map(|p| (p.client_call.ops.clone(), p.server_return.ops.clone()))
-            .collect();
-
-        use StubOp::{GetAStack, LoadRegisters, PlaceResult, PushArg, Trap};
-        assert_eq!(
-            shapes[0],
-            (vec![GetAStack, LoadRegisters, Trap], vec![Trap]),
-            "Null"
-        );
-        assert_eq!(
-            shapes[1],
-            (
-                vec![
-                    GetAStack,
-                    PushArg { param: 0 },
-                    PushArg { param: 1 },
-                    LoadRegisters,
-                    Trap
-                ],
-                vec![PlaceResult, Trap]
-            ),
-            "Add"
-        );
-        assert_eq!(
-            shapes[2],
-            (
-                vec![GetAStack, PushArg { param: 0 }, LoadRegisters, Trap],
-                vec![Trap]
-            ),
-            "BigIn"
-        );
-        assert_eq!(
-            shapes[3],
-            (
-                vec![GetAStack, PushArg { param: 0 }, LoadRegisters, Trap],
-                vec![PlaceResult, Trap]
-            ),
-            "BigInOut"
-        );
-
-        // The A-stack sizing of the four tests: exact fixed sizes.
         let sizes: Vec<usize> = iface.procs.iter().map(|p| p.pd.astack_size).collect();
         // BigInOut's single inout slot serves both directions.
         assert_eq!(sizes, vec![4, 12, 200, 200]);
-    }
-
-    /// "a simple LRPC needs only one formal procedure call (into the
-    /// client stub), and two returns" — the stub programs contain no
-    /// procedure-call ops beyond the branch into the server procedure.
-    #[test]
-    fn stub_programs_contain_no_extra_calls() {
-        let iface = compile(&parse("interface B { procedure P(a: int32) -> int32; }").unwrap());
-        let p = &iface.procs[0];
-        let all_ops = p
-            .client_call
-            .ops
-            .iter()
-            .chain(&p.client_return.ops)
-            .chain(&p.server_entry.ops)
-            .chain(&p.server_return.ops);
-        let branches = all_ops
-            .filter(|op| matches!(op, StubOp::BranchToProc))
-            .count();
-        assert_eq!(branches, 1, "exactly one branch into the procedure");
+        assert!(iface.procs.iter().all(|p| p.lang == StubLang::Assembly));
     }
 }

@@ -1,12 +1,16 @@
-//! The stub VM: executes generated stub data operations.
+//! The stub interpreter.
 //!
-//! LRPC stubs "consist mainly of move and trap instructions"; the stub VM
-//! interprets the data-movement half of a [`crate::stubgen::StubProgram`]
-//! against an A-stack frame, charging the calibrated per-operation and
-//! per-byte costs to the executing CPU. Control operations (traps, queue
-//! operations, the branch into the procedure) are performed by the LRPC
-//! runtime itself — their cost is part of the fixed stub/kernel overhead
-//! constants.
+//! LRPC stubs "consist mainly of move and trap instructions"; the
+//! interpreter performs the moves of each stub half by walking the
+//! procedure's frame layout slot by slot, charging the calibrated
+//! per-operation and per-byte costs to the executing CPU. Control steps
+//! (traps, A-stack queue operations, the branch into the procedure) are
+//! performed by the LRPC runtime itself — their cost is part of the fixed
+//! stub/kernel overhead constants.
+//!
+//! The copy plans of [`crate::plan`] make the same moves with every
+//! decision taken at bind time and charge exactly the same; the
+//! interpreter is their reference and runs the halves they do not cover.
 //!
 //! Modula2+ marshaling stubs run the same logical operations at 4× the
 //! per-operation cost (the paper measures "a factor of four performance
@@ -163,7 +167,8 @@ pub type FetchedResults = (Option<Value>, Vec<(usize, Value)>);
 /// `inplace` is the procedure's `[inplace]` attribute: a server that opts
 /// into a shared view of interpreted variable data waives the defensive
 /// copy (and with it the mid-call-mutation guarantee) — conformance checks
-/// and reference rebuilds still apply regardless.
+/// and reference rebuilds still apply regardless. The interpreter and the
+/// compiled read plans both apply this rule.
 pub fn needs_server_copy(param: &crate::ast::Param, inplace: bool) -> bool {
     param.ty.needs_conformance_check()
         || (!inplace && !param.noninterpreted && param.ty.fixed_size().is_none())
@@ -183,68 +188,61 @@ impl<'a> StubVm<'a> {
         StubVm { cost, cpu, meter }
     }
 
-    fn charge_op(&mut self, lang: StubLang, bytes: usize) {
-        let mult = match lang {
-            StubLang::Assembly => 1,
-            StubLang::Modula2Plus => MODULA2_SLOWDOWN,
-        };
-        let cost = (self.cost.per_arg_op + self.cost.per_byte_copy * bytes as u64) * mult;
-        let phase = if lang == StubLang::Assembly {
-            Phase::ArgCopy
-        } else {
-            Phase::Marshal
-        };
-        self.cpu.charge(cost);
-        self.meter.record_span(phase, cost, self.cpu.now());
-    }
-
-    /// Charges a *fused* run of `ops` data operations moving `bytes` total
-    /// bytes as one span. By cost linearity this equals `ops` separate
-    /// [`charge_op`] calls to the nanosecond — `(per_arg_op * ops +
-    /// per_byte_copy * bytes) * mult` — which is what lets compiled copy
-    /// plans coalesce moves without perturbing Table 5.
+    /// Charges `ops` data operations moving `bytes` bytes as one span:
+    /// `(per_arg_op * ops + per_byte_copy * bytes) * mult`, `mult` being
+    /// [`MODULA2_SLOWDOWN`] for Modula2+ stubs. The interpreter charges each
+    /// operation as `charge_bulk(lang, 1, bytes)`; by cost linearity a plan's
+    /// one fused charge per half equals that sequence to the nanosecond.
     pub fn charge_bulk(&mut self, lang: StubLang, ops: u64, bytes: u64) {
         if ops == 0 && bytes == 0 {
             return;
         }
-        let mult = match lang {
-            StubLang::Assembly => 1,
-            StubLang::Modula2Plus => MODULA2_SLOWDOWN,
+        let (mult, phase) = match lang {
+            StubLang::Assembly => (1, Phase::ArgCopy),
+            StubLang::Modula2Plus => (MODULA2_SLOWDOWN, Phase::Marshal),
         };
         let cost = (self.cost.per_arg_op * ops + self.cost.per_byte_copy * bytes) * mult;
-        let phase = if lang == StubLang::Assembly {
-            Phase::ArgCopy
-        } else {
-            Phase::Marshal
-        };
         self.cpu.charge(cost);
         self.meter.record_span(phase, cost, self.cpu.now());
     }
 
-    fn write_oob_descriptor(
+    /// Marshals `encoded` into a new out-of-band segment, always on the
+    /// Modula2+ path, and writes its `[id | len]` descriptor at `offset`.
+    fn marshal_oob(
         &mut self,
         frame: &mut dyn Frame,
         offset: usize,
-        id: u32,
-        len: u32,
+        encoded: Vec<u8>,
+        oob: &mut OobStore,
     ) -> Result<(), StubError> {
+        self.charge_bulk(StubLang::Modula2Plus, 1, encoded.len() as u64);
         let mut d = [0u8; 8];
-        d[..4].copy_from_slice(&id.to_le_bytes());
-        d[4..].copy_from_slice(&len.to_le_bytes());
+        d[..4].copy_from_slice(&(oob.len() as u32).to_le_bytes());
+        d[4..].copy_from_slice(&(encoded.len() as u32).to_le_bytes());
+        oob.push(encoded);
         frame.write(offset, &d)
     }
 
-    fn read_oob_descriptor(
+    /// The out-of-band segment whose descriptor is at `offset`, its
+    /// unmarshaling charged on the Modula2+ path.
+    fn unmarshal_oob<'o>(
         &mut self,
         frame: &dyn Frame,
         offset: usize,
-    ) -> Result<(u32, u32), StubError> {
+        oob: &'o OobStore,
+    ) -> Result<&'o [u8], StubError> {
         let mut d = [0u8; 8];
         frame.read_into(offset, &mut d)?;
-        Ok((
-            u32::from_le_bytes([d[0], d[1], d[2], d[3]]),
-            u32::from_le_bytes([d[4], d[5], d[6], d[7]]),
-        ))
+        let id = u32::from_le_bytes([d[0], d[1], d[2], d[3]]);
+        let len = u32::from_le_bytes([d[4], d[5], d[6], d[7]]);
+        let seg = oob
+            .get(id as usize)
+            .ok_or(StubError::OutOfBandMissing { id })?;
+        let seg = seg
+            .get(..len as usize)
+            .ok_or(StubError::Wire(WireError::Truncated))?;
+        self.charge_bulk(StubLang::Modula2Plus, 1, u64::from(len));
+        Ok(seg)
     }
 
     /// Client call half: pushes every in-direction argument onto the frame
@@ -270,18 +268,10 @@ impl<'a> StubVm<'a> {
             let encoded = encode_vec(&args[i], &param.ty)?;
             match slot.kind {
                 SlotKind::Inline => {
-                    self.charge_op(proc.lang, encoded.len());
+                    self.charge_bulk(proc.lang, 1, encoded.len() as u64);
                     frame.write(slot.offset, &encoded)?;
                 }
-                SlotKind::OutOfBand => {
-                    // Marshaling into the out-of-band segment is always on
-                    // the Modula2+ path.
-                    self.charge_op(StubLang::Modula2Plus, encoded.len());
-                    let id = oob.len() as u32;
-                    let len = encoded.len() as u32;
-                    oob.push(encoded);
-                    self.write_oob_descriptor(frame, slot.offset, id, len)?;
-                }
+                SlotKind::OutOfBand => self.marshal_oob(frame, slot.offset, encoded, oob)?,
             }
         }
         Ok(())
@@ -312,7 +302,7 @@ impl<'a> StubVm<'a> {
                     if needs_server_copy(param, proc.def.inplace) {
                         // Defensive copy / checked copy / reference rebuild:
                         // one more pass over the bytes.
-                        self.charge_op(proc.lang, slot.size.min(raw.len()));
+                        self.charge_bulk(proc.lang, 1, slot.size.min(raw.len()) as u64);
                         let (v, _) = decode_checked(&raw, &param.ty)?;
                         v
                     } else {
@@ -325,16 +315,8 @@ impl<'a> StubVm<'a> {
                     }
                 }
                 SlotKind::OutOfBand => {
-                    let (id, len) = self.read_oob_descriptor(frame, slot.offset)?;
-                    let seg = oob
-                        .get(id as usize)
-                        .ok_or(StubError::OutOfBandMissing { id })?;
-                    if seg.len() < len as usize {
-                        return Err(StubError::Wire(WireError::Truncated));
-                    }
-                    self.charge_op(StubLang::Modula2Plus, len as usize);
-                    let (v, _) = decode_checked(&seg[..len as usize], &param.ty)?;
-                    v
+                    let seg = self.unmarshal_oob(frame, slot.offset, oob)?;
+                    decode_checked(seg, &param.ty)?.0
                 }
             };
             vals.push(value);
@@ -365,13 +347,7 @@ impl<'a> StubVm<'a> {
                 SlotKind::Inline => {
                     frame.write(ret_slot.offset, &encoded)?;
                 }
-                SlotKind::OutOfBand => {
-                    self.charge_op(StubLang::Modula2Plus, encoded.len());
-                    let id = oob.len() as u32;
-                    let len = encoded.len() as u32;
-                    oob.push(encoded);
-                    self.write_oob_descriptor(frame, ret_slot.offset, id, len)?;
-                }
+                SlotKind::OutOfBand => self.marshal_oob(frame, ret_slot.offset, encoded, oob)?,
             }
         }
         for (i, v) in outs {
@@ -385,13 +361,7 @@ impl<'a> StubVm<'a> {
                 SlotKind::Inline => {
                     frame.write(slot.offset, &encoded)?;
                 }
-                SlotKind::OutOfBand => {
-                    self.charge_op(StubLang::Modula2Plus, encoded.len());
-                    let id = oob.len() as u32;
-                    let len = encoded.len() as u32;
-                    oob.push(encoded);
-                    self.write_oob_descriptor(frame, slot.offset, id, len)?;
-                }
+                SlotKind::OutOfBand => self.marshal_oob(frame, slot.offset, encoded, oob)?,
             }
         }
         Ok(())
@@ -431,21 +401,13 @@ impl<'a> StubVm<'a> {
         match slot.kind {
             SlotKind::Inline => {
                 let raw = frame.read(slot.offset, slot.size)?;
-                self.charge_op(proc.lang, slot.size);
+                self.charge_bulk(proc.lang, 1, slot.size as u64);
                 let (v, _) = decode(&raw, ty)?;
                 Ok(v)
             }
             SlotKind::OutOfBand => {
-                let (id, len) = self.read_oob_descriptor(frame, slot.offset)?;
-                let seg = oob
-                    .get(id as usize)
-                    .ok_or(StubError::OutOfBandMissing { id })?;
-                if seg.len() < len as usize {
-                    return Err(StubError::Wire(WireError::Truncated));
-                }
-                self.charge_op(StubLang::Modula2Plus, len as usize);
-                let (v, _) = decode(&seg[..len as usize], ty)?;
-                Ok(v)
+                let seg = self.unmarshal_oob(frame, slot.offset, oob)?;
+                Ok(decode(seg, ty)?.0)
             }
         }
     }
@@ -464,6 +426,45 @@ mod tests {
 
     fn compile_one(src: &str) -> crate::stubgen::CompiledInterface {
         compile(&parse(src).unwrap())
+    }
+
+    /// Which in-parameters the server entry half copies off the shared
+    /// A-stack (Section 3.5), per procedure and parameter.
+    #[test]
+    fn server_copy_rule_table() {
+        let iface = compile_one(
+            "interface B { \
+             procedure Interp(d: var bytes[64]); \
+             procedure Immut(d: var bytes[64] noninterpreted); \
+             [inplace = 1] procedure Shared(d: var bytes[64]); \
+             procedure Card(n: cardinal); \
+             procedure Ref(h: int32, d: in ref bytes[100]); \
+             [inplace = 1] procedure SharedChecked(n: cardinal, d: in ref bytes[32]); \
+             procedure Fixed(a: int32, d: bytes[200]); }",
+        );
+        let table: &[(&str, &[bool])] = &[
+            // Interpreted variable data: the client could change it mid-call.
+            ("Interp", &[true]),
+            // `noninterpreted` and `[inplace]` waive the defensive copy.
+            ("Immut", &[false]),
+            ("Shared", &[false]),
+            // Conformance checks and reference rebuilds are not waivable.
+            ("Card", &[true]),
+            ("Ref", &[false, true]),
+            ("SharedChecked", &[true, true]),
+            // Fixed-size values are used in place.
+            ("Fixed", &[false, false]),
+        ];
+        for (name, expected) in table {
+            let proc = iface.proc_by_name(name).unwrap();
+            let got: Vec<bool> = proc
+                .def
+                .params
+                .iter()
+                .map(|p| needs_server_copy(p, proc.def.inplace))
+                .collect();
+            assert_eq!(&got, expected, "{name}");
+        }
     }
 
     #[test]
@@ -594,6 +595,12 @@ mod tests {
         assert!(matches!(
             vm.server_read_args(proc, &frame, &empty),
             Err(StubError::OutOfBandMissing { id: 0 })
+        ));
+        // A segment shorter than its descriptor says is truncated.
+        oob[0].pop();
+        assert!(matches!(
+            vm.server_read_args(proc, &frame, &oob),
+            Err(StubError::Wire(WireError::Truncated))
         ));
     }
 

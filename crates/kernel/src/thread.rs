@@ -192,11 +192,6 @@ impl Thread {
         ReturnPath::DestroyThread
     }
 
-    /// Peeks at the top linkage record.
-    pub fn top_linkage(&self) -> Option<Linkage> {
-        self.inner.lock().linkages.last().copied()
-    }
-
     /// Snapshot of the linkage stack, bottom to top.
     pub fn linkages(&self) -> Vec<Linkage> {
         self.inner.lock().linkages.clone()

@@ -127,30 +127,10 @@ pub struct CallRing {
 }
 
 impl CallRing {
-    /// Maps the ring region pairwise into both domains and wires the
-    /// metrics instruments. Called by the runtime at import time.
-    pub fn new(
-        kernel: &Arc<Kernel>,
-        client: &Arc<Domain>,
-        server: &Arc<Domain>,
-        name: &str,
-        occupancy: obs::Gauge,
-        doorbells_total: obs::Counter,
-    ) -> CallRing {
-        CallRing::with_slots(
-            kernel,
-            client,
-            server,
-            name,
-            occupancy,
-            doorbells_total,
-            RING_SLOTS,
-        )
-    }
-
-    /// Like [`CallRing::new`] with an explicit depth — the adaptive sizing
-    /// controller's ring-depth recommendations land here. The depth is
-    /// clamped to 1..=256 slots.
+    /// Maps a ring of `slots` slots pairwise into both domains and wires
+    /// the metrics instruments. Called by the runtime at import time, at
+    /// [`RING_SLOTS`] or at the depth the adaptive sizing controller
+    /// recommends; the depth is clamped to 1..=256 slots.
     pub fn with_slots(
         kernel: &Arc<Kernel>,
         client: &Arc<Domain>,

@@ -621,11 +621,6 @@ impl LrpcRuntime {
         self.kernel.replace_captured_thread(captured)
     }
 
-    /// Number of live bindings (diagnostics).
-    pub fn binding_count(&self) -> usize {
-        self.bindings.len()
-    }
-
     /// Samples the runtime-wide observable state into the metrics registry
     /// and returns the resulting snapshot.
     ///

@@ -293,18 +293,6 @@ pub fn thread_snapshot() -> Vec<SpanRecord> {
     spans
 }
 
-/// Total spans ever pushed across every registered ring (including ones
-/// since overwritten or read).
-pub fn pushed_total() -> u64 {
-    tally::note_global_lock();
-    REGISTRY
-        .lock()
-        .expect("flight registry poisoned")
-        .iter()
-        .map(|r| r.pushed())
-        .sum()
-}
-
 /// Total spans lost to overwrite before any reader saw them, summed
 /// across every registered ring (see [`FlightRing::dropped`]). Exported
 /// by the runtime as the `obs_flight_dropped_total` counter; monotone,

@@ -334,15 +334,6 @@ impl Registry {
             .clone()
     }
 
-    /// Adopts an externally-owned counter under `name` (last writer wins).
-    pub fn register_counter(&self, name: &str, counter: Counter) {
-        tally::note_global_lock();
-        self.counters
-            .lock()
-            .expect("metrics registry poisoned")
-            .insert(name.to_string(), counter);
-    }
-
     /// Adopts an externally-owned gauge under `name`.
     pub fn register_gauge(&self, name: &str, gauge: Gauge) {
         tally::note_global_lock();
@@ -350,24 +341,6 @@ impl Registry {
             .lock()
             .expect("metrics registry poisoned")
             .insert(name.to_string(), gauge);
-    }
-
-    /// Adopts an externally-owned histogram under `name`.
-    pub fn register_histogram(&self, name: &str, histogram: Histogram) {
-        tally::note_global_lock();
-        self.histograms
-            .lock()
-            .expect("metrics registry poisoned")
-            .insert(name.to_string(), histogram);
-    }
-
-    /// Adopts an externally-owned tail histogram under `name`.
-    pub fn register_tail(&self, name: &str, tail: TailHistogram) {
-        tally::note_global_lock();
-        self.tails
-            .lock()
-            .expect("metrics registry poisoned")
-            .insert(name.to_string(), tail);
     }
 
     /// Freezes every registered metric.

@@ -310,14 +310,6 @@ impl SitePlan {
             })
             .sum()
     }
-
-    /// Distinct bindings the plan actually touches.
-    pub fn touched_bindings(&self) -> usize {
-        let mut seen: Vec<usize> = self.arrivals.iter().map(|a| a.binding).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        seen.len()
-    }
 }
 
 #[cfg(test)]
