@@ -6,7 +6,7 @@
 //! [`RecordLog`], together with digests of the run's observable
 //! artifacts: the normalized flight trace (`spans_to_json`), the metrics
 //! snapshot, the final virtual clock, and the fault-event digest.
-//! [`replay`] re-executes the scenario *from the log alone* — the fault
+//! [`replay()`] re-executes the scenario *from the log alone* — the fault
 //! plan it installs is an all-zero dummy; every draw is answered from the
 //! log — and checks the replayed artifacts byte-for-byte against the
 //! recorded digests. [`shrink_chaos`] delta-debugs a failing chaos

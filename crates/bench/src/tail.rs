@@ -874,7 +874,7 @@ impl TailReport {
     }
 
     /// Run-local gates: clean execution, attribution closure and span
-    /// coverage ([`suite`] adds monotone quantiles from the tables).
+    /// coverage ([`suite()`] adds monotone quantiles from the tables).
     pub fn gates(&self) -> Vec<Gate> {
         let mut gates = vec![
             Gate::new("errors", self.errors as f64, "<=", 0.0),

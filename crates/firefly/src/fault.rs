@@ -3,7 +3,7 @@
 //! The LRPC paper's robustness story (Section 5.3) is exercised here by a
 //! seeded, fully deterministic *fault plan*: a set of knobs — all zero by
 //! default — that the layers above consult at well-known injection sites.
-//! A [`FaultPlan`] owns one [`SplitMix64`]-derived pseudo-random stream
+//! A [`FaultPlan`] owns one [`splitmix64`]-derived pseudo-random stream
 //! *per site* (keyed by the site's name), so the fate decided at one site
 //! never depends on how many decisions another site has made. Every
 //! decision that actually injects a fault is appended to a globally

@@ -183,14 +183,6 @@ impl Tlb {
         self.invalidations
     }
 
-    /// Resets the hit/miss/invalidation counters (residency is preserved so
-    /// steady-state measurements can follow a warm-up).
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-        self.invalidations = 0;
-    }
-
     /// Number of currently resident entries.
     pub fn resident_count(&self) -> usize {
         self.len
@@ -285,14 +277,5 @@ mod tests {
         tlb.touch(CTX, page(2)); // Evicts page 0.
         assert!(tlb.touch(CTX, page(0)), "page 0 must have been evicted");
         assert!(!tlb.touch(CTX, page(2)));
-    }
-
-    #[test]
-    fn reset_stats_preserves_residency() {
-        let mut tlb = Tlb::cvax();
-        tlb.touch(CTX, page(0));
-        tlb.reset_stats();
-        assert_eq!(tlb.misses(), 0);
-        assert!(!tlb.touch(CTX, page(0)), "residency survives a stats reset");
     }
 }

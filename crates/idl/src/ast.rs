@@ -161,11 +161,6 @@ impl InterfaceDef {
             procs,
         }
     }
-
-    /// Finds a procedure by name.
-    pub fn proc_index(&self, name: &str) -> Option<usize> {
-        self.procs.iter().position(|p| p.name == name)
-    }
 }
 
 #[cfg(test)]
@@ -219,18 +214,5 @@ mod tests {
             None,
         );
         assert!(p.has_complex());
-    }
-
-    #[test]
-    fn proc_index_lookup() {
-        let iface = InterfaceDef::new(
-            "Svc",
-            vec![
-                ProcDef::new("A", vec![], None),
-                ProcDef::new("B", vec![], None),
-            ],
-        );
-        assert_eq!(iface.proc_index("B"), Some(1));
-        assert_eq!(iface.proc_index("C"), None);
     }
 }

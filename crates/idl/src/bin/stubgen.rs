@@ -56,7 +56,7 @@ fn print_proc(p: &CompiledProc) {
         StubLang::Assembly => ("assembly", "fast path"),
         StubLang::Modula2Plus => ("Modula2+", "marshaling path"),
     };
-    println!("procedure {} (identifier {})", p.name, p.index);
+    println!("procedure {} (identifier {})", p.def.name, p.pd.entry);
     println!("  language: {lang} ({path})");
     println!(
         "  A-stacks: {} x {} bytes{}",

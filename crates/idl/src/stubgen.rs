@@ -52,17 +52,14 @@ pub struct ProcedureDescriptor {
 /// descriptor.
 #[derive(Clone, Debug)]
 pub struct CompiledProc {
-    /// Procedure index within the interface.
-    pub index: usize,
-    /// Procedure name.
-    pub name: String,
-    /// The declaration this was compiled from.
+    /// The declaration this was compiled from (its name included).
     pub def: ProcDef,
     /// A-stack frame layout.
     pub layout: FrameLayout,
     /// Stub language chosen at compile time.
     pub lang: StubLang,
-    /// Procedure descriptor for the PDL.
+    /// Procedure descriptor for the PDL (its `entry` is the procedure
+    /// identifier).
     pub pd: ProcedureDescriptor,
 }
 
@@ -82,9 +79,10 @@ impl CompiledInterface {
         self.procs.iter().map(|p| p.pd.clone()).collect()
     }
 
-    /// Finds a compiled procedure by name.
+    /// Finds a compiled procedure by name: the one procedure-name lookup
+    /// of the binding and call paths.
     pub fn proc_by_name(&self, name: &str) -> Option<&CompiledProc> {
-        self.procs.iter().find(|p| p.name == name)
+        self.procs.iter().find(|p| p.def.name == name)
     }
 }
 
@@ -102,8 +100,6 @@ fn compile_proc(index: usize, def: &ProcDef) -> CompiledProc {
         idempotent: def.idempotent,
     };
     CompiledProc {
-        index,
-        name: def.name.clone(),
         def: def.clone(),
         layout,
         lang,
@@ -141,7 +137,7 @@ mod tests {
         assert_eq!(pdl[0].simultaneous_calls, DEFAULT_ASTACK_COUNT);
         assert_eq!(pdl[1].simultaneous_calls, 9);
         assert_eq!(pdl[1].astack_size, 4);
-        assert_eq!(c.proc_by_name("Q").unwrap().index, 1);
+        assert_eq!(c.proc_by_name("Q").unwrap().pd.entry, 1);
     }
 
     /// The A-stack sizing of the paper's four benchmark procedures: exact

@@ -484,6 +484,18 @@ impl BindingState {
     }
 }
 
+/// Resolves a procedure name to its identifier in `interface`, for both
+/// the LRPC and the message-RPC call paths.
+pub fn resolve_proc(interface: &CompiledInterface, name: &str) -> Result<usize, CallError> {
+    interface
+        .proc_by_name(name)
+        .map(|p| p.pd.entry)
+        .ok_or_else(|| CallError::UnknownProcedure {
+            interface: interface.name.clone(),
+            name: name.to_string(),
+        })
+}
+
 /// The client's handle on an imported interface.
 ///
 /// Holds the kernel-validated Binding Object ([`RawHandle`]) plus the
@@ -531,12 +543,7 @@ impl Binding {
 
     /// Resolves a procedure name to its identifier.
     pub fn proc_index(&self, name: &str) -> Result<usize, CallError> {
-        self.state
-            .interface
-            .procs
-            .iter()
-            .position(|p| p.name == name)
-            .ok_or(CallError::BadProcedure { index: usize::MAX })
+        resolve_proc(&self.state.interface, name)
     }
 
     /// Makes an LRPC through this binding on the given CPU and thread.

@@ -18,6 +18,13 @@ pub enum CallError {
         /// The offending index.
         index: usize,
     },
+    /// The interface declares no procedure of this name.
+    UnknownProcedure {
+        /// The interface called.
+        interface: String,
+        /// The name that was sought.
+        name: String,
+    },
     /// The presented A-stack failed validation (outside the bound region,
     /// misaligned, or not one of the binding's A-stacks).
     BadAStack,
@@ -65,6 +72,9 @@ impl core::fmt::Display for CallError {
             CallError::BindingRevoked => write!(f, "binding has been revoked"),
             CallError::BadProcedure { index } => {
                 write!(f, "procedure identifier {index} out of range")
+            }
+            CallError::UnknownProcedure { interface, name } => {
+                write!(f, "interface `{interface}` has no procedure `{name}`")
             }
             CallError::BadAStack => write!(f, "A-stack failed validation"),
             CallError::AStackBusy => write!(f, "A-stack/linkage pair already in use"),

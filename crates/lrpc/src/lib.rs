@@ -14,8 +14,9 @@
 //! * **Simple data transfer** — [`astack`]: pairwise-mapped, contiguously
 //!   allocated argument stacks with LIFO free queues; arguments are copied
 //!   once, from the client stub straight onto the shared A-stack.
-//! * **Simple stubs** — the `idl` crate's generated stub programs,
-//!   interpreted against A-stack frames.
+//! * **Simple stubs** — the `idl` crate's frame layouts, lowered at bind
+//!   time into straight-line copy plans (the stub VM interprets the
+//!   halves no plan covers).
 //! * **Design for concurrency** — lock-free per-class A-stack free lists
 //!   (no process-global lock anywhere on the call path), and the
 //!   idle-processor domain-caching optimization.
@@ -65,7 +66,6 @@ pub mod remote;
 pub mod ring;
 pub mod runtime;
 pub mod touch;
-pub mod typed;
 
 pub use adapt::{AdaptConfig, AdaptPlan, ClassSnapshot, Recommendation};
 pub use astack::{AStackMapping, AStackPolicy, AStackSet, LinkageSlot};
@@ -81,4 +81,3 @@ pub use remote::{RemoteReply, RemoteTransport};
 pub use ring::{BatchOutcome, CallRing, RING_SLOTS};
 pub use runtime::{LrpcRuntime, RuntimeConfig, TestRuntime};
 pub use touch::TouchPlan;
-pub use typed::{IntoValue, TypedCall, TypedOutcome};

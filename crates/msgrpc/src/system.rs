@@ -21,6 +21,7 @@ use kernel::kernel::Kernel;
 use kernel::nameserver::NameServer;
 use kernel::thread::{Thread, ThreadStatus};
 use kernel::Domain;
+use lrpc::binding::resolve_proc;
 use lrpc::{CallError, Reply};
 use parking_lot::Mutex;
 
@@ -164,12 +165,7 @@ impl MsgRpcSystem {
         proc: &str,
         args: &[Value],
     ) -> Result<MsgCallOutcome, CallError> {
-        let index = server
-            .interface
-            .procs
-            .iter()
-            .position(|p| p.name == proc)
-            .ok_or(CallError::BadProcedure { index: usize::MAX })?;
+        let index = resolve_proc(&server.interface, proc)?;
         self.call_indexed(client, thread, server, cpu_id, index, args, true)
     }
 

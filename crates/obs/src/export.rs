@@ -1,4 +1,4 @@
-//! Snapshot encoders: JSON and Prometheus-style text exposition.
+//! Snapshot encoders: metrics and flight spans as JSON.
 //!
 //! Hand-rolled on purpose — the workspace builds offline with no serde —
 //! and deliberately boring: stable key order (registries are BTreeMaps,
@@ -6,16 +6,8 @@
 //! runs.
 
 use crate::flight::SpanRecord;
+use crate::latency::TailSnapshot;
 use crate::metrics::{MetricValue, Snapshot};
-
-/// The quantiles both exporters surface for histogram-shaped metrics:
-/// `(q, Prometheus quantile label, JSON key)`.
-pub const EXPORT_QUANTILES: [(f64, &str, &str); 4] = [
-    (0.50, "0.5", "p50"),
-    (0.90, "0.9", "p90"),
-    (0.99, "0.99", "p99"),
-    (0.999, "0.999", "p999"),
-];
 
 /// Escapes `s` for inclusion inside a JSON string literal.
 fn json_escape(s: &str) -> String {
@@ -34,10 +26,12 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-fn json_quantiles(q: &dyn Fn(f64) -> Option<u64>) -> String {
-    EXPORT_QUANTILES
+/// A tail histogram's rank-exact quantiles as JSON members
+/// (`"p50":..,"p90":..,"p99":..,"p999":..`).
+fn json_quantiles(t: &TailSnapshot) -> String {
+    [(0.50, "p50"), (0.90, "p90"), (0.99, "p99"), (0.999, "p999")]
         .iter()
-        .map(|&(quant, _, key)| format!("\"{key}\":{}", q(quant).unwrap_or(0)))
+        .map(|&(q, key)| format!("\"{key}\":{}", t.quantile(q).unwrap_or(0)))
         .collect::<Vec<_>>()
         .join(",")
 }
@@ -73,7 +67,7 @@ pub fn metrics_to_json(snapshot: &Snapshot) -> String {
                     t.count,
                     t.sum,
                     t.max,
-                    json_quantiles(&|q| t.quantile(q))
+                    json_quantiles(t)
                 ));
             }
         }
@@ -85,79 +79,6 @@ pub fn metrics_to_json(snapshot: &Snapshot) -> String {
         histograms.join(","),
         tails.join(",")
     )
-}
-
-/// Maps an arbitrary metric name onto the Prometheus identifier alphabet
-/// (`[a-zA-Z_:][a-zA-Z0-9_:]*`); everything else becomes `_`.
-fn prometheus_name(name: &str) -> String {
-    let mut out: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if out
-        .chars()
-        .next()
-        .is_none_or(|c| c.is_ascii_digit() || !(c.is_ascii_alphanumeric() || c == '_' || c == ':'))
-    {
-        out.insert(0, '_');
-    }
-    out
-}
-
-fn prometheus_quantiles(out: &mut String, name: &str, q: &dyn Fn(f64) -> Option<u64>) {
-    for &(quant, label, _) in &EXPORT_QUANTILES {
-        if let Some(v) = q(quant) {
-            out.push_str(&format!("{name}{{quantile=\"{label}\"}} {v}\n"));
-        }
-    }
-}
-
-/// Encodes a metrics snapshot in the Prometheus text exposition format.
-/// Histograms emit cumulative `_bucket{le=...}` series plus `_sum` and
-/// `_count`, matching the standard scrape shape, and additionally
-/// summary-style `{quantile="..."}` lines (p50/p90/p99/p999, rank-exact
-/// over the recorded buckets) so tails are scrapeable without PromQL
-/// bucket interpolation. Tail histograms emit the summary shape alone —
-/// their ~7400 sub-buckets would bloat a scrape.
-pub fn metrics_to_prometheus(snapshot: &Snapshot) -> String {
-    let mut out = String::new();
-    for m in &snapshot.metrics {
-        let name = prometheus_name(&m.name);
-        match &m.value {
-            MetricValue::Counter(v) => {
-                out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
-            }
-            MetricValue::Gauge(v) => {
-                out.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
-            }
-            MetricValue::Histogram(h) => {
-                out.push_str(&format!("# TYPE {name} histogram\n"));
-                let mut cumulative = 0u64;
-                for &(le, n) in &h.buckets {
-                    cumulative += n;
-                    out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
-                }
-                out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-                prometheus_quantiles(&mut out, &name, &|q| h.quantile(q));
-                out.push_str(&format!("{name}_sum {}\n", h.sum));
-                out.push_str(&format!("{name}_count {}\n", h.count));
-            }
-            MetricValue::Tail(t) => {
-                out.push_str(&format!("# TYPE {name} summary\n"));
-                prometheus_quantiles(&mut out, &name, &|q| t.quantile(q));
-                out.push_str(&format!("{name}_sum {}\n", t.sum));
-                out.push_str(&format!("{name}_count {}\n", t.count));
-                out.push_str(&format!("{name}_max {}\n", t.max));
-            }
-        }
-    }
-    out
 }
 
 /// Encodes recorded spans as a JSON array. `phase_name` supplies the
@@ -210,34 +131,6 @@ mod tests {
              \"tails\":{\"tail_ns\":{\"count\":2,\"sum\":30,\"max\":20,\
              \"p50\":10,\"p90\":20,\"p99\":20,\"p999\":20}}}"
         );
-    }
-
-    #[test]
-    fn prometheus_histogram_is_cumulative() {
-        let text = metrics_to_prometheus(&sample());
-        assert!(text.contains("# TYPE estack_busy gauge\nestack_busy -1\n"));
-        assert!(text.contains("latency_ns_bucket{le=\"0\"} 1\n"));
-        assert!(text.contains("latency_ns_bucket{le=\"7\"} 2\n"));
-        assert!(text.contains("latency_ns_bucket{le=\"+Inf\"} 2\n"));
-        assert!(text.contains("latency_ns_sum 5\n"));
-        assert!(text.contains("latency_ns_count 2\n"));
-    }
-
-    #[test]
-    fn prometheus_quantile_lines_cover_histograms_and_tails() {
-        let text = metrics_to_prometheus(&sample());
-        // Log2 histogram: quantiles land on bucket upper bounds.
-        assert!(text.contains("latency_ns{quantile=\"0.5\"} 0\n"));
-        assert!(text.contains("latency_ns{quantile=\"0.99\"} 7\n"));
-        assert!(text.contains("latency_ns{quantile=\"0.999\"} 7\n"));
-        // Tail histogram: summary shape, exact small values, no buckets.
-        assert!(text.contains("# TYPE tail_ns summary\n"));
-        assert!(text.contains("tail_ns{quantile=\"0.5\"} 10\n"));
-        assert!(text.contains("tail_ns{quantile=\"0.999\"} 20\n"));
-        assert!(text.contains("tail_ns_sum 30\n"));
-        assert!(text.contains("tail_ns_count 2\n"));
-        assert!(text.contains("tail_ns_max 20\n"));
-        assert!(!text.contains("tail_ns_bucket"));
     }
 
     #[test]

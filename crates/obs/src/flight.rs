@@ -153,9 +153,9 @@ impl FlightRing {
     }
 
     /// Reads every stable span currently in the ring, in push order
-    /// (oldest surviving span first). Slots that are mid-update after
-    /// [`READ_RETRIES`] attempts are skipped rather than returned torn;
-    /// never-written slots are skipped.
+    /// (oldest surviving span first). Slots still mid-update after a
+    /// bounded number of read attempts are skipped rather than returned
+    /// torn; never-written slots are skipped.
     ///
     /// Push order means starting the walk at `head % capacity` — the next
     /// slot to be overwritten, i.e. the oldest — not at slot 0: once the

@@ -7,7 +7,7 @@
 //!
 //! * [`tally`] — thread-local lock-acquisition accounting (the Section 3.4
 //!   "zero global locks on the call path" proof obligation);
-//! * [`trace`] — per-call [`TraceId`](trace::TraceId)s;
+//! * [`trace`] — per-call [`TraceId`]s;
 //! * [`flight`] — a lock-free, per-thread ring-buffer **flight recorder**
 //!   of per-phase spans (virtual-time start + duration), bounded and
 //!   overwrite-oldest, from which the paper's tables can be regenerated
@@ -16,7 +16,7 @@
 //! * [`latency`] — HDR-style tail histograms (128 sub-buckets per octave,
 //!   rank-exact p50/p99/p999, lossless merge) and a windowed time-series
 //!   for localizing tail spikes;
-//! * [`export`] — JSON and Prometheus-style text encoders for snapshots.
+//! * [`export`] — JSON encoders for metrics snapshots and recorded spans.
 //!
 //! The crate sits *below* the simulator (`firefly` depends on `obs`, not
 //! the other way around), so spans carry raw nanosecond counts and `u16`
@@ -37,7 +37,7 @@ pub mod metrics;
 pub mod tally;
 pub mod trace;
 
-pub use export::{metrics_to_json, metrics_to_prometheus, spans_to_json};
+pub use export::{metrics_to_json, spans_to_json};
 pub use flight::{FlightRing, SpanRecord};
 pub use latency::{TailHistogram, TailSnapshot, WindowedSeries};
 pub use metrics::{

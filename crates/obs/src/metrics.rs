@@ -185,29 +185,6 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<(u64, u64)>,
 }
 
-impl HistogramSnapshot {
-    /// The quantile `q` in `[0, 1]` by exact rank selection over the log2
-    /// buckets: the inclusive upper bound of the smallest bucket whose
-    /// cumulative count reaches `ceil(q·count)` (at least 1). The rank is
-    /// exact; the value is quantized to the bucket bound (up to 2× for a
-    /// log2 histogram — use a tail histogram where that matters).
-    /// `None` when empty. Monotone in `q`.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for &(le, n) in &self.buckets {
-            seen += n;
-            if seen >= rank {
-                return Some(le);
-            }
-        }
-        self.buckets.last().map(|&(le, _)| le)
-    }
-}
-
 /// One named metric's frozen value.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MetricValue {

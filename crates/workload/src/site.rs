@@ -13,8 +13,8 @@
 //!
 //! * **interface popularity** follows the Section 2.2 concentration (75 %
 //!   of calls to the top 3, 95 % to the top 10, the long tail sharing the
-//!   rest — the same shape as [`PopularityModel::section_2_2`], defined
-//!   for any interface count);
+//!   rest — the same shape as [`crate::PopularityModel::section_2_2`],
+//!   defined for any interface count);
 //! * **per-call procedure choice** mirrors the small-call dominance
 //!   (3 of 4 serial calls are the scalar `Get`, the rest the 16-byte
 //!   `Put`);

@@ -301,7 +301,7 @@ fn batch_holding_its_own_astacks_flushes_instead_of_waiting() {
 }
 
 #[test]
-fn batch_metrics_reach_the_exporters() {
+fn batch_metrics_reach_the_json_export() {
     let (rt, _server, binding, thread) = make_env();
     binding
         .call_batch(0, &thread, (0..4).map(|i| request(0, i)).collect())
@@ -315,10 +315,17 @@ fn batch_metrics_reach_the_exporters() {
         snap.get("lrpc_ring_occupancy:Batch").is_some(),
         "per-interface occupancy gauge registered"
     );
-    let text = obs::metrics_to_prometheus(&snap);
-    assert!(text.contains("lrpc_doorbells_total"), "{text}");
-    assert!(text.contains("lrpc_ring_occupancy"), "{text}");
-    assert!(text.contains("lrpc_batch_size"), "{text}");
+    let sizes = snap
+        .histogram("lrpc_batch_size:Batch")
+        .expect("per-interface batch-size histogram registered");
+    assert_eq!((sizes.count, sizes.sum), (1, 4), "one batch of four calls");
+    let json = obs::metrics_to_json(&snap);
+    assert!(json.contains("\"lrpc_doorbells_total\":"), "{json}");
+    assert!(json.contains("\"lrpc_ring_occupancy:Batch\":"), "{json}");
+    assert!(
+        json.contains("\"lrpc_batch_size:Batch\":{\"count\":1,\"sum\":4,"),
+        "{json}"
+    );
 }
 
 // ---------------------------------------------------------------------

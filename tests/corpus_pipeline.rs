@@ -4,8 +4,7 @@
 
 use idl::wire::Value;
 use idl::StubLang;
-use lrpc::{Handler, Reply, ServerCtx};
-use lrpc_suite::Simulation;
+use lrpc::{Handler, Reply, ServerCtx, TestRuntime};
 
 #[test]
 fn the_whole_corpus_prints_parses_and_compiles() {
@@ -42,8 +41,8 @@ fn a_corpus_service_exports_and_serves_over_lrpc() {
     // return zero for every declared procedure.
     let corpus = workload::generate_corpus();
     let service = &corpus[0];
-    let sim = Simulation::cvax_serial();
-    let server = sim.rt.kernel().create_domain("corpus-server");
+    let rt = TestRuntime::new().domain_caching(false).build();
+    let server = rt.kernel().create_domain("corpus-server");
     let handlers: Vec<Handler> = service
         .procs
         .iter()
@@ -57,13 +56,12 @@ fn a_corpus_service_exports_and_serves_over_lrpc() {
             }) as Handler
         })
         .collect();
-    sim.rt
-        .export_def(&server, service, handlers)
+    rt.export_def(&server, service, handlers)
         .expect("corpus service exports");
 
-    let client = sim.rt.kernel().create_domain("app");
-    let thread = sim.rt.kernel().spawn_thread(&client);
-    let binding = sim.rt.import(&client, &service.name).expect("import");
+    let client = rt.kernel().create_domain("app");
+    let thread = rt.kernel().spawn_thread(&client);
+    let binding = rt.import(&client, &service.name).expect("import");
 
     // Call every procedure with zero-valued arguments.
     for (i, p) in service.procs.iter().enumerate() {

@@ -1,13 +1,17 @@
 //! User-facing error messages: every error a caller can see renders with
 //! the information needed to act on it.
 
+use firefly::cost::CostModel;
+use firefly::cpu::Machine;
 use firefly::error::MemFault;
 use firefly::mem::RegionId;
 use firefly::vm::ContextId;
 use idl::stubvm::StubError;
-use idl::wire::WireError;
+use idl::wire::{Value, WireError};
+use kernel::kernel::Kernel;
 use kernel::objects::HandleError;
-use lrpc::CallError;
+use lrpc::{CallError, Handler, Reply, ServerCtx, TestRuntime};
+use msgrpc::{MsgHandler, MsgRpcCost, MsgRpcSystem};
 
 #[test]
 fn mem_faults_name_the_region_and_context() {
@@ -112,6 +116,47 @@ fn call_errors_carry_the_paper_exception_names() {
         let msg = err.to_string();
         assert!(msg.contains(needle), "{msg:?} should contain {needle:?}");
     }
+}
+
+#[test]
+fn unknown_procedures_are_reported_by_name() {
+    const IDL: &str = "interface Svc { procedure Null(); }";
+    let expected = "interface `Svc` has no procedure `Nope`";
+
+    let rt = TestRuntime::new().build();
+    let server = rt.kernel().create_domain("s");
+    rt.export(
+        &server,
+        IDL,
+        vec![Box::new(|_: &ServerCtx, _: &[Value]| Ok(Reply::none())) as Handler],
+    )
+    .unwrap();
+    let client = rt.kernel().create_domain("c");
+    let thread = rt.kernel().spawn_thread(&client);
+    let binding = rt.import(&client, "Svc").unwrap();
+    let err = binding.call(0, &thread, "Nope", &[]).unwrap_err();
+    assert_eq!(err.to_string(), expected, "LRPC");
+
+    let cost = MsgRpcCost::src_rpc_taos();
+    let msg = MsgRpcSystem::new(
+        Kernel::new(Machine::new(1, CostModel::with_hw(cost.hw))),
+        cost,
+    );
+    let sd = msg.kernel().create_domain("s");
+    let msg_server = msg
+        .export(
+            &sd,
+            IDL,
+            vec![Box::new(|_: &[Value]| Ok(Reply::none())) as MsgHandler],
+            1,
+        )
+        .unwrap();
+    let client = msg.kernel().create_domain("c");
+    let thread = msg.kernel().spawn_thread(&client);
+    let err = msg
+        .call(&client, &thread, &msg_server, 0, "Nope", &[])
+        .unwrap_err();
+    assert_eq!(err.to_string(), expected, "message RPC");
 }
 
 #[test]

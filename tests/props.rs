@@ -175,7 +175,7 @@ proptest! {
         let iface = idl::ast::InterfaceDef::new("I", vec![proc]);
         let compiled = compile(&iface);
         prop_assert_eq!(compiled.procs.len(), 1);
-        prop_assert_eq!(compiled.procs[0].index, 0);
+        prop_assert_eq!(compiled.procs[0].pd.entry, 0);
         prop_assert_eq!(compiled.pdl()[0].astack_size, compiled.procs[0].layout.astack_size);
     }
 }
