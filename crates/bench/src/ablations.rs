@@ -145,9 +145,9 @@ pub fn estack_management() -> EStackAblation {
     EStackAblation {
         astacks,
         static_estacks: astacks,
-        lazy_estacks: stats.allocated,
+        lazy_estacks: stats.allocations as usize,
         static_bytes: astacks * estack_size,
-        lazy_bytes: stats.allocated * estack_size,
+        lazy_bytes: stats.allocations as usize * estack_size,
         lazy_hits: stats.lazy_hits,
     }
 }

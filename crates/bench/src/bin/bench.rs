@@ -1,18 +1,24 @@
-//! `bench` — runs the gated suites of [`bench::suite::SUITES`] and
-//! persists their measured trajectories (see `usage` for every verb).
+//! `bench` — prints the paper's tables and figures, runs the gated suites
+//! of [`bench::suite::SUITES`] and persists their measured trajectories
+//! (see `usage` for every verb).
 //!
+//! `bench --tables [NAME...]` prints the reproduction report, every
+//! experiment of [`bench::experiments::REPORTS`] or the named ones; it
+//! reads the virtual clock only, so its output is the same on every host.
 //! Plain `bench [--calls N] [--threads K]` runs the host-parallel Figure-2
 //! sweep, whose gates always set the exit code; `bench --NAME [--check]`
 //! runs one suite, and with `--check` its gates set the exit code. A run
 //! whose gates all pass appends one entry, keyed by git revision, to its
 //! `BENCH_<suite>.json` at the repo root; a run with a failed gate, and a
 //! fault-injected or forced-off probe, is never persisted.
-//! `bench --validate FILE...` checks trajectory files.
+//! `bench --validate FILE...` checks trajectory files, and `bench --all`
+//! prints the report, then runs and checks every suite but the sweep.
 
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use bench::experiments::REPORTS;
 use bench::json::Json;
 use bench::rr;
 use bench::suite::{self, Opts, Suite};
@@ -21,6 +27,7 @@ use workload::site::SiteSpec;
 fn usage() -> ! {
     eprintln!(
         "usage: bench [--calls N] [--threads K]\n       \
+         bench --tables [NAME...]\n       \
          bench --phases [--check]\n       \
          bench --stubs [--check]\n       \
          bench --bulk [--check]\n       \
@@ -80,14 +87,47 @@ fn run_suite(name: &str, opts: &Opts, check: bool) -> bool {
     }
 }
 
-/// Runs every suite but the default sweep with `--check`, then validates
-/// every trajectory file present at the repo root.
+/// Prints the reproduction report: the experiments `names` selects, or
+/// all of them for none. Returns false if a name is unknown.
+fn print_tables(names: &[String]) -> bool {
+    println!("Lightweight Remote Procedure Call (SOSP 1989) — reproduction report");
+    println!("====================================================================\n");
+    let selected: Vec<&str> = if names.is_empty() {
+        REPORTS.iter().map(|r| r.0).collect()
+    } else {
+        names.iter().map(String::as_str).collect()
+    };
+    let mut ok = true;
+    for name in selected {
+        match REPORTS.iter().find(|r| r.0 == name) {
+            Some((_, report)) => println!("{}", report()),
+            None => {
+                let known: Vec<&str> = REPORTS.iter().map(|r| r.0).collect();
+                eprintln!("unknown experiment `{name}`; known: {}", known.join(", "));
+                ok = false;
+            }
+        }
+    }
+    ok
+}
+
+/// Prints the whole report, runs every suite but the default sweep with
+/// `--check`, then validates every trajectory file present at the repo
+/// root. The report runs as a child `bench --tables`: run in this
+/// process, it left state behind (most likely in the heap: only the
+/// stub classes whose cycles allocate slowed) that slowed the stub
+/// suite's compiled BigIn and BigInOut cycles by about 10 % and failed
+/// their 2x gate in most runs.
 fn run_all() -> bool {
     let mut ok = true;
     let mut gate = |name: &str, passed: bool| {
         println!("\n== {name}: {} ==", if passed { "ok" } else { "FAILED" });
         ok &= passed;
     };
+    let report = std::env::current_exe()
+        .and_then(|exe| std::process::Command::new(exe).arg("--tables").status())
+        .map_err(|e| eprintln!("bench: cannot run the report: {e}"));
+    gate("tables", report.is_ok_and(|s| s.success()));
     for suite in suite::SUITES.iter().filter(|s| s.name != "throughput") {
         gate(suite.name, run_suite(suite.name, &Opts::default(), true));
     }
@@ -285,6 +325,8 @@ fn dispatch(verb: &str, rest: &[String], mut opts: Opts) -> ExitCode {
             }
             exit(run_suite("rr-overhead", &opts, check))
         }
+        // An unknown experiment is a usage error.
+        "--tables" => ExitCode::from(if print_tables(rest) { 0 } else { 2 }),
         "--all" if rest.is_empty() => exit(run_all()),
         "--record" => {
             let path = args.next().unwrap_or_else(|| usage());

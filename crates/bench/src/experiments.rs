@@ -1389,66 +1389,33 @@ pub fn render_sensitivity(r: &SensitivityReport) -> String {
 }
 
 // ---------------------------------------------------------------------
-// CSV renderers (for plotting the figures).
+// The report.
 // ---------------------------------------------------------------------
 
-/// Figure 1 as CSV: `lo,hi,calls,cumulative`.
-pub fn render_figure1_csv(f: &Figure1) -> String {
-    let mut out = String::from("bytes_lo,bytes_hi,calls,cumulative\n");
-    for (i, &count) in f.histogram.counts.iter().enumerate() {
-        out.push_str(&format!(
-            "{},{},{},{:.4}\n",
-            f.histogram.edges[i],
-            f.histogram.edges[i + 1],
-            count,
-            f.cumulative[i]
-        ));
-    }
-    out
-}
+/// Runs one experiment and renders its text report.
+pub type Report = fn() -> String;
 
-/// Figure 2 as CSV: `cpus,lrpc,optimal,src`.
-pub fn render_figure2_csv(f: &Figure2) -> String {
-    let mut out = String::from("cpus,lrpc_calls_per_sec,optimal_calls_per_sec,src_calls_per_sec\n");
-    for p in &f.points {
-        out.push_str(&format!(
-            "{},{:.0},{:.0},{:.0}\n",
-            p.cpus, p.lrpc, p.optimal, p.src
-        ));
-    }
-    out
-}
-
-/// The register sweep as CSV: `bytes,latency_us,copies,path`.
-pub fn render_registers_csv(r: &RegisterReport) -> String {
-    let mut out = String::from("bytes,latency_us,copies,path\n");
-    for p in &r.points {
-        out.push_str(&format!(
-            "{},{:.2},{},{}\n",
-            p.bytes,
-            p.latency_us,
-            p.copies,
-            if p.bytes <= r.window {
-                "registers"
-            } else {
-                "buffers"
-            }
-        ));
-    }
-    out
-}
-
-/// The sensitivity sweep as CSV.
-pub fn render_sensitivity_csv(r: &SensitivityReport) -> String {
-    let mut out = String::from("context_switch_us,minimum_us,lrpc_us,src_us,ratio\n");
-    for p in &r.points {
-        out.push_str(&format!(
-            "{},{:.0},{:.0},{:.0},{:.3}\n",
-            p.context_switch_us, p.minimum_us, p.lrpc_us, p.src_us, p.ratio
-        ));
-    }
-    out
-}
+/// Every experiment in report order: its name and its report.
+/// `bench --tables [NAME...]` prints them.
+pub const REPORTS: &[(&str, Report)] = &[
+    ("table1", || render_table1(&table1())),
+    ("figure1", || render_figure1(&figure1())),
+    ("sec22", || render_sec22(&sec22())),
+    ("table2", || render_table2(&table2())),
+    ("table3", || render_table3(&table3())),
+    ("table4", || render_table4(&table4())),
+    ("table5", || render_table5(&table5())),
+    ("figure2", || render_figure2(&figure2())),
+    // The section-3.3 virtual-time claim: assembly vs Modula2+ stubs.
+    ("stubs", || render_stubs(&stubs())),
+    ("locking", || render_locking(&locking())),
+    ("registers", || render_registers(&registers())),
+    ("replay", || render_replay(&replay(2_000))),
+    ("blended", || render_blended(&blended(2_000))),
+    ("coalescing", || render_coalescing(&coalescing())),
+    ("sensitivity", || render_sensitivity(&sensitivity())),
+    ("ablations", crate::ablations::all),
+];
 
 #[cfg(test)]
 mod tests {
@@ -1657,26 +1624,6 @@ mod tests {
         assert!(
             r.points[0].ratio > r.points[4].ratio,
             "cheaper switches favour LRPC more"
-        );
-    }
-
-    #[test]
-    fn csv_renderers_are_well_formed() {
-        let f2 = figure2();
-        let csv = render_figure2_csv(&f2);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 5, "header + 4 points");
-        assert!(lines[0].starts_with("cpus,"));
-        assert_eq!(lines[1].split(',').count(), 4);
-
-        let f1 = figure1();
-        let csv = render_figure1_csv(&f1);
-        assert_eq!(csv.lines().count(), f1.histogram.counts.len() + 1);
-
-        let s = sensitivity();
-        assert_eq!(
-            render_sensitivity_csv(&s).lines().count(),
-            s.points.len() + 1
         );
     }
 

@@ -2,8 +2,9 @@
 //!
 //! One function per table and figure of the paper, each running the
 //! functional reproduction and comparing measured values against the
-//! published ones; the `tables` binary prints every report. The `bench`
-//! binary runs the gated suites of [`suite::SUITES`] and persists their
+//! published ones; `bench --tables [NAME]` prints every report of
+//! [`experiments::REPORTS`], or the named ones. The `bench` binary also
+//! runs the gated suites of [`suite::SUITES`] and persists their
 //! trajectories under one schema.
 
 pub mod ablations;

@@ -388,18 +388,9 @@ fn run_leg(
     let dropped_spans = obs::flight::dropped_total() - dropped_before;
     let total_virtual_ns = env.rt.kernel().machine().max_now().as_nanos();
     let astack_wait_events = env.rt.astack_wait_events();
-    let sum_counter = |prefix: &str| -> u64 {
-        (0..plan.spec.interfaces)
-            .map(|i| {
-                env.rt
-                    .metrics()
-                    .counter(&format!("{prefix}:{}", interface_name(i)))
-                    .get()
-            })
-            .sum()
-    };
-    let domain_cache_hits = sum_counter("lrpc_domain_cache_hits");
-    let domain_cache_misses = sum_counter("lrpc_domain_cache_misses");
+    let metrics = env.rt.metrics();
+    let domain_cache_hits = metrics.counter_sum("lrpc_domain_cache_hits:");
+    let domain_cache_misses = metrics.counter_sum("lrpc_domain_cache_misses:");
     let harvested = env.rt.adapt_plan(&AdaptConfig::default());
 
     // Per-mix quantiles, virtual and host.

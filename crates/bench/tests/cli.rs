@@ -1,5 +1,5 @@
-//! The `bench` binary's exit code and its trajectory files, and the
-//! `tables` binary's output.
+//! The `bench` binary's exit code, its trajectory files and the report
+//! `bench --tables [NAME]` prints.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -61,13 +61,16 @@ fn the_plain_sweep_is_gated() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// `tables` prints virtual time only, so its output is the same on every
-/// host and in debug and release builds: a byte that moves is a moved
-/// table. When a change moves one on purpose, regenerate the golden file
-/// as EXPERIMENTS.md says.
+/// `bench --tables` prints virtual time only, so its output is the same
+/// on every host and in debug and release builds: a byte that moves is a
+/// moved table. When a change moves one on purpose, regenerate the golden
+/// file as EXPERIMENTS.md says.
 #[test]
 fn tables_output_matches_the_golden_file() {
-    let out = Command::new(env!("CARGO_BIN_EXE_tables")).output().unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_bench"))
+        .arg("--tables")
+        .output()
+        .unwrap();
     assert!(
         out.status.success(),
         "{}",
@@ -90,4 +93,32 @@ fn tables_output_matches_the_golden_file() {
             want.lines().nth(line)
         );
     }
+}
+
+/// Named experiments print exactly their own reports, in the order asked
+/// for; an unknown name is a usage error that lists the known ones.
+#[test]
+fn tables_prints_the_named_experiments_only() {
+    use bench::experiments::{render_table4, render_table5, table4, table5};
+    let out = Command::new(env!("CARGO_BIN_EXE_bench"))
+        .args(["--tables", "table5", "table4"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    let report = String::from_utf8(out.stdout).unwrap();
+    let body = format!(
+        "{}\n{}\n",
+        render_table5(&table5()),
+        render_table4(&table4())
+    );
+    assert!(report.ends_with(&body), "{report}");
+    assert_eq!(report.lines().count(), body.lines().count() + 3);
+
+    let out = Command::new(env!("CARGO_BIN_EXE_bench"))
+        .args(["--tables", "table4", "nope"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown experiment `nope`; known: table1, figure1,"));
 }

@@ -18,8 +18,7 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::Mutex;
 
 use crate::cost::CostModel;
-use crate::error::MemFault;
-use crate::mem::{PhysMem, Region};
+use crate::mem::PhysMem;
 use crate::meter::{Meter, Phase};
 use crate::time::Nanos;
 use crate::tlb::{Tlb, TlbMode};
@@ -310,45 +309,6 @@ impl Machine {
         }
     }
 
-    /// Protection-checked write of `data` into `region` at `offset` by code
-    /// running on `cpu` in `ctx`.
-    ///
-    /// Touches the covered pages through the CPU's TLB. Byte-copy *time* is
-    /// charged by the caller's copy engine, not here, so that transports
-    /// can attribute it to the right phase.
-    #[expect(clippy::too_many_arguments)]
-    pub fn write_mem(
-        &self,
-        cpu: &Cpu,
-        ctx: &VmContext,
-        region: &Region,
-        offset: usize,
-        data: &[u8],
-        kernel_mode: bool,
-        meter: &mut Meter,
-    ) -> Result<(), MemFault> {
-        ctx.check(region.id(), true, kernel_mode)?;
-        cpu.touch_pages(region.pages_for(offset, data.len()), meter);
-        region.write_raw(offset, data)
-    }
-
-    /// Protection-checked read; see [`Machine::write_mem`].
-    #[expect(clippy::too_many_arguments)]
-    pub fn read_mem(
-        &self,
-        cpu: &Cpu,
-        ctx: &VmContext,
-        region: &Region,
-        offset: usize,
-        buf: &mut [u8],
-        kernel_mode: bool,
-        meter: &mut Meter,
-    ) -> Result<(), MemFault> {
-        ctx.check(region.id(), false, kernel_mode)?;
-        cpu.touch_pages(region.pages_for(offset, buf.len()), meter);
-        region.read_raw(offset, buf)
-    }
-
     /// Finds and claims a CPU idling in `ctx`, if any (the idle-processor
     /// optimization's probe). Returns the claimed CPU's index.
     ///
@@ -411,6 +371,7 @@ impl core::fmt::Debug for Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::MemFault;
     use crate::vm::Protection;
 
     #[test]
@@ -450,41 +411,33 @@ mod tests {
     #[test]
     fn checked_memory_access_respects_protection() {
         let m = Machine::cvax_uniprocessor();
-        let cpu = m.cpu(0);
         let client = m.create_context();
         let third_party = m.create_context();
         let region = m.mem().alloc("astack", 256);
         client.map(region.id(), Protection::ReadWrite);
 
-        let mut meter = Meter::disabled();
-        m.write_mem(cpu, &client, &region, 0, &[1, 2, 3], false, &mut meter)
+        client
+            .check(region.id(), true, false)
             .expect("client may write its A-stack");
-        let mut buf = [0u8; 3];
-        let err = m
-            .read_mem(cpu, &third_party, &region, 0, &mut buf, false, &mut meter)
-            .unwrap_err();
+        let err = third_party.check(region.id(), false, false).unwrap_err();
         assert!(matches!(err, MemFault::NotMapped { .. }));
         // The kernel may access anything.
-        m.read_mem(cpu, &third_party, &region, 0, &mut buf, true, &mut meter)
+        third_party
+            .check(region.id(), false, true)
             .expect("kernel mode bypasses protection");
-        assert_eq!(buf, [1, 2, 3]);
     }
 
     #[test]
     fn memory_access_counts_tlb_misses() {
         let m = Machine::cvax_uniprocessor();
         let cpu = m.cpu(0);
-        let ctx = m.create_context();
         let region = m.mem().alloc("buf", crate::mem::PAGE_SIZE * 4);
-        ctx.map(region.id(), Protection::ReadWrite);
         let mut meter = Meter::enabled();
-        let data = vec![0u8; crate::mem::PAGE_SIZE * 2];
-        m.write_mem(cpu, &ctx, &region, 0, &data, false, &mut meter)
-            .unwrap();
+        let len = crate::mem::PAGE_SIZE * 2;
+        cpu.touch_pages(region.pages_for(0, len), &mut meter);
         assert_eq!(meter.tlb_misses(), 2);
         // A second access to the same pages hits.
-        m.write_mem(cpu, &ctx, &region, 0, &data, false, &mut meter)
-            .unwrap();
+        cpu.touch_pages(region.pages_for(0, len), &mut meter);
         assert_eq!(meter.tlb_misses(), 2);
     }
 

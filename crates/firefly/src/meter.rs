@@ -287,14 +287,6 @@ impl Meter {
         self.segments.clear();
         self.tlb_misses = 0;
     }
-
-    /// Merges another meter's segments into this one.
-    pub fn absorb(&mut self, other: &Meter) {
-        if self.enabled {
-            self.segments.extend_from_slice(&other.segments);
-            self.tlb_misses += other.tlb_misses;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -394,16 +386,5 @@ mod tests {
         })
         .join()
         .unwrap();
-    }
-
-    #[test]
-    fn absorb_merges() {
-        let mut a = Meter::enabled();
-        let mut b = Meter::enabled();
-        b.record(Phase::Trap, Nanos::from_micros(18));
-        b.add_tlb_misses(3);
-        a.absorb(&b);
-        assert_eq!(a.total(), Nanos::from_micros(18));
-        assert_eq!(a.tlb_misses(), 3);
     }
 }

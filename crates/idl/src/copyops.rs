@@ -91,11 +91,6 @@ impl CopyLog {
     pub fn bytes(&self) -> usize {
         self.ops.iter().map(|(_, b)| b).sum()
     }
-
-    /// Merges another log into this one.
-    pub fn absorb(&mut self, other: &CopyLog) {
-        self.ops.extend_from_slice(&other.ops);
-    }
 }
 
 #[cfg(test)]
@@ -112,17 +107,6 @@ mod tests {
         assert_eq!(log.letters_string(), "AE");
         assert_eq!(log.count(), 3);
         assert_eq!(log.bytes(), 24);
-    }
-
-    #[test]
-    fn absorb_merges_in_order() {
-        let mut a = CopyLog::new();
-        a.record(CopyOp::A, 1);
-        let mut b = CopyLog::new();
-        b.record(CopyOp::F, 2);
-        a.absorb(&b);
-        assert_eq!(a.ops().len(), 2);
-        assert_eq!(a.letters_string(), "AF");
     }
 
     #[test]

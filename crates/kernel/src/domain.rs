@@ -58,8 +58,6 @@ pub struct Domain {
     /// call but not found; the scheduler uses this to decide where idle
     /// processors should spin (Section 3.4).
     idle_misses: AtomicU64,
-    /// Times the idle-processor optimization hit for this domain.
-    idle_hits: AtomicU64,
 }
 
 impl Domain {
@@ -73,7 +71,6 @@ impl Domain {
             state: AtomicU8::new(DomainState::Active.as_u8()),
             owned_regions: Mutex::new(Vec::new()),
             idle_misses: AtomicU64::new(0),
-            idle_hits: AtomicU64::new(0),
         }
     }
 
@@ -128,26 +125,15 @@ impl Domain {
         self.idle_misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Notes that the idle-processor optimization hit.
-    pub fn note_idle_hit(&self) {
-        self.idle_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Missed idle-processor opportunities so far.
     pub fn idle_misses(&self) -> u64 {
         self.idle_misses.load(Ordering::Relaxed)
     }
 
-    /// Successful idle-processor exchanges so far.
-    pub fn idle_hits(&self) -> u64 {
-        self.idle_hits.load(Ordering::Relaxed)
-    }
-
-    /// Clears the idle counters (the scheduler does this after acting on
-    /// them).
-    pub fn reset_idle_counters(&self) {
+    /// Clears the miss counter (the scheduler does this after acting on
+    /// it).
+    pub fn reset_idle_misses(&self) {
         self.idle_misses.store(0, Ordering::Relaxed);
-        self.idle_hits.store(0, Ordering::Relaxed);
     }
 }
 
@@ -195,10 +181,8 @@ mod tests {
         let d = domain();
         d.note_idle_miss();
         d.note_idle_miss();
-        d.note_idle_hit();
         assert_eq!(d.idle_misses(), 2);
-        assert_eq!(d.idle_hits(), 1);
-        d.reset_idle_counters();
+        d.reset_idle_misses();
         assert_eq!(d.idle_misses(), 0);
     }
 }

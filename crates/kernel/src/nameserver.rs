@@ -43,12 +43,6 @@ impl<T: Clone> NameServer<T> {
         self.registered.notify_all();
     }
 
-    /// Removes the export under `name`, returning it if present.
-    pub fn unregister(&self, name: &str) -> Option<T> {
-        firefly::meter::note_global_lock();
-        self.table.lock().remove(name)
-    }
-
     /// Removes every export matching `pred` (used when a domain
     /// terminates), returning the removed names.
     pub fn unregister_matching(&self, mut pred: impl FnMut(&T) -> bool) -> Vec<String> {
@@ -122,7 +116,7 @@ mod tests {
         let ns = NameServer::new();
         ns.register("FileServer", 7u32);
         assert_eq!(ns.lookup("FileServer"), Some(7));
-        assert_eq!(ns.unregister("FileServer"), Some(7));
+        assert_eq!(ns.unregister_matching(|&v| v == 7), ["FileServer"]);
         assert_eq!(ns.lookup("FileServer"), None);
     }
 

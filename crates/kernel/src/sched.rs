@@ -5,10 +5,10 @@
 //! was needed but not found. The kernel uses these counters to prod idle
 //! processors to spin in domains showing the most LRPC activity."
 //!
-//! The per-domain counters live on [`crate::domain::Domain`]; this module
-//! implements the prodding policy that redistributes idle CPUs.
+//! The per-domain miss counters live on [`crate::domain::Domain`]; this
+//! module implements the prodding policy that redistributes idle CPUs.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use firefly::cpu::Machine;
@@ -23,8 +23,6 @@ use crate::domain::Domain;
 #[derive(Debug, Default)]
 pub struct Doorbell {
     pending: AtomicBool,
-    rung: AtomicU64,
-    coalesced: AtomicU64,
 }
 
 impl Doorbell {
@@ -37,13 +35,7 @@ impl Doorbell {
     /// (this ring coalesced into it — no new trap is needed); `false` if
     /// this ring armed the doorbell and the caller must pay the trap.
     pub fn ring(&self) -> bool {
-        let was_pending = self.pending.swap(true, Ordering::AcqRel);
-        if was_pending {
-            self.coalesced.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.rung.fetch_add(1, Ordering::Relaxed);
-        }
-        was_pending
+        self.pending.swap(true, Ordering::AcqRel)
     }
 
     /// Server-side drain: consumes the pending wakeup, if any. Returns
@@ -55,16 +47,6 @@ impl Doorbell {
     /// True if a wakeup is pending (armed but not yet drained).
     pub fn is_pending(&self) -> bool {
         self.pending.load(Ordering::Acquire)
-    }
-
-    /// Total rings that armed the doorbell (each cost one trap).
-    pub fn rung_count(&self) -> u64 {
-        self.rung.load(Ordering::Relaxed)
-    }
-
-    /// Total rings that coalesced into an already-pending wakeup.
-    pub fn coalesced_count(&self) -> u64 {
-        self.coalesced.load(Ordering::Relaxed)
     }
 }
 
@@ -117,7 +99,7 @@ pub fn prod_idle_processors(machine: &Machine, domains: &[Arc<Domain>]) -> Vec<u
     }
 
     for d in domains {
-        d.reset_idle_counters();
+        d.reset_idle_misses();
     }
     assigned
 }
@@ -146,15 +128,12 @@ mod tests {
         assert!(bell.ring(), "second ring coalesces");
         assert!(bell.ring(), "third ring coalesces too");
         assert!(bell.is_pending());
-        assert_eq!(bell.rung_count(), 1);
-        assert_eq!(bell.coalesced_count(), 2);
 
         assert!(bell.take(), "drain consumes the pending wakeup");
         assert!(!bell.is_pending());
         assert!(!bell.take(), "second drain finds nothing");
 
         assert!(!bell.ring(), "after a drain the next ring arms again");
-        assert_eq!(bell.rung_count(), 2);
     }
 
     #[test]

@@ -75,10 +75,6 @@ struct ThreadInner {
     /// it; an abandoned thread is destroyed on release instead of
     /// returning.
     abandoned: bool,
-    /// Set by [`Thread::alert`]; "Taos does have an alert mechanism which
-    /// allows one thread to signal another, but the notified thread may
-    /// choose to ignore the alert" (Section 5.3).
-    alerted: bool,
 }
 
 /// A kernel thread.
@@ -108,7 +104,6 @@ impl Thread {
                 linkages: Vec::new(),
                 status: ThreadStatus::Running,
                 abandoned: false,
-                alerted: false,
             }),
             user_sp: AtomicU64::new(0),
         }
@@ -223,23 +218,6 @@ impl Thread {
         self.inner.lock().abandoned
     }
 
-    /// Signals the thread (the Taos alert mechanism). Alerts are advisory:
-    /// "the notified thread may choose to ignore the alert", so all this
-    /// does is set a flag the thread can poll.
-    pub fn alert(&self) {
-        self.inner.lock().alerted = true;
-    }
-
-    /// True if an alert is pending.
-    pub fn is_alerted(&self) -> bool {
-        self.inner.lock().alerted
-    }
-
-    /// Consumes a pending alert, returning whether one was pending.
-    pub fn take_alert(&self) -> bool {
-        std::mem::take(&mut self.inner.lock().alerted)
-    }
-
     /// True if this thread is currently executing an LRPC on behalf of some
     /// caller (used by the termination collector's scan).
     pub fn in_lrpc(&self) -> bool {
@@ -340,19 +318,6 @@ mod tests {
         assert!(ls[0].valid && !ls[1].valid);
         // Idempotent: already-invalid records are not counted again.
         assert_eq!(t.invalidate_linkages_involving(DomainId(3)), 0);
-    }
-
-    #[test]
-    fn alerts_are_advisory_and_consumable() {
-        let t = Thread::new(ThreadId(1), DomainId(1));
-        assert!(!t.is_alerted());
-        t.alert();
-        assert!(t.is_alerted(), "alert is pending");
-        // The thread may ignore it indefinitely; nothing else changes.
-        assert_eq!(t.status(), ThreadStatus::Running);
-        assert!(t.take_alert());
-        assert!(!t.is_alerted());
-        assert!(!t.take_alert(), "alerts are consumed once");
     }
 
     #[test]

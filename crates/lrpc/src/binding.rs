@@ -201,7 +201,6 @@ impl Clerk {
 pub struct BindingStats {
     calls: AtomicU64,
     failures: AtomicU64,
-    exchanges: AtomicU64,
     remote_calls: AtomicU64,
     /// Out-of-band calls that could not use the bulk arena (payload over
     /// the chunk size, arena exhausted, or fault-injected) and paid the
@@ -223,14 +222,16 @@ pub struct BindingStats {
     /// Stamped on every completion path — serial, batch reap, and the
     /// remote branch.
     tail_latency: obs::TailHistogram,
-    /// Transfers through this binding that found a processor idling in the
-    /// target context (Section 3.4's domain caching),
-    /// `lrpc_domain_cache_hits:{interface}`. Call and return directions
-    /// both count. `None` for a remote binding.
+    /// Transfers that found a processor idling in the target context
+    /// (Section 3.4's domain caching), `lrpc_domain_cache_hits:{interface}`:
+    /// the processor exchanges. Call and return directions both count,
+    /// including those of a call that then fails. The registry hands every
+    /// binding of the interface the same counter. `None` for a remote
+    /// binding.
     cache_hits: Option<obs::Counter>,
     /// Transfers that found no idle processor and paid the full context
-    /// switch, `lrpc_domain_cache_misses:{interface}`; `None` for a
-    /// remote binding.
+    /// switch, `lrpc_domain_cache_misses:{interface}` (shared the same
+    /// way); `None` for a remote binding.
     cache_misses: Option<obs::Counter>,
     /// Largest batch ever submitted through this binding — the adaptive
     /// sizing controller's ring-depth signal (a histogram cannot hand back
@@ -246,7 +247,6 @@ impl BindingStats {
         BindingStats {
             calls: AtomicU64::new(0),
             failures: AtomicU64::new(0),
-            exchanges: AtomicU64::new(0),
             remote_calls: AtomicU64::new(0),
             bulk_fallbacks: AtomicU64::new(0),
             latency: metrics.histogram(&format!("lrpc_call_latency_ns:{interface}")),
@@ -274,11 +274,6 @@ impl BindingStats {
         self.failures.load(Ordering::Relaxed)
     }
 
-    /// Processor exchanges performed (call and return direction combined).
-    pub fn exchanges(&self) -> u64 {
-        self.exchanges.load(Ordering::Relaxed)
-    }
-
     /// Calls that took the remote (conventional RPC) branch.
     pub fn remote_calls(&self) -> u64 {
         self.remote_calls.load(Ordering::Relaxed)
@@ -295,12 +290,6 @@ impl BindingStats {
 
     pub(crate) fn note_failure(&self) {
         self.failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_exchanges(&self, n: u64) {
-        if n > 0 {
-            self.exchanges.fetch_add(n, Ordering::Relaxed);
-        }
     }
 
     pub(crate) fn note_remote(&self) {
@@ -536,11 +525,6 @@ impl Binding {
         &self.rt
     }
 
-    /// The copy plans compiled for this interface at import time.
-    pub fn stub_plans(&self) -> &Arc<InterfacePlans> {
-        &self.state.plans
-    }
-
     /// Resolves a procedure name to its identifier.
     pub fn proc_index(&self, name: &str) -> Result<usize, CallError> {
         resolve_proc(&self.state.interface, name)
@@ -551,7 +535,8 @@ impl Binding {
     /// This is the client stub entry point: argument values are pushed on
     /// an A-stack, the kernel validates the Binding Object and transfers
     /// the thread into the server domain, the server procedure runs, and
-    /// results return through the A-stack.
+    /// results return through the A-stack. An unknown `proc` fails the
+    /// call, counted like any failure of [`Binding::call_indexed`].
     pub fn call(
         &self,
         cpu_id: usize,
@@ -559,7 +544,9 @@ impl Binding {
         proc: &str,
         args: &[Value],
     ) -> Result<crate::call::CallOutcome, CallError> {
-        let index = self.proc_index(proc)?;
+        let index = self
+            .proc_index(proc)
+            .inspect_err(|_| self.state.stats.note_failure())?;
         self.call_indexed(cpu_id, thread, index, args)
     }
 

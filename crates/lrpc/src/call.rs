@@ -744,9 +744,6 @@ impl<'a> InFlight<'a> {
                     + self.meter.total_for(Phase::Marshal),
             );
         }
-        state.stats.note_exchanges(
-            u64::from(self.exchanged_on_call) + u64::from(self.exchanged_on_return),
-        );
         Ok(self.finish(cpu, ret, outs))
     }
 
@@ -907,7 +904,6 @@ fn transfer<'c>(
                 Phase::ProcessorExchange,
                 machine.cost().processor_exchange,
             );
-            to.note_idle_hit();
             stats.note_cache_hit();
             return (target, true);
         }

@@ -34,15 +34,12 @@ struct Assoc {
 }
 
 struct PoolInner {
-    free: Vec<Arc<Region>>,
     /// A-stack key → associated E-stack. The key must be unique across
     /// *all* bindings to the server (region id + index), not just within
     /// one binding — two clients' `A-stack 0` are different stacks. Keys
     /// are built from simulator ids, so they hash with the id hasher.
     assoc: IdMap<u64, Assoc>,
     tick: u64,
-    allocated: usize,
-    peak_allocated: usize,
     lazy_hits: u64,
     allocations: u64,
     reclamations: u64,
@@ -72,13 +69,11 @@ pub struct EStackPool {
 /// Usage statistics (for the lazy-vs-static ablation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EStackStats {
-    /// E-stacks currently allocated in the server's address space.
-    pub allocated: usize,
-    /// High-water mark of allocations.
-    pub peak_allocated: usize,
     /// Calls that reused an existing A-stack/E-stack association.
     pub lazy_hits: u64,
-    /// Fresh allocations performed.
+    /// E-stacks allocated in the server's address space. None is ever
+    /// freed (reclamation re-associates one), so this is also the pool's
+    /// high-water mark.
     pub allocations: u64,
     /// Associations reclaimed under address-space pressure.
     pub reclamations: u64,
@@ -92,11 +87,8 @@ impl EStackPool {
             estack_size: estack_size.max(firefly::mem::PAGE_SIZE),
             max_estacks: max_estacks.max(1),
             inner: Mutex::new(PoolInner {
-                free: Vec::new(),
                 assoc: IdMap::default(),
                 tick: 0,
-                allocated: 0,
-                peak_allocated: 0,
                 lazy_hits: 0,
                 allocations: 0,
                 reclamations: 0,
@@ -160,23 +152,9 @@ impl EStackPool {
             return (estack, false);
         }
 
-        // An unassociated E-stack lying around?
-        if let Some(estack) = inner.free.pop() {
-            self.busy.inc();
-            inner.assoc.insert(
-                astack_key,
-                Assoc {
-                    estack: Arc::clone(&estack),
-                    last_used: tick,
-                    in_call: true,
-                },
-            );
-            return (estack, false);
-        }
-
         // Supply running low? Reclaim the least-recently-used idle
         // association before allocating past the cap.
-        if inner.allocated >= self.max_estacks {
+        if inner.allocations >= self.max_estacks as u64 {
             let victim = inner
                 .assoc
                 .iter()
@@ -208,8 +186,6 @@ impl EStackPool {
             self.estack_size,
             Protection::ReadWrite,
         );
-        inner.allocated += 1;
-        inner.peak_allocated = inner.peak_allocated.max(inner.allocated);
         inner.allocations += 1;
         self.busy.inc();
         inner.assoc.insert(
@@ -240,8 +216,6 @@ impl EStackPool {
         firefly::meter::note_sharded_lock();
         let inner = self.inner.lock();
         EStackStats {
-            allocated: inner.allocated,
-            peak_allocated: inner.peak_allocated,
             lazy_hits: inner.lazy_hits,
             allocations: inner.allocations,
             reclamations: inner.reclamations,
@@ -301,7 +275,7 @@ mod tests {
         let (e1, _) = pool.get_for_call(&k, 0);
         let (e2, _) = pool.get_for_call(&k, 1);
         assert_ne!(e1.id(), e2.id());
-        assert_eq!(pool.stats().allocated, 2);
+        assert_eq!(pool.stats().allocations, 2);
     }
 
     #[test]
@@ -317,12 +291,12 @@ mod tests {
         assert!(!fresh);
         assert_eq!(e2.id(), e0.id(), "the LRU association is recycled");
         let s = pool.stats();
-        assert_eq!(s.allocated, 2);
+        assert_eq!(s.allocations, 2);
         assert_eq!(s.reclamations, 1);
         // A-stack 0 lost its association: next call re-associates.
         pool.end_call(2);
         let (_e, _) = pool.get_for_call(&k, 0);
-        assert_eq!(pool.stats().allocated, 2);
+        assert_eq!(pool.stats().allocations, 2);
     }
 
     #[test]
@@ -334,7 +308,7 @@ mod tests {
         let (e1, fresh) = pool.get_for_call(&k, 1);
         assert!(fresh);
         assert_ne!(e0.id(), e1.id());
-        assert_eq!(pool.stats().allocated, 2);
+        assert_eq!(pool.stats().allocations, 2);
     }
 
     #[test]
@@ -359,6 +333,6 @@ mod tests {
         for i in 0..5 {
             pool.get_for_call(&k, i);
         }
-        assert_eq!(pool.stats().peak_allocated, 5);
+        assert_eq!(pool.stats().allocations, 5);
     }
 }

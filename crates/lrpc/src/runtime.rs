@@ -626,8 +626,8 @@ impl LrpcRuntime {
     ///
     /// A slow-path sweep (every shard, every binding, every CPU): gauges
     /// that components cannot cheaply maintain live — A-stack occupancy
-    /// and wait-queue depth, TLB hit/miss totals, per-domain idle-cache
-    /// counters, fault-plan event counts — are read here, point-in-time.
+    /// and wait-queue depth, TLB hit/miss totals, domain-cache totals,
+    /// fault-plan event counts — are read here, point-in-time.
     /// Live handles (E-stack busy gauges, per-binding latency histograms,
     /// circuit-breaker state) are already registered and simply appear in
     /// the snapshot.
@@ -687,15 +687,12 @@ impl LrpcRuntime {
         m.gauge("firefly_tlb_hits").set(tlb_hits as i64);
         m.gauge("firefly_tlb_misses").set(tlb_misses as i64);
 
-        // The Section 3.4 domain-caching counters, summed over live
-        // domains.
-        let (mut idle_hits, mut idle_misses) = (0u64, 0u64);
-        for d in self.kernel.domains() {
-            idle_hits += d.idle_hits();
-            idle_misses += d.idle_misses();
+        // The Section 3.4 domain-caching outcomes: the per-interface
+        // counters, summed.
+        for total in ["lrpc_domain_cache_hits", "lrpc_domain_cache_misses"] {
+            let sum = m.counter_sum(&format!("{total}:"));
+            m.gauge(total).set(sum as i64);
         }
-        m.gauge("lrpc_domain_cache_hits").set(idle_hits as i64);
-        m.gauge("lrpc_domain_cache_misses").set(idle_misses as i64);
 
         // Chaos plane: injected fault events so far, if a plan is live.
         if let Some(plan) = self.fault_plan() {

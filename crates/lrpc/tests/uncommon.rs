@@ -217,46 +217,6 @@ fn lifo_astacks_keep_the_estack_association_warm() {
 }
 
 #[test]
-fn alerted_server_procedure_can_cooperate() {
-    // "Taos does have an alert mechanism which allows one thread to signal
-    // another, but the notified thread may choose to ignore the alert."
-    // A cooperative server checks the alert and bails out early.
-    let rt = runtime(2);
-    let server = rt.kernel().create_domain("cooperative");
-    rt.export(
-        &server,
-        "interface C { procedure Long() -> int32; }",
-        vec![Box::new(|ctx: &ServerCtx, _: &[Value]| {
-            // Simulate a long loop that polls for alerts.
-            for i in 0..1_000_000 {
-                if ctx.thread.take_alert() {
-                    return Ok(Reply::value(Value::Int32(-i)));
-                }
-                if i == 10 {
-                    // Nobody alerted yet in this test setup? Keep going a
-                    // few rounds; the client alerts before calling.
-                }
-                std::thread::yield_now();
-            }
-            Ok(Reply::value(Value::Int32(0)))
-        }) as Handler],
-    )
-    .unwrap();
-    let client = rt.kernel().create_domain("c");
-    let thread = rt.kernel().spawn_thread(&client);
-    let binding = rt.import(&client, "C").unwrap();
-
-    // Alert the thread before the call; the server sees it immediately.
-    thread.alert();
-    let out = binding.call(0, &thread, "Long", &[]).unwrap();
-    assert_eq!(
-        out.ret,
-        Some(Value::Int32(0)),
-        "alert consumed at i=0 returns -0"
-    );
-}
-
-#[test]
 fn import_of_unexported_interface_times_out() {
     let rt = TestRuntime::new()
         .machine(firefly::cpu::Machine::cvax_uniprocessor())
@@ -334,7 +294,8 @@ fn runtime_prodding_turns_misses_into_exchanges() {
         out.exchanged_on_call,
         "the prodded CPU is claimed at call time"
     );
-    assert!(binding.state().stats.exchanges() >= 1);
+    let hits = binding.state().stats.cache_hits().expect("local binding");
+    assert!(hits.get() >= 1, "the exchange counts as a domain-cache hit");
 }
 
 #[test]

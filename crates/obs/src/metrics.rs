@@ -278,6 +278,18 @@ impl Registry {
             .clone()
     }
 
+    /// The sum of every counter whose name starts with `prefix`: each
+    /// registered counter once, however many handles share it.
+    pub fn counter_sum(&self, prefix: &str) -> u64 {
+        tally::note_global_lock();
+        let counters = self.counters.lock().expect("metrics registry poisoned");
+        counters
+            .iter()
+            .filter(|(name, _)| name.starts_with(prefix))
+            .map(|(_, c)| c.get())
+            .sum()
+    }
+
     /// Gets or creates the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
         tally::note_global_lock();
@@ -428,6 +440,17 @@ mod tests {
         a.inc();
         b.add(2);
         assert_eq!(reg.snapshot().counter("calls"), Some(3));
+    }
+
+    #[test]
+    fn counter_sum_counts_each_shared_counter_once() {
+        let reg = Registry::new();
+        let (a, b) = (reg.counter("hits:A"), reg.counter("hits:A"));
+        a.inc();
+        b.inc();
+        reg.counter("hits:B").add(5);
+        reg.counter("misses:A").add(7);
+        assert_eq!(reg.counter_sum("hits:"), 7);
     }
 
     #[test]

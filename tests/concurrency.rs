@@ -378,15 +378,16 @@ fn estack_pool_reclaims_under_concurrent_pressure() {
     let stats = rt.estack_pool(&server).stats();
     // Four bindings × distinct A-stacks with only 2 budgeted E-stacks:
     // reclamation must have kicked in, and concurrent in-call E-stacks may
-    // push the peak past the cap, but never anywhere near one-per-A-stack.
+    // push the allocations past the cap, but never anywhere near
+    // one-per-A-stack.
     assert!(
         stats.reclamations > 0,
         "LRU reclamation exercised: {stats:?}"
     );
     assert!(
-        stats.peak_allocated <= 8,
-        "peak {} must stay bounded",
-        stats.peak_allocated
+        stats.allocations <= 8,
+        "allocations {} must stay bounded",
+        stats.allocations
     );
 }
 

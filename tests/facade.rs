@@ -240,3 +240,88 @@ fn the_client_stub_rejects_bad_arguments_before_the_server_runs() {
     assert_eq!(free, astacks.total_count(), "every A-stack is free again");
     assert_eq!(rt.kernel().snapshot().threads_in_calls, 0);
 }
+
+#[test]
+fn an_unknown_procedure_counts_one_failure_on_either_entry() {
+    // A procedure the interface does not declare fails the call whether
+    // the client names it or gives its identifier, and each failure counts
+    // once in the binding's statistics and in the runtime's total.
+    let rt = TestRuntime::new().domain_caching(false).build();
+    let server = rt.kernel().create_domain("svc");
+    rt.export(
+        &server,
+        "interface N { procedure Null(); }",
+        vec![Box::new(|_: &ServerCtx, _: &[Value]| Ok(Reply::none())) as Handler],
+    )
+    .unwrap();
+    let client = rt.kernel().create_domain("app");
+    let thread = rt.kernel().spawn_thread(&client);
+    let binding = rt.import(&client, "N").unwrap();
+    let failures = || {
+        let total = rt.collect_metrics().gauge("lrpc_call_failures_total");
+        (binding.state().stats.failures(), total)
+    };
+
+    let err = binding.call(0, &thread, "Nope", &[]).unwrap_err();
+    assert!(matches!(err, CallError::UnknownProcedure { .. }), "{err}");
+    assert_eq!(failures(), (1, Some(1)), "by name");
+    let err = binding.call_indexed(0, &thread, 99, &[]).unwrap_err();
+    assert!(
+        matches!(err, CallError::BadProcedure { index: 99 }),
+        "{err}"
+    );
+    assert_eq!(failures(), (2, Some(2)), "by identifier");
+    binding.call(0, &thread, "Null", &[]).unwrap();
+    assert_eq!(failures(), (2, Some(2)));
+}
+
+#[test]
+fn the_domain_cache_totals_sum_the_interface_counters() {
+    // Section 3.4 on two CPUs: the runtime-wide totals are the sums of the
+    // per-interface counters, each counted once however many bindings
+    // share it, and a prodding pass (which resets the kernel's per-domain
+    // miss counters) leaves them as they were.
+    let rt = TestRuntime::new().cpus(2).build();
+    assert!(rt.config().domain_caching);
+    let server = rt.kernel().create_domain("svc");
+    rt.export(
+        &server,
+        "interface Svc { procedure Null(); }",
+        vec![Box::new(|_: &ServerCtx, _: &[Value]| Ok(Reply::none())) as Handler],
+    )
+    .unwrap();
+    let clients: Vec<_> = ["app1", "app2"]
+        .into_iter()
+        .map(|name| {
+            let client = rt.kernel().create_domain(name);
+            let thread = rt.kernel().spawn_thread(&client);
+            (thread, rt.import(&client, "Svc").unwrap())
+        })
+        .collect();
+    let call_each = |rounds: usize| {
+        for _ in 0..rounds {
+            for (thread, binding) in &clients {
+                binding.call(0, thread, "Null", &[]).unwrap();
+            }
+        }
+    };
+    let assert_totals = |when: &str| -> u64 {
+        let snap = rt.collect_metrics();
+        for total in ["lrpc_domain_cache_hits", "lrpc_domain_cache_misses"] {
+            let shared = snap.counter(&format!("{total}:Svc")).unwrap();
+            assert_eq!(snap.gauge(total), Some(shared as i64), "{total} {when}");
+        }
+        snap.counter("lrpc_domain_cache_hits:Svc").unwrap()
+    };
+
+    call_each(3);
+    assert_eq!(assert_totals("after serial calls"), 0, "no CPU idles yet");
+    rt.kernel()
+        .machine()
+        .cpu(1)
+        .set_idle_in(Some(firefly::vm::ContextId::KERNEL));
+    assert_eq!(rt.rebalance_idle_processors(), 1);
+    assert_totals("after a prodding pass");
+    call_each(3);
+    assert!(assert_totals("after calls that exchange") > 0);
+}
