@@ -32,6 +32,11 @@ use idl::plan::{ArgVec, ProcPlan};
 use idl::stubgen::{compile, CompiledProc};
 use idl::stubvm::{LocalFrame, OobStore, StubVm};
 use idl::wire::Value;
+// The stub-context touch sets of the binding's `TouchPlan` page budget:
+// the sets referenced while executing stub code. The kernel-phase sets
+// (kernel call/return) are dispatch work, not stub work, and are excluded
+// from both legs.
+use lrpc::touch::{CLIENT_CALL_PAGES, CLIENT_RETURN_PAGES, SERVER_SIDE_PAGES};
 
 use crate::common::{best_ns_per_call, BENCH_IDL};
 use crate::experiments;
@@ -43,14 +48,6 @@ pub const DEFAULT_ITERS: usize = 50_000;
 
 /// Host-speedup floor the gate enforces on `Null`, `BigIn` and `BigInOut`.
 pub const MIN_SPEEDUP: f64 = 2.0;
-
-/// Stub-context touch-set sizes, from the binding's `TouchPlan` page
-/// budget (`lrpc::touch`): the sets referenced while executing stub code.
-/// The kernel-phase sets (kernel call/return) are dispatch work, not stub
-/// work, and are excluded from both legs.
-const CLIENT_CALL_PAGES: usize = 8;
-const SERVER_SIDE_PAGES: usize = 12;
-const CLIENT_RETURN_PAGES: usize = 5;
 
 /// One size class, both ways.
 #[derive(Clone, Debug)]

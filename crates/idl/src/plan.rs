@@ -831,8 +831,8 @@ fn compile_fetch(proc: &CompiledProc) -> Option<FetchPlan> {
 }
 
 /// Every procedure's compiled plan for one interface, index-aligned with
-/// [`CompiledInterface::procs`]. Compiled once at import and cached on the
-/// binding.
+/// [`CompiledInterface::procs`]. Compiled once per export and shared by
+/// every binding of it.
 #[derive(Clone, Debug)]
 pub struct InterfacePlans {
     /// One plan per procedure.

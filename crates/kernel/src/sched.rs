@@ -8,47 +8,11 @@
 //! The per-domain miss counters live on [`crate::domain::Domain`]; this
 //! module implements the prodding policy that redistributes idle CPUs.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use firefly::cpu::Machine;
 
 use crate::domain::Domain;
-
-/// A call-ring doorbell: the one-trap wakeup a client rings after filling
-/// the submission ring, io_uring style. Consecutive rings while the server
-/// has not yet drained coalesce into a single pending wakeup — the whole
-/// point of the batching plane is that many enqueued calls share one
-/// kernel trap.
-#[derive(Debug, Default)]
-pub struct Doorbell {
-    pending: AtomicBool,
-}
-
-impl Doorbell {
-    /// A quiet doorbell.
-    pub fn new() -> Doorbell {
-        Doorbell::default()
-    }
-
-    /// Rings the doorbell. Returns `true` if a wakeup was already pending
-    /// (this ring coalesced into it — no new trap is needed); `false` if
-    /// this ring armed the doorbell and the caller must pay the trap.
-    pub fn ring(&self) -> bool {
-        self.pending.swap(true, Ordering::AcqRel)
-    }
-
-    /// Server-side drain: consumes the pending wakeup, if any. Returns
-    /// `true` if a wakeup was pending.
-    pub fn take(&self) -> bool {
-        self.pending.swap(false, Ordering::AcqRel)
-    }
-
-    /// True if a wakeup is pending (armed but not yet drained).
-    pub fn is_pending(&self) -> bool {
-        self.pending.load(Ordering::Acquire)
-    }
-}
 
 /// Redistributes the machine's idle processors to the domains that missed
 /// the idle-processor optimization most often, then resets the counters.
@@ -118,22 +82,6 @@ mod tests {
             format!("d{id}"),
             Arc::new(VmContext::new(ContextId(ctx))),
         ))
-    }
-
-    #[test]
-    fn doorbell_coalesces_until_drained() {
-        let bell = Doorbell::new();
-        assert!(!bell.is_pending());
-        assert!(!bell.ring(), "first ring arms the doorbell");
-        assert!(bell.ring(), "second ring coalesces");
-        assert!(bell.ring(), "third ring coalesces too");
-        assert!(bell.is_pending());
-
-        assert!(bell.take(), "drain consumes the pending wakeup");
-        assert!(!bell.is_pending());
-        assert!(!bell.take(), "second drain finds nothing");
-
-        assert!(!bell.ring(), "after a drain the next ring arms again");
     }
 
     #[test]

@@ -31,7 +31,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 use firefly::mem::Region;
@@ -130,11 +130,6 @@ impl LinkageSlot {
         *self.record.lock() = Some(l);
     }
 
-    /// Reads the stored linkage.
-    pub fn record(&self) -> Option<Linkage> {
-        *self.record.lock()
-    }
-
     /// Releases the slot at return time.
     pub fn release(&self) {
         *self.record.lock() = None;
@@ -222,47 +217,30 @@ pub struct AStackSet {
     linkages: Vec<Arc<LinkageSlot>>,
     overflow: Mutex<Vec<OverflowEntry>>,
     primary_total: usize,
-    /// Bind-time label (also names the primary region); keys this set's
-    /// record/replay stream.
-    label: String,
     /// Record/replay stream for acquire outcomes (`astack:{label}`).
-    /// Empty in live mode — the lock-free fast path stays lock-free.
-    rr: OnceLock<replay::Handle>,
+    /// `None` in live mode — the lock-free fast path stays lock-free.
+    rr: Option<replay::Handle>,
 }
 
 impl AStackSet {
     /// Performs the bind-time allocation for an interface: groups
     /// procedures into size classes, allocates the primary A-stacks
-    /// contiguously in one pairwise-mapped region, and creates a linkage
-    /// slot per A-stack.
+    /// contiguously in one region mapped as `mapping` says, and creates a
+    /// linkage slot per A-stack.
     ///
     /// `per_proc` gives, per procedure, its A-stack size and simultaneous
-    /// call count (from the PDL).
+    /// call count (from the PDL). `label` names the primary region; under a
+    /// recording or replaying `session` every acquire outcome (index,
+    /// overflow flag, or failure) flows through the `astack:{label}`
+    /// stream.
     pub fn allocate(
         kernel: &Kernel,
         client: &Domain,
         server: &Domain,
         label: &str,
         per_proc: &[(usize, u32)],
-    ) -> AStackSet {
-        AStackSet::allocate_mapped(
-            kernel,
-            client,
-            server,
-            label,
-            per_proc,
-            AStackMapping::Pairwise,
-        )
-    }
-
-    /// Like [`AStackSet::allocate`] with an explicit mapping mode.
-    pub fn allocate_mapped(
-        kernel: &Kernel,
-        client: &Domain,
-        server: &Domain,
-        label: &str,
-        per_proc: &[(usize, u32)],
         mapping: AStackMapping,
+        session: &Arc<replay::Session>,
     ) -> AStackSet {
         // Group by exact size; the shared pool of a class gets the largest
         // count any member asked for (sharing bounds simultaneous calls by
@@ -319,21 +297,8 @@ impl AStackSet {
             linkages,
             overflow: Mutex::new(Vec::new()),
             primary_total,
-            label: label.to_string(),
-            rr: OnceLock::new(),
+            rr: (!session.is_live()).then(|| session.stream(&format!("astack:{label}"))),
         }
-    }
-
-    /// Attaches a record/replay session: every acquire outcome (index,
-    /// overflow flag, or failure) flows through the `astack:{label}`
-    /// stream. Live sessions are ignored; a second attach is ignored.
-    pub fn attach_replay(&self, session: &Arc<replay::Session>) {
-        if session.is_live() {
-            return;
-        }
-        let _ = self
-            .rr
-            .set(session.stream(&format!("astack:{}", self.label)));
     }
 
     /// The size class used by procedure `proc_index`.
@@ -437,7 +402,7 @@ impl AStackSet {
         server: &Domain,
     ) -> Result<usize, CallError> {
         let result = self.acquire_inner(class, policy, kernel, client, server);
-        if let Some(h) = self.rr.get() {
+        if let Some(h) = &self.rr {
             // The acquire outcome is the nondeterministic part: which
             // index the lock-free CAS race produced (or that the overflow
             // side list was hit), or that the class was exhausted.
@@ -677,7 +642,8 @@ mod tests {
     }
 
     fn set(k: &Kernel, c: &Domain, s: &Domain, per_proc: &[(usize, u32)]) -> AStackSet {
-        AStackSet::allocate(k, c, s, "astacks", per_proc)
+        let live = replay::Session::live();
+        AStackSet::allocate(k, c, s, "astacks", per_proc, AStackMapping::Pairwise, &live)
     }
 
     #[test]

@@ -82,6 +82,10 @@ pub type Handler = Box<dyn Fn(&ServerCtx, &[Value]) -> Result<Reply, CallError> 
 /// The server-side clerk for one exported interface.
 pub struct Clerk {
     interface: Arc<CompiledInterface>,
+    /// The interface's compiled copy plans, one per procedure: the stubs
+    /// are generated once per export, and every import shares them
+    /// (Section 3.3).
+    plans: Arc<InterfacePlans>,
     domain: Arc<Domain>,
     handlers: Vec<Handler>,
     /// The fault plan's site name for this clerk's dispatches, built once
@@ -90,7 +94,8 @@ pub struct Clerk {
 }
 
 impl Clerk {
-    /// Creates a clerk; used by [`LrpcRuntime::export`].
+    /// Creates a clerk and compiles its interface's copy plans; used by
+    /// [`LrpcRuntime::export`].
     ///
     /// # Panics
     ///
@@ -112,6 +117,7 @@ impl Clerk {
         );
         let dispatch_site = format!("dispatch:{}", interface.name);
         Clerk {
+            plans: Arc::new(InterfacePlans::compile(&interface)),
             interface,
             domain,
             handlers,
@@ -122,6 +128,11 @@ impl Clerk {
     /// The compiled interface this clerk serves.
     pub fn interface(&self) -> &Arc<CompiledInterface> {
         &self.interface
+    }
+
+    /// The compiled copy plans of the interface.
+    pub fn plans(&self) -> &Arc<InterfacePlans> {
+        &self.plans
     }
 
     /// The server domain.
@@ -206,6 +217,13 @@ pub struct BindingStats {
     /// the chunk size, arena exhausted, or fault-injected) and paid the
     /// per-call segment map/unmap instead.
     bulk_fallbacks: AtomicU64,
+    /// The same four counts per interface, `lrpc_calls_total:{interface}`,
+    /// `lrpc_call_failures_total:{interface}`,
+    /// `lrpc_remote_calls_total:{interface}` and
+    /// `lrpc_bulk_fallbacks_total:{interface}`: the registry hands every
+    /// binding of the interface the same counters, which outlive the
+    /// binding, so the runtime totals keep what terminated bindings counted.
+    totals: [obs::Counter; 4],
     /// Per-call latency histogram, `lrpc_call_latency_ns:{interface}`.
     latency: obs::Histogram,
     /// Per-call stub-phase (client stub + server stub + argument
@@ -240,15 +258,17 @@ pub struct BindingStats {
 }
 
 impl BindingStats {
-    /// Registers a binding's metrics for `interface` in `metrics`. A
-    /// remote binding's calls take the conventional-RPC branch, so it
-    /// registers no bulk, batch or domain-cache metrics.
+    /// Registers a binding's metrics for `interface` in `metrics`. Every
+    /// binding registers the four call totals; a remote binding's calls
+    /// take the conventional-RPC branch, so it registers no bulk-bytes,
+    /// batch or domain-cache metrics.
     pub(crate) fn register(metrics: &obs::Registry, interface: &str, remote: bool) -> BindingStats {
         BindingStats {
             calls: AtomicU64::new(0),
             failures: AtomicU64::new(0),
             remote_calls: AtomicU64::new(0),
             bulk_fallbacks: AtomicU64::new(0),
+            totals: TOTALS.map(|total| metrics.counter(&format!("{total}:{interface}"))),
             latency: metrics.histogram(&format!("lrpc_call_latency_ns:{interface}")),
             stub_ns: metrics.histogram(&format!("lrpc_stub_ns:{interface}")),
             bulk_bytes: (!remote)
@@ -286,18 +306,22 @@ impl BindingStats {
 
     pub(crate) fn note_call(&self) {
         self.calls.fetch_add(1, Ordering::Relaxed);
+        self.totals[0].inc();
     }
 
     pub(crate) fn note_failure(&self) {
         self.failures.fetch_add(1, Ordering::Relaxed);
+        self.totals[1].inc();
     }
 
     pub(crate) fn note_remote(&self) {
         self.remote_calls.fetch_add(1, Ordering::Relaxed);
+        self.totals[2].inc();
     }
 
     pub(crate) fn note_bulk_fallback(&self) {
         self.bulk_fallbacks.fetch_add(1, Ordering::Relaxed);
+        self.totals[3].inc();
     }
 
     /// The latency histogram; every binding has one.
@@ -378,6 +402,16 @@ impl BindingStats {
     }
 }
 
+/// The runtime-wide totals [`BindingStats`] counts per interface, in the
+/// order of its `totals`; [`LrpcRuntime::collect_metrics`] sums each into
+/// the gauge of the same name.
+pub(crate) const TOTALS: [&str; 4] = [
+    "lrpc_calls_total",
+    "lrpc_call_failures_total",
+    "lrpc_remote_calls_total",
+    "lrpc_bulk_fallbacks_total",
+];
+
 /// The kernel-side state of one binding.
 pub struct BindingState {
     /// The interface bound to.
@@ -396,10 +430,9 @@ pub struct BindingState {
     pub bulk: Option<Arc<BulkArena>>,
     /// The binding's TLB working-set plan.
     pub touch: TouchPlan,
-    /// The compiled copy plans, one per procedure — the bind-time stub
-    /// specialization of Section 3.3. Produced by (and shared through) the
-    /// runtime's plan cache, so re-imports of the same interface reuse one
-    /// compilation.
+    /// The compiled copy plans, one per procedure — the stub
+    /// specialization of Section 3.3, compiled once by the clerk at export
+    /// and shared by every import of it.
     pub plans: Arc<InterfacePlans>,
     /// The server's E-stack pool, cached at import time so the call path
     /// never consults the runtime's global pool map (Section 3.4: nothing
@@ -412,7 +445,7 @@ pub struct BindingState {
     /// Set when either domain terminates; "this prevents any more
     /// out-calls from the domain, and prevents other domains from making
     /// any more in-calls" (Section 5.3).
-    revoked: AtomicBool,
+    pub(crate) revoked: AtomicBool,
     /// "If the call is to a truly remote server (indicated by a bit in the
     /// Binding Object), then a branch is taken to a more conventional RPC
     /// stub" (Section 5.1).
@@ -422,41 +455,6 @@ pub struct BindingState {
 }
 
 impl BindingState {
-    /// Creates binding state; used by [`LrpcRuntime::import`].
-    // One argument per cached field: the constructor mirrors the struct,
-    // and bundling them into a params struct would just move the list.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        interface: Arc<CompiledInterface>,
-        client: Arc<Domain>,
-        server: Arc<Domain>,
-        clerk: Arc<Clerk>,
-        astacks: AStackSet,
-        bulk: Option<Arc<BulkArena>>,
-        touch: TouchPlan,
-        plans: Arc<InterfacePlans>,
-        estack_pool: Arc<crate::estack::EStackPool>,
-        ring: Option<Arc<crate::ring::CallRing>>,
-        remote: bool,
-        stats: BindingStats,
-    ) -> BindingState {
-        BindingState {
-            interface,
-            client,
-            server,
-            clerk,
-            astacks,
-            bulk,
-            touch,
-            plans,
-            estack_pool,
-            ring,
-            revoked: AtomicBool::new(false),
-            remote,
-            stats,
-        }
-    }
-
     /// True once the binding has been revoked.
     pub fn is_revoked(&self) -> bool {
         self.revoked.load(Ordering::Acquire)

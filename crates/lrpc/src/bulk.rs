@@ -19,7 +19,7 @@
 //! the arena exhausted falls back to the per-call segment path, which
 //! stays fully functional.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use firefly::mem::{Region, PAGE_SIZE};
 use idl::layout::{SlotKind, OOB_DESCRIPTOR_SIZE};
@@ -58,10 +58,9 @@ pub struct BulkArena {
     /// Chunks currently leased to in-flight calls; registered by the
     /// runtime as `lrpc_bulk_arena_busy:{interface}`.
     busy: obs::Gauge,
-    /// Bind-time label; keys this arena's record/replay stream.
-    label: String,
-    /// Record/replay stream for chunk acquire outcomes (`bulk:{label}`).
-    rr: OnceLock<replay::Handle>,
+    /// Record/replay stream for chunk acquire outcomes (`bulk:{label}`);
+    /// `None` in live mode.
+    rr: Option<replay::Handle>,
 }
 
 /// Largest encoded size a type can occupy in an out-of-band segment, or
@@ -104,6 +103,7 @@ impl BulkArena {
         label: &str,
         iface: &CompiledInterface,
         astacks: &AStackSet,
+        session: &Arc<replay::Session>,
     ) -> Option<BulkArena> {
         let need = iface
             .procs
@@ -121,11 +121,14 @@ impl BulkArena {
             label,
             chunk_size,
             chunk_count,
+            session,
         ))
     }
 
     /// Allocates an arena of `chunk_count` chunks of `chunk_size` bytes,
-    /// pairwise-mapped into exactly the client and server domains.
+    /// pairwise-mapped into exactly the client and server domains. Under a
+    /// recording or replaying `session` every chunk acquire outcome (index
+    /// or fallback) flows through the `bulk:{label}` stream.
     pub fn allocate(
         kernel: &Kernel,
         client: &Domain,
@@ -133,6 +136,7 @@ impl BulkArena {
         label: &str,
         chunk_size: usize,
         chunk_count: usize,
+        session: &Arc<replay::Session>,
     ) -> BulkArena {
         let region = kernel.map_pairwise(label, client, server, (chunk_size * chunk_count).max(1));
         BulkArena {
@@ -142,19 +146,8 @@ impl BulkArena {
             // Seeded highest-first, so the first acquire leases chunk 0.
             free: IndexStack::full(0..chunk_count),
             busy: obs::Gauge::new(),
-            label: label.to_string(),
-            rr: OnceLock::new(),
+            rr: (!session.is_live()).then(|| session.stream(&format!("bulk:{label}"))),
         }
-    }
-
-    /// Attaches a record/replay session: every chunk acquire outcome
-    /// (index or fallback) flows through the `bulk:{label}` stream. Live
-    /// sessions are ignored; a second attach is ignored.
-    pub fn attach_replay(&self, session: &Arc<replay::Session>) {
-        if session.is_live() {
-            return;
-        }
-        let _ = self.rr.set(session.stream(&format!("bulk:{}", self.label)));
     }
 
     /// Leases a chunk able to hold `need` bytes. `None` when the payload
@@ -162,7 +155,7 @@ impl BulkArena {
     /// falls back to a per-call segment.
     pub fn acquire(&self, need: usize) -> Option<BulkChunk> {
         let chunk = self.acquire_inner(need);
-        if let Some(h) = self.rr.get() {
+        if let Some(h) = &self.rr {
             // Which chunk the lock-free pop produced — or that the call
             // fell back to a per-call segment — is the recorded decision.
             h.emit(
@@ -236,20 +229,33 @@ mod tests {
         idl::stubgen::compile(&idl::parse(src).unwrap())
     }
 
+    fn astack_set(k: &Kernel, c: &Domain, s: &Domain, per_proc: &[(usize, u32)]) -> AStackSet {
+        let live = replay::Session::live();
+        let mapping = crate::astack::AStackMapping::Pairwise;
+        AStackSet::allocate(k, c, s, "astacks", per_proc, mapping, &live)
+    }
+
+    fn arena(k: &Kernel, c: &Domain, s: &Domain, chunk_size: usize, chunks: usize) -> BulkArena {
+        let live = replay::Session::live();
+        BulkArena::allocate(k, c, s, "bulk", chunk_size, chunks, &live)
+    }
+
     #[test]
     fn fixed_interfaces_get_no_arena() {
         let (k, c, s) = setup();
         let iface = compiled("interface B { procedure Add(a: int32, b: int32) -> int32; }");
-        let astacks = AStackSet::allocate(&k, &c, &s, "astacks", &[(12, 5)]);
-        assert!(BulkArena::for_interface(&k, &c, &s, "bulk", &iface, &astacks).is_none());
+        let astacks = astack_set(&k, &c, &s, &[(12, 5)]);
+        let live = replay::Session::live();
+        assert!(BulkArena::for_interface(&k, &c, &s, "bulk", &iface, &astacks, &live).is_none());
     }
 
     #[test]
     fn arena_sizes_from_the_declared_maximum() {
         let (k, c, s) = setup();
         let iface = compiled("interface B { procedure Send(pkt: var bytes[8192]); }");
-        let astacks = AStackSet::allocate(&k, &c, &s, "astacks", &[(1500, 5)]);
-        let arena = BulkArena::for_interface(&k, &c, &s, "bulk", &iface, &astacks).unwrap();
+        let astacks = astack_set(&k, &c, &s, &[(1500, 5)]);
+        let live = replay::Session::live();
+        let arena = BulkArena::for_interface(&k, &c, &s, "bulk", &iface, &astacks, &live).unwrap();
         // 4-byte length prefix + 8192 payload + 8-byte segment header,
         // rounded up to a page.
         assert!(arena.chunk_size() >= 8192 + 4 + OOB_DESCRIPTOR_SIZE);
@@ -261,7 +267,7 @@ mod tests {
     #[test]
     fn chunks_are_lifo_disjoint_and_bounded() {
         let (k, c, s) = setup();
-        let arena = BulkArena::allocate(&k, &c, &s, "bulk", 1024, 3);
+        let arena = arena(&k, &c, &s, 1024, 3);
         let a = arena.acquire(100).unwrap();
         let b = arena.acquire(1024).unwrap();
         assert_ne!(a.offset, b.offset);
@@ -284,7 +290,7 @@ mod tests {
     fn third_party_domain_cannot_touch_the_arena() {
         let (k, c, s) = setup();
         let third = k.create_domain("third");
-        let arena = BulkArena::allocate(&k, &c, &s, "bulk", 512, 2);
+        let arena = arena(&k, &c, &s, 512, 2);
         let region = arena.region();
         assert!(c.ctx().check(region.id(), true, false).is_ok());
         assert!(s.ctx().check(region.id(), true, false).is_ok());
@@ -294,7 +300,7 @@ mod tests {
     #[test]
     fn concurrent_lease_churn_conserves_chunks() {
         let (k, c, s) = setup();
-        let arena = Arc::new(BulkArena::allocate(&k, &c, &s, "bulk", 256, 4));
+        let arena = Arc::new(arena(&k, &c, &s, 256, 4));
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 let arena = Arc::clone(&arena);

@@ -347,7 +347,7 @@ impl<'a> InFlight<'a> {
             .ok_or(CallError::BadProcedure {
                 index: self.proc_index,
             })?;
-        // The copy plan compiled for this procedure at import time: offsets,
+        // The copy plan compiled for this procedure at export: offsets,
         // checks and cost totals all hoisted out of the call. A half that
         // could not be specialized is `None` and runs the interpreter.
         let plan = &state.plans.procs[self.proc_index];

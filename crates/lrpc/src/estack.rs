@@ -9,7 +9,7 @@
 //! server domain runs low, the kernel reclaims those associated with
 //! A-stacks that have not been recently used."
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use firefly::idhash::IdMap;
 use firefly::mem::Region;
@@ -62,8 +62,8 @@ pub struct EStackPool {
     /// runtime adopts it into its registry when the pool is created.
     busy: obs::Gauge,
     /// Record/replay stream for association outcomes
-    /// (`estack:{server name}`).
-    rr: OnceLock<replay::Handle>,
+    /// (`estack:{server name}`); `None` in live mode.
+    rr: Option<replay::Handle>,
 }
 
 /// Usage statistics (for the lazy-vs-static ablation).
@@ -80,9 +80,18 @@ pub struct EStackStats {
 }
 
 impl EStackPool {
-    /// Creates an empty pool for `server`.
-    pub fn new(server: Arc<Domain>, estack_size: usize, max_estacks: usize) -> EStackPool {
+    /// Creates an empty pool for `server`. Under a recording or replaying
+    /// `session` every association outcome (which A-stack key resolved,
+    /// and whether a fresh allocation was needed) flows through the
+    /// `estack:{server}` stream.
+    pub fn new(
+        server: Arc<Domain>,
+        estack_size: usize,
+        max_estacks: usize,
+        session: &Arc<replay::Session>,
+    ) -> EStackPool {
         EStackPool {
+            rr: (!session.is_live()).then(|| session.stream(&format!("estack:{}", server.name()))),
             server,
             estack_size: estack_size.max(firefly::mem::PAGE_SIZE),
             max_estacks: max_estacks.max(1),
@@ -94,21 +103,7 @@ impl EStackPool {
                 reclamations: 0,
             }),
             busy: obs::Gauge::new(),
-            rr: OnceLock::new(),
         }
-    }
-
-    /// Attaches a record/replay session: every association outcome (which
-    /// A-stack key resolved, and whether a fresh allocation was needed)
-    /// flows through the `estack:{server}` stream. Live sessions are
-    /// ignored; a second attach is ignored.
-    pub fn attach_replay(&self, session: &Arc<replay::Session>) {
-        if session.is_live() {
-            return;
-        }
-        let _ = self
-            .rr
-            .set(session.stream(&format!("estack:{}", self.server.name())));
     }
 
     /// The live "E-stacks in a call right now" gauge (a cheap clone of it
@@ -123,7 +118,7 @@ impl EStackPool {
     /// allocation was needed (the slow path).
     pub fn get_for_call(&self, kernel: &Kernel, astack_key: u64) -> (Arc<Region>, bool) {
         let (estack, fresh) = self.get_for_call_inner(kernel, astack_key);
-        if let Some(h) = self.rr.get() {
+        if let Some(h) = &self.rr {
             // Which A-stack asked and whether the association missed (a
             // fresh allocation) is the order-sensitive outcome here.
             h.emit(
@@ -251,7 +246,7 @@ mod tests {
     fn setup(max: usize) -> (Arc<Kernel>, EStackPool) {
         let k = Kernel::new(Machine::new(1, CostModel::cvax_firefly()));
         let server = k.create_domain("server");
-        let pool = EStackPool::new(server, 4096, max);
+        let pool = EStackPool::new(server, 4096, max, &replay::Session::live());
         (k, pool)
     }
 

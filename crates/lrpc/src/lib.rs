@@ -14,8 +14,8 @@
 //! * **Simple data transfer** — [`astack`]: pairwise-mapped, contiguously
 //!   allocated argument stacks with LIFO free queues; arguments are copied
 //!   once, from the client stub straight onto the shared A-stack.
-//! * **Simple stubs** — the `idl` crate's frame layouts, lowered at bind
-//!   time into straight-line copy plans (the stub VM interprets the
+//! * **Simple stubs** — the `idl` crate's frame layouts, lowered once per
+//!   export into straight-line copy plans (the stub VM interprets the
 //!   halves no plan covers).
 //! * **Design for concurrency** — lock-free per-class A-stack free lists
 //!   (no process-global lock anywhere on the call path), and the

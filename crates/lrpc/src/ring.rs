@@ -5,9 +5,10 @@
 //! around the server visit) dominates. This module amortizes them
 //! io_uring style: a lock-free SPSC **submission ring** on a
 //! pairwise-shared region where the client enqueues many call
-//! descriptors, a **doorbell** rung once per batch (one trap, and
-//! consecutive rings coalesce while the server has not drained), and a
-//! paired **completion ring** the server posts results into.
+//! descriptors, a **doorbell** rung once per flush (one trap, which the
+//! server answers before the flush returns, so a ring never finds an
+//! earlier one pending), and a paired **completion ring** the server
+//! posts results into.
 //!
 //! The per-call work runs the serial path's own stages from
 //! [`crate::call`], charged to each call's own meter: the client push at
@@ -39,7 +40,7 @@
 //! recorded batched run replays bit-identically.
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use firefly::cost::CostModel;
 use firefly::cpu::Cpu;
@@ -51,7 +52,6 @@ use firefly::vm::VmContext;
 use idl::wire::Value;
 use kernel::kernel::Kernel;
 use kernel::objects::RawHandle;
-use kernel::sched::Doorbell;
 use kernel::thread::{Thread, ThreadStatus};
 use kernel::Domain;
 
@@ -113,7 +113,6 @@ pub struct CallRing {
     head: AtomicU32,
     /// Next submission slot the client will fill.
     tail: AtomicU32,
-    doorbell: Doorbell,
     /// `lrpc_ring_occupancy:{interface}` — live submission-ring depth.
     occupancy: obs::Gauge,
     /// `lrpc_doorbells_total` — doorbells that actually trapped.
@@ -122,23 +121,26 @@ pub struct CallRing {
     /// site names, built once so a batch allocates nothing for them.
     doorbell_site: String,
     ring_full_site: String,
-    /// Record/replay stream for ring decisions (`ring:{interface}`).
-    rr: OnceLock<replay::Handle>,
+    /// Record/replay stream for ring decisions (`ring:{interface}`);
+    /// `None` in live mode.
+    rr: Option<replay::Handle>,
 }
 
 impl CallRing {
     /// Maps a ring of `slots` slots pairwise into both domains and wires
-    /// the metrics instruments. Called by the runtime at import time, at
-    /// [`RING_SLOTS`] or at the depth the adaptive sizing controller
-    /// recommends; the depth is clamped to 1..=256 slots.
+    /// its instruments in `metrics`. Called by the runtime at import time,
+    /// at [`RING_SLOTS`] or at the depth the adaptive sizing controller
+    /// recommends; the depth is clamped to 1..=256 slots. Under a
+    /// recording or replaying `session`, enqueue slots, doorbell outcomes
+    /// and drain order flow through the `ring:{name}` stream.
     pub fn with_slots(
-        kernel: &Arc<Kernel>,
-        client: &Arc<Domain>,
-        server: &Arc<Domain>,
+        kernel: &Kernel,
+        client: &Domain,
+        server: &Domain,
         name: &str,
-        occupancy: obs::Gauge,
-        doorbells_total: obs::Counter,
+        metrics: &obs::Registry,
         slots: u32,
+        session: &Arc<replay::Session>,
     ) -> CallRing {
         let slots = slots.clamp(1, MAX_SLOTS as u32);
         let region = kernel.map_pairwise(
@@ -153,27 +155,16 @@ impl CallRing {
             slots,
             head: AtomicU32::new(0),
             tail: AtomicU32::new(0),
-            doorbell: Doorbell::new(),
-            occupancy,
-            doorbells_total,
+            occupancy: metrics.gauge(&format!("lrpc_ring_occupancy:{name}")),
+            doorbells_total: metrics.counter("lrpc_doorbells_total"),
             doorbell_site: format!("doorbell:{name}"),
             ring_full_site: format!("ring-full:{name}"),
-            rr: OnceLock::new(),
+            rr: (!session.is_live()).then(|| session.stream(&format!("ring:{name}"))),
         }
-    }
-
-    /// Attaches a record/replay session: enqueue slots, doorbell outcomes
-    /// and drain order flow through the `ring:{name}` stream. Live
-    /// sessions are ignored; a second attach is ignored.
-    pub fn attach_replay(&self, session: &Arc<replay::Session>) {
-        if session.is_live() {
-            return;
-        }
-        let _ = self.rr.set(session.stream(&format!("ring:{}", self.name)));
     }
 
     fn emit(&self, kind: u16, payload: u64) {
-        if let Some(h) = self.rr.get() {
+        if let Some(h) = &self.rr {
             h.emit(kind, payload);
         }
     }
@@ -201,27 +192,11 @@ impl CallRing {
         self.occupancy_now() == 0
     }
 
-    /// The client's doorbell.
-    pub fn doorbell(&self) -> &Doorbell {
-        &self.doorbell
-    }
-
-    /// The shared `lrpc_doorbells_total` counter.
-    pub(crate) fn doorbells_total(&self) -> &obs::Counter {
-        &self.doorbells_total
-    }
-
-    /// Consumes the pending doorbell on the server side.
-    pub(crate) fn take_doorbell(&self) -> bool {
-        self.doorbell.take()
-    }
-
     /// Drops every enqueued descriptor (crossing-level abort).
     pub(crate) fn reset(&self) {
         let tail = self.tail.load(Ordering::Acquire);
         self.head.store(tail, Ordering::Release);
         self.occupancy.set(0);
-        self.doorbell.take();
     }
 
     /// Byte offset of `slot` in the half that starts at slot `half` (0 for
@@ -541,33 +516,16 @@ fn flush<'a>(
     };
 
     // ---- Doorbell -----------------------------------------------------
-    // One trap per doorbell — the whole point. A coalesced ring (server
-    // wakeup still pending) costs nothing; a lost doorbell (fault
+    // One trap per flush — the whole point. A lost doorbell (fault
     // injection) must be rung again: two traps, still fewer than N.
-    let coalesced = ring.doorbell().ring();
-    let lost =
-        !coalesced && matches!(&env.fault, Some(plan) if plan.lose_doorbell(&ring.doorbell_site));
-    ring.emit(
-        replay::kind::RING_DOORBELL,
-        if coalesced {
-            0
-        } else if lost {
-            2
-        } else {
-            1
-        },
-    );
-    if !coalesced {
-        if lost {
-            env.rt.kernel().trap(cpu, batch_meter);
-            *traps += 1;
-            *doorbells += 1;
-            ring.doorbells_total().inc();
-        }
+    let lost = matches!(&env.fault, Some(plan) if plan.lose_doorbell(&ring.doorbell_site));
+    let rings = if lost { 2 } else { 1 };
+    ring.emit(replay::kind::RING_DOORBELL, rings);
+    for _ in 0..rings {
         env.rt.kernel().trap(cpu, batch_meter);
         *traps += 1;
         *doorbells += 1;
-        ring.doorbells_total().inc();
+        ring.doorbells_total.inc();
     }
 
     // ---- Kernel, call crossing (once per batch) -----------------------
@@ -604,7 +562,6 @@ fn flush<'a>(
 
     // ---- Transfer into the server domain (once per batch) -------------
     cpu.switch_context(server_ctx.id(), cost, batch_meter);
-    ring.take_doorbell();
 
     // ---- Server drain: the whole window in one read, then every call --
     // A window that is not exactly this flush's serves nothing.
@@ -1003,15 +960,7 @@ mod tests {
         for (i, r) in out.results.iter().enumerate() {
             assert_eq!(r.as_ref().unwrap().ret, Some(Value::Int32(i as i32)));
         }
-        assert!(
-            out.doorbells >= 2,
-            "20 calls over 8 A-stacks need multiple flushes, got {}",
-            out.doorbells
-        );
-        assert!(
-            out.doorbells <= 4,
-            "doorbells should stay far below call count, got {}",
-            out.doorbells
-        );
+        // 20 calls over 8 A-stacks flush three times, one doorbell each.
+        assert_eq!(out.doorbells, 3);
     }
 }

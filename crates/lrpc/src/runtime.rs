@@ -10,9 +10,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use firefly::fault::FaultPlan;
-use idl::ast::InterfaceDef;
-use idl::plan::InterfacePlans;
-use idl::stubgen::{compile, CompiledInterface};
+use idl::stubgen::compile;
 use kernel::ids::DomainId;
 use kernel::kernel::{Kernel, TerminationReport};
 use kernel::nameserver::NameServer;
@@ -22,11 +20,12 @@ use kernel::Domain;
 use parking_lot::{Mutex, RwLock};
 
 use crate::astack::{AStackMapping, AStackPolicy, AStackSet};
-use crate::binding::{Binding, BindingState, BindingStats, Clerk, Handler};
+use crate::binding::{Binding, BindingState, BindingStats, Clerk, Handler, TOTALS};
 use crate::bulk::BulkArena;
 use crate::error::CallError;
 use crate::estack::{EStackPool, DEFAULT_ESTACK_SIZE, DEFAULT_MAX_ESTACKS};
 use crate::remote::RemoteTransport;
+use crate::ring::{CallRing, RING_SLOTS};
 use crate::touch::TouchPlan;
 
 /// Tunables of the runtime.
@@ -71,9 +70,6 @@ impl Default for RuntimeConfig {
 /// Null-call fast path acquires zero process-global locks. The remaining
 /// runtime maps are read-mostly `RwLock`s (or import-time-only mutexes)
 /// and report every acquisition to [`firefly::meter::note_global_lock`].
-/// One plan-cache slot: the pinned interface plus its compiled plans.
-type PlanCacheEntry = (Arc<CompiledInterface>, Arc<InterfacePlans>);
-
 pub struct LrpcRuntime {
     kernel: Arc<Kernel>,
     config: RuntimeConfig,
@@ -92,19 +88,10 @@ pub struct LrpcRuntime {
     /// Components register handles at bind time; the steady call path
     /// updates them with lone atomic ops, never through the registry.
     metrics: Arc<obs::Registry>,
-    /// Bind-time compiled copy plans, keyed by the compiled interface's
-    /// identity. The stored `Arc<CompiledInterface>` pins the keyed
-    /// address, so a key can never be reused by a different interface
-    /// while its entry lives. Import-time only — the call path reads
-    /// plans off the binding, never through this map.
-    plan_cache: Mutex<HashMap<usize, PlanCacheEntry>>,
-    /// Plan-cache hit/miss counters (`stub_plan_cache_{hit,miss}`).
-    plan_hits: obs::Counter,
-    plan_misses: obs::Counter,
     /// The record/replay session every nondeterministic decision reports
     /// to. Live sessions record nothing and answer nothing — components
-    /// skip attaching entirely, so the call path pays only a dead
-    /// `OnceLock` load.
+    /// built under one hold no stream, so the call path pays only a
+    /// `None` check.
     rr: Arc<replay::Session>,
 }
 
@@ -136,8 +123,6 @@ impl LrpcRuntime {
     ) -> Arc<LrpcRuntime> {
         kernel.machine().attach_replay(&session);
         let metrics = Arc::new(obs::Registry::new());
-        let plan_hits = metrics.counter("stub_plan_cache_hit");
-        let plan_misses = metrics.counter("stub_plan_cache_miss");
         // Doorbell traps across every binding: present from startup so a
         // scrape before the first batch still sees the series.
         let _ = metrics.counter("lrpc_doorbells_total");
@@ -152,9 +137,6 @@ impl LrpcRuntime {
             fault: RwLock::new(None),
             fault_installed: AtomicBool::new(false),
             metrics,
-            plan_cache: Mutex::new(HashMap::new()),
-            plan_hits,
-            plan_misses,
             rr: session,
         })
     }
@@ -180,7 +162,8 @@ impl LrpcRuntime {
     }
 
     /// Exports an interface (given as IDL source) from `server`, installing
-    /// the clerk in the name server. Returns the clerk.
+    /// the clerk in the name server. Returns the clerk, which has compiled
+    /// the interface's stubs and copy plans once for every import.
     ///
     /// `handlers` must supply one body per declared procedure, in order.
     pub fn export(
@@ -191,41 +174,16 @@ impl LrpcRuntime {
     ) -> Result<Arc<Clerk>, CallError> {
         let def = idl::parse(idl_src)
             .map_err(|e| CallError::ServerFault(format!("interface parse error: {e}")))?;
-        self.export_def(server, &def, handlers)
-    }
-
-    /// Exports an already-parsed interface definition.
-    pub fn export_def(
-        self: &Arc<Self>,
-        server: &Arc<Domain>,
-        def: &InterfaceDef,
-        handlers: Vec<Handler>,
-    ) -> Result<Arc<Clerk>, CallError> {
         if !server.is_active() {
             return Err(CallError::DomainDead);
         }
-        let compiled = Arc::new(compile(def));
-        let clerk = Arc::new(Clerk::new(compiled, Arc::clone(server), handlers));
-        self.names.register(def.name.clone(), Arc::clone(&clerk));
+        let clerk = Arc::new(Clerk::new(
+            Arc::new(compile(&def)),
+            Arc::clone(server),
+            handlers,
+        ));
+        self.names.register(def.name, Arc::clone(&clerk));
         Ok(clerk)
-    }
-
-    /// The compiled copy plans for an interface, compiled on first use and
-    /// cached per interface identity — re-imports (any client domain, the
-    /// same export) share one compilation. Bind-time only: takes the
-    /// runtime's plan-cache mutex.
-    pub fn compiled_plans(&self, iface: &Arc<CompiledInterface>) -> Arc<InterfacePlans> {
-        firefly::meter::note_global_lock();
-        let key = Arc::as_ptr(iface) as usize;
-        let mut cache = self.plan_cache.lock();
-        if let Some((_, plans)) = cache.get(&key) {
-            self.plan_hits.inc();
-            return Arc::clone(plans);
-        }
-        self.plan_misses.inc();
-        let plans = Arc::new(InterfacePlans::compile(iface));
-        cache.insert(key, (Arc::clone(iface), Arc::clone(&plans)));
-        plans
     }
 
     /// Imports an interface into `client`: waits for the exporter's clerk,
@@ -245,93 +203,10 @@ impl LrpcRuntime {
             .ok_or_else(|| CallError::ImportTimeout {
                 name: name.to_string(),
             })?;
-        let server = Arc::clone(clerk.domain());
-        if !server.is_active() {
+        if !clerk.domain().is_active() {
             return Err(CallError::DomainDead);
         }
-
-        // The clerk's reply: the PDL, from which the kernel sizes the
-        // pairwise A-stack allocation. An adaptive sizing plan (from a
-        // prior run's observations) overrides the PDL's static
-        // simultaneous-call guesses; each application is a recorded replay
-        // decision so adaptive runs replay byte-identically.
-        let adapt_rec = self.config.adapt.as_ref().and_then(|p| p.get(name));
-        if let Some(rec) = adapt_rec {
-            if !self.rr.is_live() {
-                self.rr
-                    .stream("adapt")
-                    .emit(replay::kind::ADAPT, crate::adapt::AdaptPlan::pack(rec));
-            }
-        }
-        let pdl = clerk.pdl();
-        let per_proc: Vec<(usize, u32)> = pdl
-            .iter()
-            .map(|pd| {
-                (
-                    pd.astack_size,
-                    adapt_rec.map_or(pd.simultaneous_calls, |r| r.astacks),
-                )
-            })
-            .collect();
-        let astacks = AStackSet::allocate_mapped(
-            &self.kernel,
-            client,
-            &server,
-            &format!("astacks:{name}"),
-            &per_proc,
-            self.config.astack_mapping,
-        );
-        astacks.attach_replay(&self.rr);
-        // Interfaces declaring large out-of-band parameters also get their
-        // bulk arena pairwise-mapped here at bind time, so steady-state
-        // large calls never map a per-call segment.
-        let bulk = BulkArena::for_interface(
-            &self.kernel,
-            client,
-            &server,
-            &format!("bulk-arena:{name}"),
-            clerk.interface(),
-            &astacks,
-        )
-        .map(Arc::new);
-        if let Some(arena) = &bulk {
-            arena.attach_replay(&self.rr);
-            self.metrics.register_gauge(
-                &format!("lrpc_bulk_arena_busy:{name}"),
-                arena.busy_gauge().clone(),
-            );
-        }
-        let touch = TouchPlan::allocate(&self.kernel, client, &server);
-        let plans = self.compiled_plans(clerk.interface());
-        let estack_pool = self.estack_pool(&server);
-        // The pairwise submission/completion ring for doorbell-batched
-        // calls, mapped at bind time like the A-stacks.
-        let ring = Arc::new(crate::ring::CallRing::with_slots(
-            &self.kernel,
-            client,
-            &server,
-            name,
-            self.metrics.gauge(&format!("lrpc_ring_occupancy:{name}")),
-            self.metrics.counter("lrpc_doorbells_total"),
-            adapt_rec.map_or(crate::ring::RING_SLOTS, |r| r.ring_slots),
-        ));
-        ring.attach_replay(&self.rr);
-        let state = Arc::new(BindingState::new(
-            Arc::clone(clerk.interface()),
-            Arc::clone(client),
-            server,
-            clerk,
-            astacks,
-            bulk,
-            touch,
-            plans,
-            estack_pool,
-            Some(ring),
-            false,
-            BindingStats::register(&self.metrics, name, false),
-        ));
-        let handle = self.bindings.insert(Arc::clone(&state));
-        Ok(Binding::new(Arc::clone(self), handle, state))
+        Ok(self.bind(client, name, clerk, false))
     }
 
     /// Imports an interface exported by a *remote* machine through the
@@ -351,13 +226,11 @@ impl LrpcRuntime {
                 name: name.to_string(),
             });
         }
-        let interface: Arc<CompiledInterface> =
-            transport
-                .interface(name)
-                .ok_or_else(|| CallError::ImportTimeout {
-                    name: name.to_string(),
-                })?;
-        let proxy = self.proxy_domain();
+        let interface = transport
+            .interface(name)
+            .ok_or_else(|| CallError::ImportTimeout {
+                name: name.to_string(),
+            })?;
         // The proxy clerk never dispatches (the remote branch happens
         // before the transfer path); it exists so the binding state is
         // fully formed.
@@ -368,47 +241,118 @@ impl LrpcRuntime {
                 }) as Handler
             })
             .collect();
-        let clerk = Arc::new(Clerk::new(
-            Arc::clone(&interface),
-            Arc::clone(&proxy),
-            handlers,
-        ));
-        let pdl = clerk.pdl();
-        let per_proc: Vec<(usize, u32)> = pdl
+        let clerk = Arc::new(Clerk::new(interface, self.proxy_domain(), handlers));
+        Ok(self.bind(client, name, clerk, true))
+    }
+
+    /// The kernel's half of binding (Section 3.1): from the clerk's PDL,
+    /// pairwise-allocates the A-stacks and linkage records, and for a
+    /// local binding the bulk arena and the call ring; records the
+    /// Binding Object in the table and returns it. A remote binding keeps
+    /// the PDL's sizing and gets no arena and no ring: its calls take the
+    /// conventional-RPC branch before the transfer path.
+    fn bind(
+        self: &Arc<Self>,
+        client: &Arc<Domain>,
+        name: &str,
+        clerk: Arc<Clerk>,
+        remote: bool,
+    ) -> Binding {
+        let kernel = &self.kernel;
+        let rr = &self.rr;
+        let server = Arc::clone(clerk.domain());
+        // An adaptive sizing plan (from a prior run's observations)
+        // overrides the PDL's static simultaneous-call guesses; each
+        // application is a recorded replay decision so adaptive runs
+        // replay byte-identically.
+        let adapt = match &self.config.adapt {
+            Some(plan) if !remote => plan.get(name),
+            _ => None,
+        };
+        if let Some(rec) = adapt.filter(|_| !rr.is_live()) {
+            rr.stream("adapt")
+                .emit(replay::kind::ADAPT, crate::adapt::AdaptPlan::pack(rec));
+        }
+        let per_proc: Vec<(usize, u32)> = clerk
+            .pdl()
             .iter()
-            .map(|pd| (pd.astack_size, pd.simultaneous_calls))
+            .map(|pd| {
+                (
+                    pd.astack_size,
+                    adapt.map_or(pd.simultaneous_calls, |r| r.astacks),
+                )
+            })
             .collect();
+        let (label, mapping) = if remote {
+            ("astacks-remote", AStackMapping::Pairwise)
+        } else {
+            ("astacks", self.config.astack_mapping)
+        };
         let astacks = AStackSet::allocate(
-            &self.kernel,
+            kernel,
             client,
-            &proxy,
-            &format!("astacks-remote:{name}"),
+            &server,
+            &format!("{label}:{name}"),
             &per_proc,
+            mapping,
+            rr,
         );
-        astacks.attach_replay(&self.rr);
-        let touch = TouchPlan::allocate(&self.kernel, client, &proxy);
-        let plans = self.compiled_plans(&interface);
-        let estack_pool = self.estack_pool(&proxy);
-        let state = Arc::new(BindingState::new(
-            interface,
-            Arc::clone(client),
-            proxy,
+        // Interfaces declaring large out-of-band parameters also get their
+        // bulk arena pairwise-mapped here at bind time, so steady-state
+        // large calls never map a per-call segment.
+        let bulk = if remote {
+            None
+        } else {
+            BulkArena::for_interface(
+                kernel,
+                client,
+                &server,
+                &format!("bulk-arena:{name}"),
+                clerk.interface(),
+                &astacks,
+                rr,
+            )
+            .map(Arc::new)
+        };
+        if let Some(arena) = &bulk {
+            self.metrics.register_gauge(
+                &format!("lrpc_bulk_arena_busy:{name}"),
+                arena.busy_gauge().clone(),
+            );
+        }
+        let touch = TouchPlan::allocate(kernel, client, &server);
+        let estack_pool = self.estack_pool(&server);
+        // The pairwise submission/completion ring for doorbell-batched
+        // calls, mapped at bind time like the A-stacks.
+        let ring = (!remote).then(|| {
+            let slots = adapt.map_or(RING_SLOTS, |r| r.ring_slots);
+            Arc::new(CallRing::with_slots(
+                kernel,
+                client,
+                &server,
+                name,
+                &self.metrics,
+                slots,
+                rr,
+            ))
+        });
+        let state = Arc::new(BindingState {
+            interface: Arc::clone(clerk.interface()),
+            client: Arc::clone(client),
+            server,
+            plans: Arc::clone(clerk.plans()),
             clerk,
             astacks,
-            // Remote calls branch to the transport before the transfer
-            // path, so the proxy binding carries no bulk arena.
-            None,
+            bulk,
             touch,
-            plans,
             estack_pool,
-            // Remote calls take the conventional-RPC branch, so there is
-            // no pairwise call ring to batch on either.
-            None,
-            true,
-            BindingStats::register(&self.metrics, name, true),
-        ));
+            ring,
+            revoked: AtomicBool::new(false),
+            remote,
+            stats: BindingStats::register(&self.metrics, name, remote),
+        });
         let handle = self.bindings.insert(Arc::clone(&state));
-        Ok(Binding::new(Arc::clone(self), handle, state))
+        Binding::new(Arc::clone(self), handle, state)
     }
 
     /// Installs the conventional-RPC transport used by remote bindings.
@@ -582,8 +526,8 @@ impl LrpcRuntime {
                 Arc::clone(server),
                 DEFAULT_ESTACK_SIZE,
                 self.config.max_estacks,
+                &self.rr,
             ));
-            pool.attach_replay(&self.rr);
             // Adopt the pool's live busy gauge so exports see "E-stacks in
             // a call right now" per server domain without a sweep.
             self.metrics.register_gauge(
@@ -626,7 +570,7 @@ impl LrpcRuntime {
     ///
     /// A slow-path sweep (every shard, every binding, every CPU): gauges
     /// that components cannot cheaply maintain live — A-stack occupancy
-    /// and wait-queue depth, TLB hit/miss totals, domain-cache totals,
+    /// and wait-queue depth, TLB hit/miss totals, call and domain-cache totals,
     /// fault-plan event counts — are read here, point-in-time.
     /// Live handles (E-stack busy gauges, per-binding latency histograms,
     /// circuit-breaker state) are already registered and simply appear in
@@ -637,12 +581,8 @@ impl LrpcRuntime {
         let mut astacks_free = 0usize;
         let mut astack_waiters = 0usize;
         let mut astack_wait_events = 0u64;
-        let mut calls = 0u64;
-        let mut failures = 0u64;
-        let mut remote_calls = 0u64;
         let mut bulk_chunks_total = 0usize;
         let mut bulk_chunks_free = 0usize;
-        let mut bulk_fallbacks = 0u64;
         self.bindings.for_each(|state| {
             astacks_total += state.astacks.total_count();
             astack_wait_events += state.astacks.total_stall_events();
@@ -654,10 +594,6 @@ impl LrpcRuntime {
                 bulk_chunks_total += arena.chunk_count();
                 bulk_chunks_free += arena.free_count();
             }
-            calls += state.stats.calls();
-            failures += state.stats.failures();
-            remote_calls += state.stats.remote_calls();
-            bulk_fallbacks += state.stats.bulk_fallbacks();
         });
         let m = &self.metrics;
         m.gauge("lrpc_astacks_total").set(astacks_total as i64);
@@ -669,13 +605,8 @@ impl LrpcRuntime {
             .set(bulk_chunks_total as i64);
         m.gauge("lrpc_bulk_chunks_free")
             .set(bulk_chunks_free as i64);
-        m.gauge("lrpc_bulk_fallbacks_total")
-            .set(bulk_fallbacks as i64);
         m.gauge("lrpc_bindings_live")
             .set(self.bindings.len() as i64);
-        m.gauge("lrpc_calls_total").set(calls as i64);
-        m.gauge("lrpc_call_failures_total").set(failures as i64);
-        m.gauge("lrpc_remote_calls_total").set(remote_calls as i64);
 
         // TLB totals across the machine's CPUs.
         let machine = self.kernel.machine();
@@ -687,9 +618,12 @@ impl LrpcRuntime {
         m.gauge("firefly_tlb_hits").set(tlb_hits as i64);
         m.gauge("firefly_tlb_misses").set(tlb_misses as i64);
 
-        // The Section 3.4 domain-caching outcomes: the per-interface
-        // counters, summed.
-        for total in ["lrpc_domain_cache_hits", "lrpc_domain_cache_misses"] {
+        // The call totals and the Section 3.4 domain-caching outcomes:
+        // the per-interface counters, summed, terminated bindings included.
+        for total in TOTALS
+            .into_iter()
+            .chain(["lrpc_domain_cache_hits", "lrpc_domain_cache_misses"])
+        {
             let sum = m.counter_sum(&format!("{total}:"));
             m.gauge(total).set(sum as i64);
         }

@@ -30,12 +30,14 @@ use firefly::vm::Protection;
 use kernel::kernel::Kernel;
 use kernel::Domain;
 
-/// Pages per touch set (see the module table).
-const CLIENT_CALL_PAGES: usize = 8;
+/// Pages per touch set (see the module table): the client call set.
+pub const CLIENT_CALL_PAGES: usize = 8;
 const KERNEL_CALL_PAGES: usize = 9;
-const SERVER_SIDE_PAGES: usize = 12;
+/// The server-side set.
+pub const SERVER_SIDE_PAGES: usize = 12;
 const KERNEL_RETURN_PAGES: usize = 7;
-const CLIENT_RETURN_PAGES: usize = 5;
+/// The client return set.
+pub const CLIENT_RETURN_PAGES: usize = 5;
 
 /// The per-binding working-set pages, grouped by call phase.
 ///

@@ -6,7 +6,7 @@ use firefly::cost::CostModel;
 use firefly::cpu::Machine;
 use kernel::kernel::Kernel;
 use kernel::Domain;
-use lrpc::{AStackPolicy, AStackSet};
+use lrpc::{AStackMapping, AStackPolicy, AStackSet};
 use proptest::prelude::*;
 
 fn setup() -> (Arc<Kernel>, Arc<Domain>, Arc<Domain>) {
@@ -14,6 +14,11 @@ fn setup() -> (Arc<Kernel>, Arc<Domain>, Arc<Domain>) {
     let c = k.create_domain("client");
     let s = k.create_domain("server");
     (k, c, s)
+}
+
+fn allocate(k: &Kernel, c: &Domain, s: &Domain, spec: &[(usize, u32)]) -> AStackSet {
+    let live = replay::Session::live();
+    AStackSet::allocate(k, c, s, "p", spec, AStackMapping::Pairwise, &live)
 }
 
 /// Strategy: per-procedure (astack_size, simultaneous_calls) in realistic
@@ -34,7 +39,7 @@ proptest! {
     #[test]
     fn layout_is_disjoint_and_covers_every_stack(spec in per_proc()) {
         let (k, c, s) = setup();
-        let set = AStackSet::allocate(&k, &c, &s, "p", &spec);
+        let set = allocate(&k, &c, &s, &spec);
         // Every index resolves, intervals are disjoint, class sizes match.
         let mut intervals: Vec<(usize, usize)> = Vec::new();
         for i in 0..set.total_count() {
@@ -58,7 +63,7 @@ proptest! {
     #[test]
     fn shared_classes_hold_the_max_count(spec in per_proc()) {
         let (k, c, s) = setup();
-        let set = AStackSet::allocate(&k, &c, &s, "p", &spec);
+        let set = allocate(&k, &c, &s, &spec);
         for class in set.classes() {
             let max_requested = spec
                 .iter()
@@ -76,7 +81,7 @@ proptest! {
         ops in proptest::collection::vec((any::<u8>(), any::<bool>()), 1..60),
     ) {
         let (k, c, s) = setup();
-        let set = AStackSet::allocate(&k, &c, &s, "p", &spec);
+        let set = allocate(&k, &c, &s, &spec);
         let n_classes = set.classes().len();
         let mut held: Vec<Vec<usize>> = vec![Vec::new(); n_classes];
         let initial: Vec<usize> = (0..n_classes).map(|c| set.free_count(c)).collect();
@@ -102,7 +107,7 @@ proptest! {
     #[test]
     fn validation_accepts_only_matching_classes(spec in per_proc(), probe in 0usize..64) {
         let (k, c, s) = setup();
-        let set = AStackSet::allocate(&k, &c, &s, "p", &spec);
+        let set = allocate(&k, &c, &s, &spec);
         for class in 0..set.classes().len() {
             match set.validate(probe, class) {
                 Ok(r) => {
@@ -130,7 +135,7 @@ proptest! {
         rounds in 1usize..40,
     ) {
         let (k, c, s) = setup();
-        let set = Arc::new(AStackSet::allocate(&k, &c, &s, "p", &spec));
+        let set = Arc::new(allocate(&k, &c, &s, &spec));
         let n_classes = set.classes().len();
         let initial: Vec<usize> = (0..n_classes).map(|cl| set.free_count(cl)).collect();
         let in_flight = Arc::new(std::sync::Mutex::new(std::collections::HashSet::new()));
@@ -170,7 +175,7 @@ proptest! {
     #[test]
     fn grown_stacks_validate_on_the_slow_path(spec in per_proc(), grows in 1usize..5) {
         let (k, c, s) = setup();
-        let set = AStackSet::allocate(&k, &c, &s, "p", &spec);
+        let set = allocate(&k, &c, &s, &spec);
         let before = set.total_count();
         for _ in 0..grows {
             let idx = set.grow(0, &k, &c, &s);

@@ -74,8 +74,7 @@ pub mod kind {
     pub const ESTACK_GET: u16 = 12;
     /// Call-ring descriptor enqueue (payload: `slot << 32 | proc_index`).
     pub const RING_ENQUEUE: u16 = 13;
-    /// Doorbell ring outcome (payload: 0 = coalesced into a pending
-    /// doorbell, 1 = rung, 2 = lost and re-rung).
+    /// Doorbell ring outcome (payload: 1 = rung, 2 = lost and re-rung).
     pub const RING_DOORBELL: u16 = 14;
     /// Call-ring descriptor drain on the server side (payload:
     /// `slot << 32 | proc_index`).

@@ -167,7 +167,6 @@ fn assert_no_leaks(rt: &Arc<LrpcRuntime>, server: &Arc<Domain>, binding: &Bindin
         .as_ref()
         .expect("local binding has a ring");
     assert_eq!(ring.occupancy_now(), 0, "ring slot leaked");
-    assert!(!ring.doorbell().is_pending(), "doorbell left armed");
 }
 
 #[test]

@@ -112,44 +112,44 @@ fn calls_kernel_diagnostics_and_binding_stats_end_to_end() {
 
 #[test]
 fn stub_plan_cache_and_stub_histogram_are_observable() {
-    // The stub compiler runs once per interface: the first import misses
-    // the plan cache and compiles, further imports of the same interface
-    // hit. Metered calls feed the per-interface stub-phase histogram.
+    // The stub compiler runs once per export: every import of it shares
+    // the clerk's copy plans, and a re-export compiles its own. Metered
+    // calls feed the per-interface stub-phase histogram.
     let rt = TestRuntime::new().domain_caching(false).build();
     let server = rt.kernel().create_domain("echo");
-    rt.export(
-        &server,
-        "interface Echo { procedure Id(x: int32) -> int32; }",
-        vec![
-            Box::new(|_: &ServerCtx, args: &[Value]| Ok(Reply::value(args[0].clone()))) as Handler,
-        ],
-    )
-    .unwrap();
+    let echo = || {
+        vec![Box::new(|_: &ServerCtx, args: &[Value]| Ok(Reply::value(args[0].clone()))) as Handler]
+    };
+    let idl = "interface Echo { procedure Id(x: int32) -> int32; }";
+    let clerk = rt.export(&server, idl, echo()).unwrap();
     let c1 = rt.kernel().create_domain("app1");
     let c2 = rt.kernel().create_domain("app2");
     let b1 = rt.import(&c1, "Echo").unwrap();
-    let _b2 = rt.import(&c2, "Echo").unwrap();
+    let b2 = rt.import(&c2, "Echo").unwrap();
+    assert!(
+        Arc::ptr_eq(&b1.state().plans, &b2.state().plans),
+        "two imports of one export share one compilation"
+    );
+    assert!(Arc::ptr_eq(&b1.state().plans, clerk.plans()));
 
     let thread = rt.kernel().spawn_thread(&c1);
     let out = b1.call_indexed(0, &thread, 0, &[Value::Int32(9)]).unwrap();
     assert_eq!(out.ret, Some(Value::Int32(9)));
 
     let snap = rt.collect_metrics();
-    assert_eq!(
-        snap.counter("stub_plan_cache_miss"),
-        Some(1),
-        "first import compiles the interface's copy plans"
-    );
-    assert_eq!(
-        snap.counter("stub_plan_cache_hit"),
-        Some(1),
-        "second import of the same interface reuses them"
-    );
     let stub = snap
         .histogram("lrpc_stub_ns:Echo")
         .expect("stub-phase histogram attached at import");
     assert_eq!(stub.count, 1, "one metered call observed");
     assert!(stub.sum > 0, "the stub phase charged virtual time");
+
+    // A re-export (here from a second server) compiles new plans, which
+    // its imports share.
+    let server2 = rt.kernel().create_domain("echo2");
+    let clerk2 = rt.export(&server2, idl, echo()).unwrap();
+    let b3 = rt.import(&c1, "Echo").unwrap();
+    assert!(Arc::ptr_eq(&b3.state().plans, clerk2.plans()));
+    assert!(!Arc::ptr_eq(&b3.state().plans, &b1.state().plans));
 }
 
 #[test]
@@ -324,4 +324,38 @@ fn the_domain_cache_totals_sum_the_interface_counters() {
     assert_totals("after a prodding pass");
     call_each(3);
     assert!(assert_totals("after calls that exchange") > 0);
+}
+
+#[test]
+fn the_call_totals_keep_a_terminated_bindings_counts() {
+    // The runtime-wide call totals are sums of per-interface counters, so
+    // a terminated domain's calls stay counted, and so do the failures its
+    // revocation causes.
+    let rt = TestRuntime::new().domain_caching(false).build();
+    let server = rt.kernel().create_domain("svc");
+    rt.export(
+        &server,
+        "interface N { procedure Null(); }",
+        vec![Box::new(|_: &ServerCtx, _: &[Value]| Ok(Reply::none())) as Handler],
+    )
+    .unwrap();
+    let client = rt.kernel().create_domain("app");
+    let thread = rt.kernel().spawn_thread(&client);
+    let binding = rt.import(&client, "N").unwrap();
+    let totals = || {
+        let snap = rt.collect_metrics();
+        let gauge = |name| snap.gauge(name).unwrap();
+        (gauge("lrpc_calls_total"), gauge("lrpc_call_failures_total"))
+    };
+
+    for _ in 0..3 {
+        binding.call(0, &thread, "Null", &[]).unwrap();
+    }
+    binding.call_indexed(0, &thread, 99, &[]).unwrap_err();
+    assert_eq!(totals(), (3, 1));
+
+    rt.terminate_domain(&server);
+    binding.call(0, &thread, "Null", &[]).unwrap_err();
+    assert_eq!(binding.state().stats.failures(), 2);
+    assert_eq!(totals(), (3, 2), "calls / failures after the termination");
 }

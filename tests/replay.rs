@@ -3,18 +3,16 @@
 //! [`replay::ReplayDivergence`] or [`replay::LogError`] naming the
 //! damage, never a panic.
 
-use std::path::Path;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 
 use bench::rr;
 use replay::{kind, LogError, RecordLog};
 
-/// Every log in `replay-corpus/` replays byte-identically. The digests
-/// the verdict compares against live in each log's metadata block, so
-/// this holds across processes and machines.
-#[test]
-fn corpus_logs_replay_byte_identically() {
+/// Every log in `replay-corpus/`, decoded, with its path.
+fn corpus() -> Vec<(PathBuf, RecordLog)> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("replay-corpus");
-    let mut replayed = 0;
+    let mut logs = Vec::new();
     for entry in std::fs::read_dir(&dir).expect("replay-corpus/ exists") {
         let path = entry.expect("readable dir entry").path();
         if path.extension().and_then(|e| e.to_str()) != Some("rlog") {
@@ -23,6 +21,22 @@ fn corpus_logs_replay_byte_identically() {
         let log = RecordLog::read_from(&path)
             .expect("corpus log readable")
             .expect("corpus log decodes");
+        logs.push((path, log));
+    }
+    assert!(
+        logs.len() >= 5,
+        "expected at least 5 corpus logs, saw {}",
+        logs.len()
+    );
+    logs
+}
+
+/// Every log in `replay-corpus/` replays byte-identically. The digests
+/// the verdict compares against live in each log's metadata block, so
+/// this holds across processes and machines.
+#[test]
+fn corpus_logs_replay_byte_identically() {
+    for (path, log) in corpus() {
         let report = rr::replay(&log).expect("corpus log carries scenario meta");
         assert!(
             report.is_identical(),
@@ -32,11 +46,47 @@ fn corpus_logs_replay_byte_identically() {
             report.unconsumed,
             report.mismatches
         );
-        replayed += 1;
+    }
+}
+
+/// Re-recording each log's scenario reproduces the committed log: the
+/// same decision streams and the same metadata entries. Replay answers
+/// resolved decisions (fault draws) from the log, so it cannot see them
+/// drift; a fresh recording draws them live and can.
+#[test]
+fn corpus_logs_match_a_fresh_recording() {
+    let mut differing = Vec::new();
+    for (path, log) in corpus() {
+        let sc = rr::scenario_of(&log).expect("corpus log carries scenario meta");
+        let fresh = rr::record(sc).log;
+        let mut diffs = Vec::new();
+        let names: BTreeSet<_> = log.streams.keys().chain(fresh.streams.keys()).collect();
+        for name in names {
+            let (old, new) = (log.streams.get(name), fresh.streams.get(name));
+            if old != new {
+                let len = |s: Option<&Vec<_>>| s.map_or(0, Vec::len);
+                diffs.push(format!(
+                    "stream {name}: {} vs {} events",
+                    len(old),
+                    len(new)
+                ));
+            }
+        }
+        let keys: BTreeSet<_> = log.meta.keys().chain(fresh.meta.keys()).collect();
+        for key in keys {
+            let (old, new) = (log.meta.get(key), fresh.meta.get(key));
+            if old != new {
+                diffs.push(format!("meta {key}: {old:?} vs {new:?}"));
+            }
+        }
+        if !diffs.is_empty() {
+            differing.push(format!("{}: {}", path.display(), diffs.join("; ")));
+        }
     }
     assert!(
-        replayed >= 5,
-        "expected at least 5 corpus logs, saw {replayed}"
+        differing.is_empty(),
+        "corpus logs differ from a fresh recording (committed vs fresh):\n{}",
+        differing.join("\n")
     );
 }
 
