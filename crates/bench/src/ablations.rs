@@ -13,10 +13,12 @@
 //!   (Section 3.5).
 
 use firefly::cost::CostModel;
+use firefly::cpu::Machine;
+use firefly::tlb::TlbMode;
 use idl::wire::Value;
-use lrpc::AStackPolicy;
+use lrpc::{AStackMapping, AStackPolicy, Handler, Reply, ServerCtx, TestRuntime};
 
-use crate::common::LrpcEnv;
+use crate::common::{lrpc_bench_handlers, LrpcEnv, BENCH_IDL};
 
 /// Domain caching on/off.
 #[derive(Clone, Debug)]
@@ -78,7 +80,12 @@ pub struct TaggedTlbAblation {
 /// be modified on the critical transfer path").
 pub fn tagged_tlb() -> TaggedTlbAblation {
     let untagged = LrpcEnv::new(1, false);
-    let tagged = LrpcEnv::tagged_tlb(1);
+    let machine = Machine::with_tlb_mode(1, CostModel::cvax_firefly(), TlbMode::Tagged);
+    let rt = TestRuntime::new()
+        .machine(machine)
+        .domain_caching(false)
+        .build();
+    let tagged = LrpcEnv::bind(rt, BENCH_IDL, lrpc_bench_handlers());
     // Extra warmup so both TLBs reach steady state.
     for env in [&untagged, &tagged] {
         env.binding.call(0, &env.thread, "Null", &[]).unwrap();
@@ -187,37 +194,28 @@ pub fn astack_validation() -> ValidationAblation {
 
     // Overflow path: a one-A-stack procedure with the Grow policy, with
     // the primary stack held so every call lands on an overflow stack.
-    use lrpc::{Handler, LrpcRuntime, Reply, RuntimeConfig, ServerCtx};
-    let kernel = kernel::kernel::Kernel::new(firefly::cpu::Machine::cvax_uniprocessor());
-    let rt = LrpcRuntime::with_config(
-        kernel,
-        RuntimeConfig {
-            domain_caching: false,
-            astack_policy: AStackPolicy::Grow,
-            ..RuntimeConfig::default()
-        },
-    );
-    let server = rt.kernel().create_domain("s");
-    rt.export(
-        &server,
+    let rt = TestRuntime::new()
+        .domain_caching(false)
+        .astack_policy(AStackPolicy::Grow)
+        .build();
+    let one = LrpcEnv::bind(
+        rt,
         "interface One { [astacks = 1] procedure P(); }",
         vec![Box::new(|_: &ServerCtx, _: &[Value]| Ok(Reply::none())) as Handler],
-    )
-    .unwrap();
-    let client = rt.kernel().create_domain("c");
-    let thread = rt.kernel().spawn_thread(&client);
-    let binding = rt.import(&client, "One").unwrap();
-    let _held = binding
+    );
+    let _held = one
+        .binding
         .state()
         .astacks
-        .acquire(0, AStackPolicy::Fail, rt.kernel(), &client, &server)
+        .acquire(
+            0,
+            AStackPolicy::Fail,
+            one.rt.kernel(),
+            &one.client,
+            &one.server,
+        )
         .unwrap();
-    binding.call(0, &thread, "P", &[]).unwrap();
-    let overflow = binding
-        .call(0, &thread, "P", &[])
-        .unwrap()
-        .elapsed
-        .as_micros_f64();
+    let overflow = one.steady_latency("P", &[]).as_micros_f64();
     ValidationAblation {
         primary_us: primary,
         overflow_us: overflow,
@@ -250,18 +248,8 @@ pub struct CopyAblation {
 /// Measures the cost of the defensive server copy that `noninterpreted`
 /// arguments avoid.
 pub fn noninterpreted_copy() -> CopyAblation {
-    use lrpc::{Handler, LrpcRuntime, Reply, RuntimeConfig, ServerCtx};
-    let kernel = kernel::kernel::Kernel::new(firefly::cpu::Machine::cvax_uniprocessor());
-    let rt = LrpcRuntime::with_config(
-        kernel,
-        RuntimeConfig {
-            domain_caching: false,
-            ..RuntimeConfig::default()
-        },
-    );
-    let server = rt.kernel().create_domain("s");
-    rt.export(
-        &server,
+    let env = LrpcEnv::bind(
+        TestRuntime::new().domain_caching(false).build(),
         r#"interface W {
             procedure WriteRaw(data: in var bytes[200] noninterpreted);
             procedure WriteChecked(data: in var bytes[200]);
@@ -270,18 +258,10 @@ pub fn noninterpreted_copy() -> CopyAblation {
             Box::new(|_: &ServerCtx, _: &[Value]| Ok(Reply::none())) as Handler,
             Box::new(|_: &ServerCtx, _: &[Value]| Ok(Reply::none())) as Handler,
         ],
-    )
-    .unwrap();
-    let client = rt.kernel().create_domain("c");
-    let thread = rt.kernel().spawn_thread(&client);
-    let binding = rt.import(&client, "W").unwrap();
-    let args = vec![Value::Var(vec![7; 200])];
-    let steady = |proc: &str| {
-        binding.call(0, &thread, proc, &args).unwrap();
-        binding.call(0, &thread, proc, &args).unwrap()
-    };
-    let raw = steady("WriteRaw");
-    let checked = steady("WriteChecked");
+    );
+    let args = [Value::Var(vec![7; 200])];
+    let raw = env.steady_call("WriteRaw", &args);
+    let checked = env.steady_call("WriteChecked", &args);
     CopyAblation {
         noninterpreted_us: raw.elapsed.as_micros_f64(),
         interpreted_us: checked.elapsed.as_micros_f64(),
@@ -320,16 +300,11 @@ pub struct MappingAblation {
 /// Measures the Section 3.5 Firefly caveat: globally-shared A-stacks have
 /// "identical performance, but \[less\] safety" than pairwise mapping.
 pub fn astack_mapping() -> MappingAblation {
-    use lrpc::{AStackMapping, Handler, LrpcRuntime, Reply, RuntimeConfig, ServerCtx};
     let run = |mapping: AStackMapping| {
-        let rt = LrpcRuntime::with_config(
-            kernel::kernel::Kernel::new(firefly::cpu::Machine::cvax_uniprocessor()),
-            RuntimeConfig {
-                domain_caching: false,
-                astack_mapping: mapping,
-                ..RuntimeConfig::default()
-            },
-        );
+        let rt = TestRuntime::new()
+            .domain_caching(false)
+            .astack_mapping(mapping)
+            .build();
         let server = rt.kernel().create_domain("s");
         rt.export(
             &server,

@@ -27,16 +27,13 @@
 //! zero amortized phases on any per-call meter, and per-call copy logs
 //! and phase charges bit-identical to a steady-state serial call.
 
-use std::sync::Arc;
-
 use firefly::cost::CostModel;
 use firefly::meter::Phase;
 use firefly::time::Nanos;
 use idl::wire::Value;
-use kernel::thread::Thread;
-use lrpc::{Binding, CallOutcome, Handler, Reply, ServerCtx, TestRuntime};
+use lrpc::{CallOutcome, Handler, Reply, ServerCtx, TestRuntime};
 
-use crate::common::best_ns_per_call;
+use crate::common::{best_ns_per_call, LrpcEnv};
 use crate::json::Json;
 use crate::suite::{Gate, Opts, SuiteRun, Table};
 
@@ -112,16 +109,9 @@ impl BatchBenchReport {
     }
 }
 
-struct BatchEnv {
-    thread: Arc<Thread>,
-    binding: Binding,
-}
-
-fn env() -> BatchEnv {
-    let rt = TestRuntime::new().domain_caching(false).build();
-    let server = rt.kernel().create_domain("batch-server");
-    rt.export(
-        &server,
+fn env() -> LrpcEnv {
+    LrpcEnv::bind(
+        TestRuntime::new().domain_caching(false).build(),
         BATCH_IDL,
         vec![Box::new(|_: &ServerCtx, args: &[Value]| {
             let (Value::Int32(a), Value::Int32(b)) = (&args[0], &args[1]) else {
@@ -130,11 +120,6 @@ fn env() -> BatchEnv {
             Ok(Reply::value(Value::Int32(a.wrapping_add(*b))))
         }) as Handler],
     )
-    .expect("export");
-    let client = rt.kernel().create_domain("batch-client");
-    let thread = rt.kernel().spawn_thread(&client);
-    let binding = rt.import(&client, "BatchBench").expect("import");
-    BatchEnv { thread, binding }
 }
 
 fn requests(n: usize) -> Vec<(usize, Vec<Value>)> {

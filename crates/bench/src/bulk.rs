@@ -25,18 +25,16 @@
 //!   record zero per-call fallbacks.
 
 use std::hint::black_box;
-use std::sync::Arc;
 
 use firefly::cpu::Cpu;
 use firefly::fault::{FaultConfig, FaultPlan};
 use firefly::meter::Meter;
 use idl::wire::Value;
 use kernel::kernel::Kernel;
-use kernel::thread::Thread;
 use kernel::Domain;
-use lrpc::{Binding, BulkArena, Handler, Reply, ServerCtx, TestRuntime, OOB_SEGMENT_COST};
+use lrpc::{BulkArena, Handler, Reply, ServerCtx, TestRuntime, OOB_SEGMENT_COST};
 
-use crate::common::best_ns_per_call;
+use crate::common::{best_ns_per_call, LrpcEnv};
 use crate::json::Json;
 use crate::suite::{Gate, Opts, SuiteRun, Table};
 
@@ -109,11 +107,6 @@ impl BulkBenchReport {
     }
 }
 
-struct BulkEnv {
-    thread: Arc<Thread>,
-    binding: Binding,
-}
-
 fn handlers() -> Vec<Handler> {
     vec![
         Box::new(|_: &ServerCtx, _: &[Value]| Ok(Reply::none())),
@@ -124,20 +117,16 @@ fn handlers() -> Vec<Handler> {
 /// Builds a single-CPU environment; with `forced_fallback` the
 /// `bulk_exhaust` fault site presents the arena as empty on every call,
 /// which is exactly the pre-arena per-call segment path.
-fn env(forced_fallback: bool) -> BulkEnv {
+fn env(forced_fallback: bool) -> LrpcEnv {
     let rt = TestRuntime::new().domain_caching(false).build();
-    let server = rt.kernel().create_domain("bulk-server");
-    rt.export(&server, BULK_IDL, handlers()).expect("export");
-    let client = rt.kernel().create_domain("bulk-client");
-    let thread = rt.kernel().spawn_thread(&client);
-    let binding = rt.import(&client, "Bulk").expect("import");
+    let env = LrpcEnv::bind(rt, BULK_IDL, handlers());
     if forced_fallback {
-        rt.set_fault_plan(Some(FaultPlan::new(FaultConfig {
+        env.rt.set_fault_plan(Some(FaultPlan::new(FaultConfig {
             bulk_exhaust: true,
             ..FaultConfig::default()
         })));
     }
-    BulkEnv { thread, binding }
+    env
 }
 
 /// One arena transport: lease a chunk, write the length-prefixed segment,

@@ -6,7 +6,6 @@ use std::time::Instant;
 use firefly::cost::CostModel;
 use firefly::cpu::Machine;
 use firefly::time::Nanos;
-use firefly::tlb::TlbMode;
 use idl::wire::Value;
 use kernel::kernel::Kernel;
 use kernel::thread::Thread;
@@ -79,26 +78,24 @@ pub struct LrpcEnv {
 }
 
 impl LrpcEnv {
-    /// Builds an environment on an `n_cpus` C-VAX Firefly.
+    /// The [`BENCH_IDL`] environment on an `n_cpus` C-VAX Firefly.
     pub fn new(n_cpus: usize, domain_caching: bool) -> LrpcEnv {
-        LrpcEnv::with_machine(
-            Machine::new(n_cpus, CostModel::cvax_firefly()),
-            domain_caching,
-        )
-    }
-
-    /// Builds an environment on an explicit machine.
-    pub fn with_machine(machine: Arc<Machine>, domain_caching: bool) -> LrpcEnv {
         let rt = TestRuntime::new()
-            .machine(machine)
+            .cpus(n_cpus)
             .domain_caching(domain_caching)
             .build();
+        LrpcEnv::bind(rt, BENCH_IDL, lrpc_bench_handlers())
+    }
+
+    /// Boots one server and one client on `rt`, in this order: the server
+    /// domain exports `idl` with `handlers`, then the client domain gets
+    /// its calling thread and imports the interface.
+    pub fn bind(rt: Arc<LrpcRuntime>, idl: &str, handlers: Vec<Handler>) -> LrpcEnv {
         let server = rt.kernel().create_domain("bench-server");
-        rt.export(&server, BENCH_IDL, lrpc_bench_handlers())
-            .expect("export");
+        let clerk = rt.export(&server, idl, handlers).expect("export");
         let client = rt.kernel().create_domain("bench-client");
         let thread = rt.kernel().spawn_thread(&client);
-        let binding = rt.import(&client, "Bench").expect("import");
+        let binding = rt.import(&client, &clerk.interface().name).expect("import");
         LrpcEnv {
             rt,
             client,
@@ -106,14 +103,6 @@ impl LrpcEnv {
             thread,
             binding,
         }
-    }
-
-    /// Builds a tagged-TLB environment (the Section 3.4 ablation).
-    pub fn tagged_tlb(n_cpus: usize) -> LrpcEnv {
-        LrpcEnv::with_machine(
-            Machine::with_tlb_mode(n_cpus, CostModel::cvax_firefly(), TlbMode::Tagged),
-            false,
-        )
     }
 
     /// Steady-state metered call (one warmup first).
@@ -168,15 +157,28 @@ pub struct MsgEnv {
 }
 
 impl MsgEnv {
-    /// Builds an environment for one Table 2 system model.
+    /// The [`BENCH_IDL`] environment for one Table 2 system model, served
+    /// by two receiver threads.
     pub fn new(cost: MsgRpcCost) -> MsgEnv {
+        MsgEnv::bind(cost, BENCH_IDL, msg_bench_handlers(), 2)
+    }
+
+    /// Boots a one-CPU machine with `cost`'s hardware, then one server
+    /// and one client, in this order: the server domain exports `idl`
+    /// with `handlers` on `receivers` threads, then the client domain gets
+    /// its calling thread.
+    pub fn bind(
+        cost: MsgRpcCost,
+        idl: &str,
+        handlers: Vec<MsgHandler>,
+        receivers: usize,
+    ) -> MsgEnv {
         let machine = Machine::new(1, CostModel::with_hw(cost.hw));
-        let kernel = Kernel::new(machine);
-        let system = MsgRpcSystem::new(kernel, cost);
+        let system = MsgRpcSystem::new(Kernel::new(machine), cost);
         let server_domain = system.kernel().create_domain("msg-server");
         let server = system
-            .export(&server_domain, BENCH_IDL, msg_bench_handlers(), 2)
-            .unwrap();
+            .export(&server_domain, idl, handlers, receivers)
+            .expect("export");
         let client = system.kernel().create_domain("msg-client");
         let thread = system.kernel().spawn_thread(&client);
         MsgEnv {

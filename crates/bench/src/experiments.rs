@@ -11,10 +11,11 @@ use firefly::time::Nanos;
 use idl::stubgen::compile;
 use idl::stubvm::{LocalFrame, OobStore, StubVm};
 use idl::wire::Value;
-use msgrpc::MsgRpcCost;
+use lrpc::{Handler, Reply, ServerCtx, TestRuntime};
+use msgrpc::{MsgHandler, MsgRpcCost};
 use workload::{ActivityModel, Histogram, PopularityModel, SizeDistribution};
 
-use crate::common::{format_table, four_tests, LrpcEnv, MsgEnv};
+use crate::common::{format_table, four_tests, lrpc_bench_handlers, LrpcEnv, MsgEnv, BENCH_IDL};
 use crate::phases::TABLE5_ROWS;
 
 /// One second of virtual time.
@@ -331,32 +332,19 @@ pub fn table3() -> Table3 {
     "#;
 
     // LRPC.
-    let lrpc_env = {
-        use lrpc::{Handler, LrpcRuntime, Reply, RuntimeConfig, ServerCtx};
-        let kernel = kernel::kernel::Kernel::new(firefly::cpu::Machine::cvax_uniprocessor());
-        let rt = LrpcRuntime::with_config(
-            kernel,
-            RuntimeConfig {
-                domain_caching: false,
-                ..RuntimeConfig::default()
-            },
-        );
-        let server = rt.kernel().create_domain("copy-server");
-        let handlers: Vec<Handler> = vec![
+    let lrpc_env = LrpcEnv::bind(
+        TestRuntime::new().domain_caching(false).build(),
+        COPY_IDL,
+        vec![
             Box::new(|_: &ServerCtx, _: &[Value]| Ok(Reply::none())),
             Box::new(|_: &ServerCtx, _: &[Value]| Ok(Reply::none())),
             Box::new(|_: &ServerCtx, _: &[Value]| Ok(Reply::value(Value::Int32(0)))),
-        ];
-        rt.export(&server, COPY_IDL, handlers).expect("export");
-        let client = rt.kernel().create_domain("copy-client");
-        let thread = rt.kernel().spawn_thread(&client);
-        let binding = rt.import(&client, "Copies").expect("import");
-        (rt, thread, binding)
-    };
+        ],
+    );
     let lrpc_letters = |proc: &str, args: &[Value]| -> String {
         lrpc_env
-            .2
-            .call(0, &lrpc_env.1, proc, args)
+            .binding
+            .call(0, &lrpc_env.thread, proc, args)
             .expect("lrpc call")
             .copies
             .letters_string()
@@ -364,20 +352,14 @@ pub fn table3() -> Table3 {
 
     // Message passing (full copy) and restricted message passing.
     let msg_letters = |cost: MsgRpcCost, proc: &str, args: &[Value]| -> String {
-        let machine = firefly::cpu::Machine::new(1, CostModel::with_hw(cost.hw));
-        let kernel = kernel::kernel::Kernel::new(machine);
-        let system = msgrpc::MsgRpcSystem::new(kernel, cost);
-        let sd = system.kernel().create_domain("s");
-        let handlers: Vec<msgrpc::MsgHandler> = vec![
-            Box::new(|_: &[Value]| Ok(lrpc::Reply::none())),
-            Box::new(|_: &[Value]| Ok(lrpc::Reply::none())),
-            Box::new(|_: &[Value]| Ok(lrpc::Reply::value(Value::Int32(0)))),
+        let handlers: Vec<MsgHandler> = vec![
+            Box::new(|_: &[Value]| Ok(Reply::none())),
+            Box::new(|_: &[Value]| Ok(Reply::none())),
+            Box::new(|_: &[Value]| Ok(Reply::value(Value::Int32(0)))),
         ];
-        let server = system.export(&sd, COPY_IDL, handlers, 1).unwrap();
-        let client = system.kernel().create_domain("c");
-        let thread = system.kernel().spawn_thread(&client);
-        system
-            .call(&client, &thread, &server, 0, proc, args)
+        let env = MsgEnv::bind(cost, COPY_IDL, handlers, 1);
+        env.system
+            .call(&env.client, &env.thread, &env.server, 0, proc, args)
             .expect("msg call")
             .copies
             .letters_string()
@@ -880,11 +862,7 @@ pub struct RegisterReport {
 /// ("The data in Figure 1 indicates that this can be a frequent
 /// problem").
 pub fn registers() -> RegisterReport {
-    use kernel::kernel::Kernel;
     let cost = MsgRpcCost::v_with_registers();
-    let machine = firefly::cpu::Machine::new(1, CostModel::with_hw(cost.hw));
-    let system = msgrpc::MsgRpcSystem::new(Kernel::new(machine), cost);
-    let sd = system.kernel().create_domain("s");
     // One fixed-size procedure per probed payload size.
     let sizes: Vec<usize> = (1..=16).map(|i| i * 4).collect();
     let idl_src = format!(
@@ -895,25 +873,21 @@ pub fn registers() -> RegisterReport {
             .collect::<Vec<_>>()
             .join(" ")
     );
-    let handlers: Vec<msgrpc::MsgHandler> = sizes
+    let handlers: Vec<MsgHandler> = sizes
         .iter()
-        .map(|_| Box::new(|_: &[Value]| Ok(lrpc::Reply::none())) as msgrpc::MsgHandler)
+        .map(|_| Box::new(|_: &[Value]| Ok(Reply::none())) as MsgHandler)
         .collect();
-    let server = system
-        .export(&sd, &idl_src, handlers, 1)
-        .expect("export sweep");
-    let client = system.kernel().create_domain("c");
-    let thread = system.kernel().spawn_thread(&client);
+    let env = MsgEnv::bind(cost, &idl_src, handlers, 1);
 
     let mut points = Vec::new();
     for (i, &n) in sizes.iter().enumerate() {
         let args = [Value::Bytes(vec![0; n])];
-        system
-            .call_indexed(&client, &thread, &server, 0, i, &args, false)
-            .expect("warmup");
-        let out = system
-            .call_indexed(&client, &thread, &server, 0, i, &args, true)
-            .expect("call");
+        let call = |metered| {
+            env.system
+                .call_indexed(&env.client, &env.thread, &env.server, 0, i, &args, metered)
+        };
+        call(false).expect("warmup");
+        let out = call(true).expect("call");
         points.push(RegisterPoint {
             bytes: n,
             latency_us: out.elapsed.as_micros_f64(),
@@ -990,61 +964,31 @@ pub fn replay(calls: usize) -> ReplayReport {
     const XFER_IDL: &str =
         "interface Xfer { procedure Put(data: in var bytes[1448] noninterpreted); }";
 
-    let lrpc_env = {
-        use lrpc::{Handler, LrpcRuntime, Reply, RuntimeConfig, ServerCtx};
-        let kern = kernel::kernel::Kernel::new(firefly::cpu::Machine::cvax_uniprocessor());
-        let rt = LrpcRuntime::with_config(
-            kern,
-            RuntimeConfig {
-                domain_caching: false,
-                ..RuntimeConfig::default()
-            },
-        );
-        let server = rt.kernel().create_domain("xfer");
-        rt.export(
-            &server,
-            XFER_IDL,
-            vec![Box::new(|_: &ServerCtx, _: &[Value]| Ok(Reply::none())) as Handler],
-        )
-        .expect("export");
-        let client = rt.kernel().create_domain("c");
-        let thread = rt.kernel().spawn_thread(&client);
-        let binding = rt.import(&client, "Xfer").expect("import");
-        (rt, thread, binding)
-    };
-
-    let src_cost = MsgRpcCost::src_rpc_taos();
-    let src_sys = {
-        use kernel::kernel::Kernel;
-        let machine = firefly::cpu::Machine::new(1, CostModel::with_hw(src_cost.hw));
-        let system = msgrpc::MsgRpcSystem::new(Kernel::new(machine), src_cost);
-        let sd = system.kernel().create_domain("xfer");
-        let server = system
-            .export(
-                &sd,
-                XFER_IDL,
-                vec![Box::new(|_: &[Value]| Ok(lrpc::Reply::none())) as msgrpc::MsgHandler],
-                1,
-            )
-            .expect("export");
-        let client = system.kernel().create_domain("c");
-        let thread = system.kernel().spawn_thread(&client);
-        (system, client, thread, server)
-    };
+    let lrpc = LrpcEnv::bind(
+        TestRuntime::new().domain_caching(false).build(),
+        XFER_IDL,
+        vec![Box::new(|_: &ServerCtx, _: &[Value]| Ok(Reply::none())) as Handler],
+    );
+    let src = MsgEnv::bind(
+        MsgRpcCost::src_rpc_taos(),
+        XFER_IDL,
+        vec![Box::new(|_: &[Value]| Ok(Reply::none())) as MsgHandler],
+        1,
+    );
 
     let sizes = SizeDistribution::figure_1().sample(0x1989, calls);
     let mut lrpc_total = 0.0;
     let mut src_total = 0.0;
     for &size in &sizes {
         let args = [Value::Var(vec![0u8; (size as usize).min(1448)])];
-        let out = lrpc_env
-            .2
-            .call_unmetered(0, &lrpc_env.1, 0, &args)
+        let out = lrpc
+            .binding
+            .call_unmetered(0, &lrpc.thread, 0, &args)
             .expect("lrpc replay call");
         lrpc_total += out.elapsed.as_micros_f64();
-        let out = src_sys
-            .0
-            .call_indexed(&src_sys.1, &src_sys.2, &src_sys.3, 0, 0, &args, false)
+        let out = src
+            .system
+            .call_indexed(&src.client, &src.thread, &src.server, 0, 0, &args, false)
             .expect("src replay call");
         src_total += out.elapsed.as_micros_f64();
     }
@@ -1098,41 +1042,27 @@ pub struct BlendedReport {
 /// call rate, the network dominates total communication time, so the
 /// local case is the one worth optimizing.
 pub fn blended(calls: usize) -> BlendedReport {
-    use lrpc::{Handler, LrpcRuntime, Reply, RuntimeConfig, ServerCtx};
     const XFER_IDL: &str =
         "interface Xfer { procedure Put(data: in var bytes[1448] noninterpreted); }";
     const REMOTE_IDL: &str =
         "interface RemoteXfer { procedure Put(data: in var bytes[1448] noninterpreted); }";
 
-    let kern = kernel::kernel::Kernel::new(firefly::cpu::Machine::cvax_uniprocessor());
-    let rt = LrpcRuntime::with_config(
-        kern,
-        RuntimeConfig {
-            domain_caching: false,
-            ..RuntimeConfig::default()
-        },
-    );
-    let server = rt.kernel().create_domain("xfer");
-    rt.export(
-        &server,
+    let env = LrpcEnv::bind(
+        TestRuntime::new().domain_caching(false).build(),
         XFER_IDL,
         vec![Box::new(|_: &ServerCtx, _: &[Value]| Ok(Reply::none())) as Handler],
-    )
-    .expect("export local");
+    );
     let remote = msgrpc::RemoteMachine::new("fileserver");
     remote
         .export(
             REMOTE_IDL,
-            vec![Box::new(|_: &[Value]| Ok(lrpc::Reply::none())) as msgrpc::MsgHandler],
+            vec![Box::new(|_: &[Value]| Ok(Reply::none())) as MsgHandler],
         )
         .expect("export remote");
-    rt.set_remote_transport(remote);
-
-    let client = rt.kernel().create_domain("app");
-    let thread = rt.kernel().spawn_thread(&client);
-    let local = rt.import(&client, "Xfer").expect("local import");
-    let far = rt
-        .import_remote(&client, "RemoteXfer")
+    env.rt.set_remote_transport(remote);
+    let far = env
+        .rt
+        .import_remote(&env.client, "RemoteXfer")
         .expect("remote import");
 
     let trace = workload::TraceModel::taos().generate(0x1989, calls);
@@ -1143,12 +1073,15 @@ pub fn blended(calls: usize) -> BlendedReport {
     for event in &trace.events {
         let args = [Value::Var(vec![0u8; (event.bytes as usize).min(1448)])];
         if event.remote {
-            let out = far.call_indexed(0, &thread, 0, &args).expect("remote call");
+            let out = far
+                .call_indexed(0, &env.thread, 0, &args)
+                .expect("remote call");
             remote_total += out.elapsed.as_micros_f64();
             remote_n += 1;
         } else {
-            let out = local
-                .call_unmetered(0, &thread, 0, &args)
+            let out = env
+                .binding
+                .call_unmetered(0, &env.thread, 0, &args)
                 .expect("local call");
             local_total += out.elapsed.as_micros_f64();
             local_n += 1;
@@ -1342,8 +1275,11 @@ pub fn sensitivity() -> SensitivityReport {
     for ctx_us in [10u64, 20, 33, 50, 80] {
         let mut cost = CostModel::cvax_firefly();
         cost.hw.context_switch = Nanos::from_micros(ctx_us);
-        let machine = firefly::cpu::Machine::new(1, cost);
-        let lrpc_env = LrpcEnv::with_machine(machine, false);
+        let rt = TestRuntime::new()
+            .machine(firefly::cpu::Machine::new(1, cost))
+            .domain_caching(false)
+            .build();
+        let lrpc_env = LrpcEnv::bind(rt, BENCH_IDL, lrpc_bench_handlers());
         let lrpc = lrpc_env.steady_latency("Null", &[]).as_micros_f64();
 
         let mut src = MsgRpcCost::src_rpc_taos();

@@ -103,8 +103,7 @@ impl Cpu {
         if self.current_context() == ctx {
             return;
         }
-        self.charge(cost.hw.context_switch);
-        meter.record_span(Phase::ContextSwitch, cost.hw.context_switch, self.now());
+        meter.charge(self, Phase::ContextSwitch, cost.hw.context_switch);
         self.tlb.lock().on_context_switch();
         self.current_ctx.store(ctx.0, Ordering::Release);
     }

@@ -6,9 +6,15 @@
 //! regenerates the paper's Table 5 (time breakdown of the Null LRPC) and
 //! the Section 3.4 claim that A-stack queue operations are under 2 % of
 //! call time.
+//!
+//! [`Meter::charge`] (with [`Meter::charge_locked`] for time spent under a
+//! lock) is the one way to charge a phase: it advances the CPU's virtual
+//! clock and records the span in the same step, so every step of the
+//! Table-5 breakdown passes through it.
 
 use std::collections::BTreeMap;
 
+use crate::cpu::Cpu;
 use crate::time::Nanos;
 
 // Lock-acquisition accounting lives in the `obs` crate (it is shared by
@@ -152,11 +158,11 @@ pub struct Segment {
 /// recording; charging the CPU clock is independent of the meter.
 ///
 /// Orthogonally to the segment list, a meter stamped with a [`TraceId`]
-/// mirrors every `record_*span` call into the process flight recorder
+/// mirrors every charged span into the process flight recorder
 /// ([`obs::flight`]) when that recorder is enabled — including on
 /// *disabled* meters, so throughput loops can be flight-recorded without
 /// paying for per-call segment vectors. When the recorder is off the
-/// extra cost is one atomic load per record.
+/// extra cost is one atomic load per charge.
 #[derive(Debug, Default)]
 pub struct Meter {
     enabled: bool,
@@ -174,7 +180,8 @@ impl Meter {
         }
     }
 
-    /// A non-recording meter (all record calls are no-ops).
+    /// A non-recording meter (charges still advance the clock and reach
+    /// the flight recorder, but keep no segments).
     pub fn disabled() -> Meter {
         Meter::default()
     }
@@ -196,38 +203,54 @@ impl Meter {
         self.trace
     }
 
-    /// Records a charged span.
-    pub fn record(&mut self, phase: Phase, dur: Nanos) {
-        self.record_locked(phase, dur, None);
+    /// Charges `dur` of `phase` to `cpu`: advances its virtual clock, then
+    /// records the span that ends at the clock's new reading. The clock
+    /// advance reaches the replay stream even when `dur` is zero; a zero
+    /// span is not recorded.
+    #[inline]
+    pub fn charge(&mut self, cpu: &Cpu, phase: Phase, dur: Nanos) {
+        // Not `charge_locked(.., None)`: an unlocked span is recorded
+        // without the lock argument, which keeps each inlined charge site
+        // as small as the pairs it replaced; the larger sites changed what
+        // LLVM inlined in `lrpc` and `idl` and slowed `bulk_echo`.
+        cpu.charge(dur);
+        self.record_span(phase, dur, cpu.now());
     }
 
-    /// Records a charged span spent holding the named lock.
-    pub fn record_locked(&mut self, phase: Phase, dur: Nanos, lock: Option<&'static str>) {
-        if self.enabled && !dur.is_zero() {
-            self.segments.push(Segment { phase, dur, lock });
-        }
+    /// [`Meter::charge`] for time spent holding the named lock.
+    #[inline]
+    pub fn charge_locked(
+        &mut self,
+        cpu: &Cpu,
+        phase: Phase,
+        dur: Nanos,
+        lock: Option<&'static str>,
+    ) {
+        cpu.charge(dur);
+        self.record_locked_span(phase, dur, lock, cpu.now());
     }
 
-    /// Records a charged span and mirrors it into the flight recorder.
-    ///
-    /// `now` is the virtual time *after* the charge (i.e. the span's end
-    /// instant, typically `cpu.now()` right after `cpu.charge(dur)`); the
-    /// span's start is reconstructed as `now - dur`. Recording charges no
-    /// virtual time itself.
-    pub fn record_span(&mut self, phase: Phase, dur: Nanos, now: Nanos) {
+    /// Records a charged span that ended at virtual time `now` and mirrors
+    /// it into the flight recorder, whose span starts at `now - dur`.
+    fn record_span(&mut self, phase: Phase, dur: Nanos, now: Nanos) {
         self.record_locked_span(phase, dur, None, now);
     }
 
-    /// [`Meter::record_span`] with lock attribution.
-    pub fn record_locked_span(
+    /// [`Meter::record_span`] for time spent holding the named lock.
+    fn record_locked_span(
         &mut self,
         phase: Phase,
         dur: Nanos,
         lock: Option<&'static str>,
         now: Nanos,
     ) {
-        self.record_locked(phase, dur, lock);
-        if self.trace.is_some() && !dur.is_zero() && obs::flight::is_enabled() {
+        if dur.is_zero() {
+            return;
+        }
+        if self.enabled {
+            self.segments.push(Segment { phase, dur, lock });
+        }
+        if self.trace.is_some() && obs::flight::is_enabled() {
             let start = now.saturating_sub(dur);
             obs::flight::record(self.trace, phase.code(), start.as_nanos(), dur.as_nanos());
         }
@@ -292,23 +315,34 @@ impl Meter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cpu::Machine;
 
     #[test]
     fn totals_and_breakdown() {
+        let machine = Machine::cvax_uniprocessor();
+        let cpu = machine.cpu(0);
         let mut m = Meter::enabled();
-        m.record(Phase::Trap, Nanos::from_micros(18));
-        m.record(Phase::Trap, Nanos::from_micros(18));
-        m.record(Phase::ContextSwitch, Nanos::from_micros(33));
+        m.charge(cpu, Phase::Trap, Nanos::from_micros(18));
+        m.charge(cpu, Phase::Trap, Nanos::from_micros(18));
+        m.charge(cpu, Phase::ContextSwitch, Nanos::from_micros(33));
         assert_eq!(m.total(), Nanos::from_micros(69));
+        assert_eq!(cpu.now(), m.total(), "the clock advances by the charges");
         assert_eq!(m.total_for(Phase::Trap), Nanos::from_micros(36));
         assert_eq!(m.breakdown()[&Phase::ContextSwitch], Nanos::from_micros(33));
     }
 
     #[test]
     fn disabled_meter_records_nothing() {
+        let machine = Machine::cvax_uniprocessor();
+        let cpu = machine.cpu(0);
         let mut m = Meter::disabled();
-        m.record(Phase::Trap, Nanos::from_micros(18));
+        m.charge(cpu, Phase::Trap, Nanos::from_micros(18));
         m.add_tlb_misses(10);
+        assert_eq!(
+            cpu.now(),
+            Nanos::from_micros(18),
+            "the clock still advances"
+        );
         assert_eq!(m.total(), Nanos::ZERO);
         assert_eq!(m.tlb_misses(), 0);
         assert!(m.segments().is_empty());
@@ -316,26 +350,23 @@ mod tests {
 
     #[test]
     fn lock_attribution() {
+        let machine = Machine::cvax_uniprocessor();
+        let cpu = machine.cpu(0);
         let mut m = Meter::enabled();
-        m.record_locked(
-            Phase::QueueOp,
-            Nanos::from_nanos(1_400),
-            Some("astack-queue"),
-        );
-        m.record_locked(
-            Phase::QueueOp,
-            Nanos::from_nanos(1_400),
-            Some("astack-queue"),
-        );
-        m.record(Phase::KernelTransfer, Nanos::from_micros(17));
+        for _ in 0..2 {
+            let op = Nanos::from_nanos(1_400);
+            m.charge_locked(cpu, Phase::QueueOp, op, Some("astack-queue"));
+        }
+        m.charge(cpu, Phase::KernelTransfer, Nanos::from_micros(17));
         assert_eq!(m.total_locked("astack-queue"), Nanos::from_nanos(2_800));
         assert_eq!(m.total_locked("global"), Nanos::ZERO);
     }
 
     #[test]
     fn zero_duration_segments_are_dropped() {
+        let machine = Machine::cvax_uniprocessor();
         let mut m = Meter::enabled();
-        m.record(Phase::Other, Nanos::ZERO);
+        m.charge(machine.cpu(0), Phase::Other, Nanos::ZERO);
         assert!(m.segments().is_empty());
     }
 
@@ -356,11 +387,14 @@ mod tests {
         let _serial = FLIGHT_TOGGLE.lock().unwrap();
         // Private thread: the thread-local ring belongs to this test alone.
         std::thread::spawn(|| {
+            let machine = Machine::cvax_uniprocessor();
+            let cpu = machine.cpu(0);
+            cpu.charge(Nanos::from_micros(2));
             obs::flight::enable();
             let trace = TraceId::next();
             let mut m = Meter::disabled();
             m.set_trace(trace);
-            m.record_span(Phase::Trap, Nanos::from_micros(18), Nanos::from_micros(20));
+            m.charge(cpu, Phase::Trap, Nanos::from_micros(18));
             obs::flight::disable();
             assert!(m.segments().is_empty(), "disabled meter keeps no segments");
             let spans = obs::flight::spans_for(trace);
@@ -377,9 +411,10 @@ mod tests {
     fn untraced_meter_stays_out_of_flight_recorder() {
         let _serial = FLIGHT_TOGGLE.lock().unwrap();
         std::thread::spawn(|| {
+            let machine = Machine::cvax_uniprocessor();
             obs::flight::enable();
             let mut m = Meter::enabled();
-            m.record_span(Phase::Trap, Nanos::from_micros(18), Nanos::from_micros(18));
+            m.charge(machine.cpu(0), Phase::Trap, Nanos::from_micros(18));
             obs::flight::disable();
             assert_eq!(m.total_for(Phase::Trap), Nanos::from_micros(18));
             assert!(obs::flight::spans_for(TraceId::NONE).is_empty());

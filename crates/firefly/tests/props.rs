@@ -6,7 +6,7 @@ use firefly::contention::{simulate_throughput, CallProfile, ResourceId, Seg};
 use firefly::cost::CostModel;
 use firefly::cpu::Machine;
 use firefly::mem::{PageId, RegionId, PAGE_SIZE};
-use firefly::meter::Meter;
+use firefly::meter::{Meter, Phase};
 use firefly::time::Nanos;
 use firefly::tlb::{Tlb, TlbMode};
 use firefly::vm::ContextId;
@@ -285,23 +285,34 @@ proptest! {
 fn charged_time_equals_metered_time_on_a_scripted_sequence() {
     let machine = Machine::new(1, CostModel::cvax_firefly());
     let cpu = machine.cpu(0);
-    let mut meter = Meter::enabled();
     let cost = machine.cost();
-    kernel_path(cpu, cost, &mut meter);
-    assert_eq!(Nanos::from_nanos(cpu.now().as_nanos()), meter.total());
-
-    fn kernel_path(cpu: &firefly::cpu::Cpu, cost: &CostModel, meter: &mut Meter) {
-        use firefly::meter::Phase;
-        for (phase, amount) in [
-            (Phase::ProcedureCall, cost.hw.procedure_call),
-            (Phase::Trap, cost.hw.kernel_trap),
-            (Phase::KernelTransfer, cost.kernel_transfer_call),
-            (Phase::Trap, cost.hw.kernel_trap),
-        ] {
-            cpu.charge(amount);
-            meter.record(phase, amount);
-        }
+    let server = machine.create_context();
+    let mut meter = Meter::enabled();
+    let start = cpu.now();
+    for (phase, amount) in [
+        (Phase::ProcedureCall, cost.hw.procedure_call),
+        (Phase::Trap, cost.hw.kernel_trap),
+        (Phase::KernelTransfer, cost.kernel_transfer_call),
+        (Phase::Trap, cost.hw.kernel_trap),
+    ] {
+        meter.charge(cpu, phase, amount);
     }
+    meter.charge_locked(cpu, Phase::QueueOp, cost.astack_queue_op, Some("queue"));
+    cpu.switch_context(server.id(), cost, &mut meter);
+    assert_eq!(cpu.now() - start, meter.total());
+    assert_eq!(
+        meter.total(),
+        cost.hw.procedure_call
+            + cost.hw.kernel_trap * 2
+            + cost.kernel_transfer_call
+            + cost.astack_queue_op
+            + cost.hw.context_switch
+    );
+    assert_eq!(meter.total_locked("queue"), cost.astack_queue_op);
+    assert_eq!(
+        meter.total_for(Phase::ContextSwitch),
+        cost.hw.context_switch
+    );
 }
 
 #[test]

@@ -202,8 +202,7 @@ impl<'a> StubVm<'a> {
             StubLang::Modula2Plus => (MODULA2_SLOWDOWN, Phase::Marshal),
         };
         let cost = (self.cost.per_arg_op * ops + self.cost.per_byte_copy * bytes) * mult;
-        self.cpu.charge(cost);
-        self.meter.record_span(phase, cost, self.cpu.now());
+        self.meter.charge(self.cpu, phase, cost);
     }
 
     /// Marshals `encoded` into a new out-of-band segment, always on the

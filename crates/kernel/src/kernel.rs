@@ -149,9 +149,7 @@ impl Kernel {
 
     /// Charges one kernel trap (entry or exit) to `cpu`.
     pub fn trap(&self, cpu: &Cpu, meter: &mut Meter) {
-        let cost = self.machine.cost().hw.kernel_trap;
-        cpu.charge(cost);
-        meter.record_span(Phase::Trap, cost, cpu.now());
+        meter.charge(cpu, Phase::Trap, self.machine.cost().hw.kernel_trap);
     }
 
     /// Runs the domain-termination collector (Section 5.3).

@@ -54,7 +54,6 @@ use std::cell::Cell;
 use std::mem;
 use std::sync::Arc;
 
-use firefly::cost::CostModel;
 use firefly::cpu::Cpu;
 use firefly::error::MemFault;
 use firefly::fault::FaultPlan;
@@ -93,6 +92,8 @@ const ESTACK_ALLOC_COST: Nanos = Nanos::from_micros(10);
 pub const OOB_SEGMENT_COST: Nanos = Nanos::from_micros(20);
 
 /// Name of the per-class A-stack queue lock, for lock-time attribution.
+/// The queue operation (acquire or requeue) is a lock-free pop or push,
+/// whose virtual-time charge still models the paper's locked queue.
 pub const ASTACK_QUEUE_LOCK: &str = "astack-queue";
 
 /// Everything a completed call reports.
@@ -203,23 +204,6 @@ fn touch_stage(cpu: &Cpu, set: &[PageId], astack: Option<&AStackRef>, meter: &mu
     );
 }
 
-pub(crate) fn charge(cpu: &Cpu, meter: &mut Meter, phase: Phase, amount: Nanos) {
-    cpu.charge(amount);
-    meter.record_span(phase, amount, cpu.now());
-}
-
-/// The A-stack queue operation (acquire or requeue): a lock-free pop or
-/// push, whose virtual-time charge still models the paper's locked queue.
-fn charge_astack_queue(cpu: &Cpu, meter: &mut Meter, cost: &CostModel) {
-    cpu.charge(cost.astack_queue_op);
-    meter.record_locked_span(
-        Phase::QueueOp,
-        cost.astack_queue_op,
-        Some(ASTACK_QUEUE_LOCK),
-        cpu.now(),
-    );
-}
-
 /// Where one call's in-direction out-of-band segments travel: a chunk of
 /// the binding's bind-time bulk arena (steady state) or a freshly mapped
 /// per-call segment (fallback). Either way the bytes cross domains through
@@ -286,12 +270,7 @@ impl<'a> InFlight<'a> {
         meter.set_trace(trace);
         let start = cpu.now();
         let cost = rt.kernel().machine().cost();
-        charge(
-            cpu,
-            &mut meter,
-            Phase::ProcedureCall,
-            cost.hw.procedure_call,
-        );
+        meter.charge(cpu, Phase::ProcedureCall, cost.hw.procedure_call);
         InFlight {
             rt,
             state,
@@ -355,12 +334,8 @@ impl<'a> InFlight<'a> {
 
         // First call on this CPU: the client's context must be loaded.
         cpu.switch_context(client_ctx.id(), cost, crossing.unwrap_or(&mut self.meter));
-        charge(
-            cpu,
-            &mut self.meter,
-            Phase::ClientStub,
-            cost.client_stub_call,
-        );
+        self.meter
+            .charge(cpu, Phase::ClientStub, cost.client_stub_call);
 
         let class = state.astacks.class_of_proc(self.proc_index);
         // Fault injection: drain the class's free list so this acquire faces
@@ -400,7 +375,12 @@ impl<'a> InFlight<'a> {
             &mut self.meter,
         );
         acquired?;
-        charge_astack_queue(cpu, &mut self.meter, cost);
+        self.meter.charge_locked(
+            cpu,
+            Phase::QueueOp,
+            cost.astack_queue_op,
+            Some(ASTACK_QUEUE_LOCK),
+        );
         let aref = self.astack.as_ref().ok_or(CallError::BadAStack)?;
         on_frame(cpu, client_ctx, aref, &mut self.meter, |frame, meter| {
             let mut vm = StubVm::new(cost, cpu, meter);
@@ -445,7 +425,7 @@ impl<'a> InFlight<'a> {
             },
             None => {
                 state.stats.note_bulk_fallback();
-                charge(cpu, &mut self.meter, Phase::OobSegment, OOB_SEGMENT_COST);
+                self.meter.charge(cpu, Phase::OobSegment, OOB_SEGMENT_COST);
                 OobTransport {
                     region: rt.kernel().map_pairwise(
                         "oob-segment",
@@ -496,12 +476,8 @@ impl<'a> InFlight<'a> {
             .astacks
             .check(index, kstate.astacks.class_of_proc(self.proc_index))?;
         if overflow {
-            charge(
-                cpu,
-                &mut self.meter,
-                Phase::Validation,
-                OVERFLOW_VALIDATION_COST,
-            );
+            self.meter
+                .charge(cpu, Phase::Validation, OVERFLOW_VALIDATION_COST);
         }
         let slot = kstate.astacks.linkage(index).ok_or(CallError::BadAStack)?;
         // Ensure no other thread is using the A-stack/linkage pair.
@@ -534,7 +510,7 @@ impl<'a> InFlight<'a> {
         let (estack, fresh) = self.state.estack_pool.get_for_call(self.rt.kernel(), key);
         self.estack_key = Some(key);
         if fresh {
-            charge(cpu, &mut self.meter, Phase::Other, ESTACK_ALLOC_COST);
+            self.meter.charge(cpu, Phase::Other, ESTACK_ALLOC_COST);
         }
         self.thread.set_user_sp(estack.id().0 << 32);
         // The kernel primes the E-stack with the initial call frame expected
@@ -569,19 +545,14 @@ impl<'a> InFlight<'a> {
         let plan = &state.plans.procs[self.proc_index];
         let aref = self.astack.as_ref().ok_or(CallError::BadAStack)?;
 
-        charge(
-            cpu,
-            &mut self.meter,
-            Phase::ServerStub,
-            cost.server_stub_entry,
-        );
+        self.meter
+            .charge(cpu, Phase::ServerStub, cost.server_stub_entry);
         touch_stage(cpu, state.touch.server_side(), Some(aref), &mut self.meter);
         self.exchanged_on_call = exchanged;
         if exchanged && plan.in_bytes > 0 {
             // The arguments were written into the other processor's cache.
-            charge(
+            self.meter.charge(
                 cpu,
-                &mut self.meter,
                 Phase::ArgCopy,
                 cost.remote_access_per_byte * plan.in_bytes as u64,
             );
@@ -638,12 +609,8 @@ impl<'a> InFlight<'a> {
             .dispatch(self.proc_index, &sctx, sargs.as_slice())?;
 
         // ---- Server stub, return half ---------------------------------
-        charge(
-            cpu,
-            &mut self.meter,
-            Phase::ServerStub,
-            cost.server_stub_return,
-        );
+        self.meter
+            .charge(cpu, Phase::ServerStub, cost.server_stub_return);
         on_frame(
             cpu,
             server_ctx,
@@ -684,12 +651,8 @@ impl<'a> InFlight<'a> {
         let proc = &state.interface.procs[self.proc_index];
         let plan = &state.plans.procs[self.proc_index];
 
-        charge(
-            cpu,
-            &mut self.meter,
-            Phase::ClientStub,
-            cost.client_stub_return,
-        );
+        self.meter
+            .charge(cpu, Phase::ClientStub, cost.client_stub_return);
         touch_stage(
             cpu,
             state.touch.client_return(),
@@ -698,9 +661,8 @@ impl<'a> InFlight<'a> {
         );
         self.exchanged_on_return = exchanged;
         if exchanged && plan.out_bytes > 0 {
-            charge(
+            self.meter.charge(
                 cpu,
-                &mut self.meter,
                 Phase::ArgCopy,
                 cost.remote_access_per_byte * plan.out_bytes as u64,
             );
@@ -733,7 +695,12 @@ impl<'a> InFlight<'a> {
         // Return the bulk-arena chunk or reclaim the per-call segment, and
         // requeue the A-stack (LIFO).
         self.release();
-        charge_astack_queue(cpu, &mut self.meter, cost);
+        self.meter.charge_locked(
+            cpu,
+            Phase::QueueOp,
+            cost.astack_queue_op,
+            Some(ASTACK_QUEUE_LOCK),
+        );
         if self.meter.is_enabled() {
             // Virtual time the four stub halves cost this call, for the
             // per-interface `lrpc_stub_ns` histogram.
@@ -817,7 +784,7 @@ pub(crate) fn kernel_entry(
     handle: RawHandle,
 ) -> Result<(Arc<BindingState>, RawHandle), CallError> {
     let cost = rt.kernel().machine().cost();
-    charge(cpu, meter, Phase::KernelTransfer, cost.kernel_transfer_call);
+    meter.charge(cpu, Phase::KernelTransfer, cost.kernel_transfer_call);
     cpu.touch_pages(state.touch.kernel_call().iter().copied(), meter);
     let handle = match fault {
         Some(plan) if plan.forge_binding(forge_site) => RawHandle {
@@ -840,12 +807,7 @@ pub(crate) fn kernel_entry(
 pub(crate) fn kernel_exit(rt: &LrpcRuntime, cpu: &Cpu, meter: &mut Meter, state: &BindingState) {
     rt.kernel().trap(cpu, meter);
     let cost = rt.kernel().machine().cost();
-    charge(
-        cpu,
-        meter,
-        Phase::KernelTransfer,
-        cost.kernel_transfer_return,
-    );
+    meter.charge(cpu, Phase::KernelTransfer, cost.kernel_transfer_return);
     cpu.touch_pages(state.touch.kernel_return().iter().copied(), meter);
 }
 
@@ -898,9 +860,8 @@ fn transfer<'c>(
             let target = machine.cpu(idle);
             target.advance_to(cpu.now());
             cpu.set_idle_in(Some(from.ctx().id()));
-            charge(
+            meter.charge(
                 target,
-                meter,
                 Phase::ProcessorExchange,
                 machine.cost().processor_exchange,
             );

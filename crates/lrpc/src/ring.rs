@@ -56,9 +56,7 @@ use kernel::thread::{Thread, ThreadStatus};
 use kernel::Domain;
 
 use crate::binding::{Binding, BindingState};
-use crate::call::{
-    charge, kernel_entry, kernel_exit, lrpc_call, pop_linkage, CallOutcome, InFlight,
-};
+use crate::call::{kernel_entry, kernel_exit, lrpc_call, pop_linkage, CallOutcome, InFlight};
 use crate::error::CallError;
 use crate::runtime::LrpcRuntime;
 
@@ -446,12 +444,7 @@ fn enqueue_one<'a>(
     )?;
     // The descriptor replaces the serial path's register setup + trap:
     // one ring-descriptor queue op on the batch meter.
-    charge(
-        cpu,
-        batch_meter,
-        Phase::QueueOp,
-        env.cost.ring_descriptor_op,
-    );
+    batch_meter.charge(cpu, Phase::QueueOp, env.cost.ring_descriptor_op);
     Ok(PendingCall {
         index,
         seq,
@@ -570,7 +563,7 @@ fn flush<'a>(
         .ok()
         .filter(|w| w.len() == n);
     for (i, pc) in pending.iter_mut().enumerate() {
-        charge(cpu, batch_meter, Phase::QueueOp, cost.ring_descriptor_op);
+        batch_meter.charge(cpu, Phase::QueueOp, cost.ring_descriptor_op);
         // An earlier call of the window may have terminated the server
         // (Section 5.3). The calls behind it are not served: the dead
         // domain drains nothing more, so they fail as call-failed.
@@ -616,7 +609,7 @@ fn flush<'a>(
     };
     for (i, mut pc) in pending.drain(..).enumerate() {
         if !*thread_dead {
-            charge(cpu, batch_meter, Phase::QueueOp, cost.ring_descriptor_op);
+            batch_meter.charge(cpu, Phase::QueueOp, cost.ring_descriptor_op);
             let c = &buf[i];
             if !(reaped && word(c, 3) == COMP_MAGIC && word(c, 2) == pc.seq) {
                 pc.error.get_or_insert(CallError::CallFailed);

@@ -96,27 +96,20 @@ pub struct LrpcRuntime {
 }
 
 impl LrpcRuntime {
-    /// Creates a runtime with default configuration.
+    /// Creates a runtime with the default configuration and a live replay
+    /// session. [`TestRuntime`] builds any other configuration.
     pub fn new(kernel: Arc<Kernel>) -> Arc<LrpcRuntime> {
-        LrpcRuntime::with_config(kernel, RuntimeConfig::default())
+        LrpcRuntime::with_session(kernel, RuntimeConfig::default(), replay::Session::live())
     }
 
-    /// Creates a runtime with explicit configuration.
-    pub fn with_config(kernel: Arc<Kernel>, config: RuntimeConfig) -> Arc<LrpcRuntime> {
-        LrpcRuntime::with_session(kernel, config, replay::Session::live())
-    }
-
-    /// Creates a runtime with an explicit record/replay session.
+    /// Creates a runtime under a record/replay session.
     ///
     /// A `Record` session captures every nondeterministic decision the
     /// runtime and the simulated machine make (clock charges, scheduler
     /// picks, fault draws, stack-allocation outcomes); a `Replay` session
     /// answers fault draws from a prior log and checks everything else
-    /// against it. Pass [`replay::Session::live`] (what [`with_config`]
-    /// does) for normal operation.
-    ///
-    /// [`with_config`]: LrpcRuntime::with_config
-    pub fn with_session(
+    /// against it; a live session does neither.
+    fn with_session(
         kernel: Arc<Kernel>,
         config: RuntimeConfig,
         session: Arc<replay::Session>,
@@ -644,12 +637,11 @@ impl LrpcRuntime {
     }
 }
 
-/// Builder for test and benchmark runtimes.
-///
-/// The ~15 call sites that used to hand-roll
-/// `RuntimeConfig { domain_caching: false, .. }` plus a machine and a
-/// kernel share this one constructor instead. Defaults: a single-CPU
-/// C-VAX Firefly, the default [`RuntimeConfig`], a live replay session.
+/// Builder for a configured runtime: the one way to choose its machine,
+/// its [`RuntimeConfig`] and its record/replay session
+/// ([`LrpcRuntime::new`] runs the defaults on a given kernel). Defaults:
+/// a single-CPU C-VAX Firefly, the default [`RuntimeConfig`], a live
+/// replay session.
 pub struct TestRuntime {
     machine: Option<Arc<firefly::cpu::Machine>>,
     cpus: usize,
@@ -702,6 +694,12 @@ impl TestRuntime {
     /// The A-stack exhaustion policy.
     pub fn astack_policy(mut self, policy: AStackPolicy) -> TestRuntime {
         self.config.astack_policy = policy;
+        self
+    }
+
+    /// E-stacks per server domain before LRU reclamation.
+    pub fn max_estacks(mut self, n: usize) -> TestRuntime {
+        self.config.max_estacks = n;
         self
     }
 

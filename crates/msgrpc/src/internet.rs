@@ -136,8 +136,7 @@ impl RemoteTransport for Internet {
         let request = marshal::marshal_args(proc, args)?;
         let req_packets = packets_for(request.len());
         let req_cost = (PACKET_PROCESSING * 2 + WIRE_TIME_PER_PACKET) * req_packets;
-        cpu.charge(req_cost);
-        meter.record_span(Phase::Network, req_cost, cpu.now());
+        meter.charge(cpu, Phase::Network, req_cost);
         let plan = self.fault.lock().clone();
         apply_packet_faults(plan.as_ref(), "internet:req", req_packets, cpu, meter)?;
 
@@ -148,15 +147,13 @@ impl RemoteTransport for Internet {
         let before = remote_cpu.now();
         let out = binding.call_indexed(0, &host.net_thread, proc_index, args)?;
         let remote_time = remote_cpu.now() - before;
-        cpu.charge(remote_time);
-        meter.record_span(Phase::Network, remote_time, cpu.now());
+        meter.charge(cpu, Phase::Network, remote_time);
 
         // Reply packets.
         let reply = marshal::marshal_reply(proc, out.ret.as_ref(), &out.outs)?;
         let reply_packets = packets_for(reply.len());
         let reply_cost = (PACKET_PROCESSING * 2 + WIRE_TIME_PER_PACKET) * reply_packets;
-        cpu.charge(reply_cost);
-        meter.record_span(Phase::Network, reply_cost, cpu.now());
+        meter.charge(cpu, Phase::Network, reply_cost);
         apply_packet_faults(plan.as_ref(), "internet:reply", reply_packets, cpu, meter)?;
 
         Ok((out.ret, out.outs))
@@ -166,27 +163,18 @@ impl RemoteTransport for Internet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use firefly::cost::CostModel;
-    use firefly::cpu::Machine;
     use firefly::time::Nanos;
-    use kernel::kernel::Kernel;
-    use lrpc::{Handler, Reply, RuntimeConfig, ServerCtx};
+    use lrpc::{Handler, Reply, ServerCtx, TestRuntime};
 
-    fn machine_rt(caching: bool) -> Arc<LrpcRuntime> {
-        LrpcRuntime::with_config(
-            Kernel::new(Machine::new(1, CostModel::cvax_firefly())),
-            RuntimeConfig {
-                domain_caching: caching,
-                ..RuntimeConfig::default()
-            },
-        )
+    fn machine_rt() -> Arc<LrpcRuntime> {
+        TestRuntime::new().domain_caching(false).build()
     }
 
     #[test]
     fn remote_call_composes_wire_and_remote_lrpc() {
         // Machine A (client) and machine B (file server).
-        let rt_a = machine_rt(false);
-        let rt_b = machine_rt(false);
+        let rt_a = machine_rt();
+        let rt_b = machine_rt();
         let net = Internet::new();
         net.attach("alpha", Arc::clone(&rt_a));
         net.attach("beta", Arc::clone(&rt_b));
@@ -225,8 +213,8 @@ mod tests {
 
     #[test]
     fn remote_server_termination_propagates_as_an_error() {
-        let rt_a = machine_rt(false);
-        let rt_b = machine_rt(false);
+        let rt_a = machine_rt();
+        let rt_b = machine_rt();
         let net = Internet::new();
         net.attach("alpha", Arc::clone(&rt_a));
         net.attach("beta", Arc::clone(&rt_b));
@@ -265,7 +253,7 @@ mod tests {
     #[test]
     fn unknown_interfaces_are_not_found_on_any_host() {
         let net = Internet::new();
-        net.attach("only", machine_rt(false));
+        net.attach("only", machine_rt());
         assert!(!net.exports("Ghost"));
         assert!(net.interface("Ghost").is_none());
     }

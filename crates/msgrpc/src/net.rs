@@ -119,8 +119,7 @@ pub fn apply_packet_faults(
             extra += PACKET_PROCESSING;
         }
         if !extra.is_zero() {
-            cpu.charge(extra);
-            meter.record_span(Phase::Network, extra, cpu.now());
+            meter.charge(cpu, Phase::Network, extra);
         }
         if fate.lost_forever {
             return Err(CallError::Network(format!(
@@ -161,16 +160,14 @@ impl RemoteTransport for RemoteMachine {
             .ok_or(CallError::BadProcedure { index: proc_index })?;
 
         // Conventional stubs marshal the arguments.
-        cpu.charge(NETWORK_STUBS);
-        meter.record_span(Phase::Marshal, NETWORK_STUBS, cpu.now());
+        meter.charge(cpu, Phase::Marshal, NETWORK_STUBS);
         let payload = marshal::marshal_args(proc, args)?;
 
         // Request packets: packetize, wire, receive.
         let req_packets = packets_for(payload.len());
         let req_cost =
             (PACKET_PROCESSING * 2 + WIRE_TIME_PER_PACKET) * req_packets + REMOTE_DISPATCH;
-        cpu.charge(req_cost);
-        meter.record_span(Phase::Network, req_cost, cpu.now());
+        meter.charge(cpu, Phase::Network, req_cost);
         let plan = self.fault.lock().clone();
         apply_packet_faults(
             plan.as_ref(),
@@ -189,8 +186,7 @@ impl RemoteTransport for RemoteMachine {
         let reply_payload = marshal::marshal_reply(proc, ret.as_ref(), &outs)?;
         let reply_packets = packets_for(reply_payload.len());
         let reply_cost = (PACKET_PROCESSING * 2 + WIRE_TIME_PER_PACKET) * reply_packets;
-        cpu.charge(reply_cost);
-        meter.record_span(Phase::Network, reply_cost, cpu.now());
+        meter.charge(cpu, Phase::Network, reply_cost);
         apply_packet_faults(
             plan.as_ref(),
             &format!("net:{}:reply", self.name),

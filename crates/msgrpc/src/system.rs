@@ -208,34 +208,24 @@ impl MsgRpcSystem {
         cpu.switch_context(client.ctx().id(), machine.cost(), &mut meter);
 
         // The formal call into the client stub.
-        charge(
-            cpu,
-            &mut meter,
-            Phase::ProcedureCall,
-            cost.hw.procedure_call,
-        );
+        meter.charge(cpu, Phase::ProcedureCall, cost.hw.procedure_call);
 
         // Client stub: marshal every argument into the message (copy A) —
         // unless a register window covers the whole payload (Karger-style
         // register passing), in which case the values travel in registers
         // with no message copies at all.
         let stubs_call = frac(cost.stubs, 60);
-        charge(cpu, &mut meter, Phase::Marshal, stubs_call);
+        meter.charge(cpu, Phase::Marshal, stubs_call);
         let payload = marshal::marshal_args(proc, args)?;
         let n_in = proc.def.params.iter().filter(|p| p.dir.is_in()).count() as u64;
         let in_registers = cost.register_window.is_some_and(|w| payload.len() <= w);
         if in_registers {
             // One register load per four payload bytes.
             let regs = payload.len().div_ceil(4) as u64;
-            charge(cpu, &mut meter, Phase::ArgCopy, cost.per_register_op * regs);
+            meter.charge(cpu, Phase::ArgCopy, cost.per_register_op * regs);
         } else {
-            charge(cpu, &mut meter, Phase::Marshal, cost.per_marshal_op * n_in);
-            charge(
-                cpu,
-                &mut meter,
-                Phase::Marshal,
-                cost.per_byte_in * payload.len() as u64,
-            );
+            meter.charge(cpu, Phase::Marshal, cost.per_marshal_op * n_in);
+            meter.charge(cpu, Phase::Marshal, cost.per_byte_in * payload.len() as u64);
             if n_in > 0 {
                 copies.record(CopyOp::A, payload.len());
             }
@@ -251,9 +241,8 @@ impl MsgRpcSystem {
             None
         };
         let lock_label = if shared { Some(GLOBAL_RPC_LOCK) } else { None };
-        charge_maybe_locked(
+        meter.charge_locked(
             cpu,
-            &mut meter,
             Phase::BufferManagement,
             frac(cost.buffer_mgmt, 50),
             lock_label,
@@ -261,12 +250,7 @@ impl MsgRpcSystem {
 
         // Kernel trap, access validation, transfer.
         self.kernel.trap(cpu, &mut meter);
-        charge(
-            cpu,
-            &mut meter,
-            Phase::Validation,
-            frac(cost.validation, 50),
-        );
+        meter.charge(cpu, Phase::Validation, frac(cost.validation, 50));
         match cost.variant {
             CopyVariant::FullCopy if !msg.is_empty() && !in_registers => {
                 // Client message → kernel buffer → server message.
@@ -285,9 +269,8 @@ impl MsgRpcSystem {
                 // Globally shared buffers: no transfer copy at all.
             }
         }
-        charge_maybe_locked(
+        meter.charge_locked(
             cpu,
-            &mut meter,
             Phase::MessageTransfer,
             frac(cost.transfer, 60),
             lock_label,
@@ -314,8 +297,8 @@ impl MsgRpcSystem {
         let sched_half = frac(cost.scheduling, 50);
         let call_locked = sched_half.min(sched_locked_total);
         thread.set_status(ThreadStatus::Blocked);
-        charge_maybe_locked(cpu, &mut meter, Phase::Scheduling, call_locked, lock_label);
-        charge(cpu, &mut meter, Phase::Scheduling, sched_half - call_locked);
+        meter.charge_locked(cpu, Phase::Scheduling, call_locked, lock_label);
+        meter.charge(cpu, Phase::Scheduling, sched_half - call_locked);
         // A receiver self-dispatches; if it was the last, it must first
         // create a successor (extra dispatch-path work LRPC never does).
         let (server_thread, _action) = server.receivers.begin_dispatch();
@@ -328,19 +311,13 @@ impl MsgRpcSystem {
             .port
             .dequeue(Duration::from_secs(2))
             .ok_or_else(|| CallError::ServerFault("request message lost".into()))?;
-        charge_maybe_locked(
-            cpu,
-            &mut meter,
-            Phase::Dispatch,
-            frac(cost.dispatch, 70),
-            lock_label,
-        );
+        meter.charge_locked(cpu, Phase::Dispatch, frac(cost.dispatch, 70), lock_label);
         drop(lock_guard);
 
         // Server stub: unmarshal into the server's stack (copy E), run.
         // Register-passed arguments are already where the procedure needs
         // them.
-        charge(cpu, &mut meter, Phase::Marshal, frac(cost.stubs, 20));
+        meter.charge(cpu, Phase::Marshal, frac(cost.stubs, 20));
         let vals = marshal::unmarshal_args(proc, &delivered.payload);
         if !delivered.is_empty() && !in_registers {
             copies.record(CopyOp::E, delivered.len());
@@ -385,12 +362,11 @@ impl MsgRpcSystem {
             .is_some_and(|w| reply_payload.len() <= w);
         if out_in_registers {
             let regs = reply_payload.len().div_ceil(4) as u64;
-            charge(cpu, &mut meter, Phase::ArgCopy, cost.per_register_op * regs);
+            meter.charge(cpu, Phase::ArgCopy, cost.per_register_op * regs);
         } else {
-            charge(cpu, &mut meter, Phase::Marshal, cost.per_marshal_op * n_out);
-            charge(
+            meter.charge(cpu, Phase::Marshal, cost.per_marshal_op * n_out);
+            meter.charge(
                 cpu,
-                &mut meter,
                 Phase::Marshal,
                 cost.per_byte_out * reply_payload.len() as u64,
             );
@@ -405,12 +381,7 @@ impl MsgRpcSystem {
             None
         };
         self.kernel.trap(cpu, &mut meter);
-        charge(
-            cpu,
-            &mut meter,
-            Phase::Validation,
-            frac(cost.validation, 50),
-        );
+        meter.charge(cpu, Phase::Validation, frac(cost.validation, 50));
         match cost.variant {
             CopyVariant::FullCopy if !reply_msg.is_empty() && !out_in_registers => {
                 reply_msg = reply_msg.copy_hop();
@@ -425,43 +396,30 @@ impl MsgRpcSystem {
             CopyVariant::FullCopy | CopyVariant::Restricted => {}
             CopyVariant::SharedBuffers => {}
         }
-        charge_maybe_locked(
+        meter.charge_locked(
             cpu,
-            &mut meter,
             Phase::MessageTransfer,
             frac(cost.transfer, 40),
             lock_label,
         );
-        charge_maybe_locked(
+        meter.charge_locked(
             cpu,
-            &mut meter,
             Phase::BufferManagement,
             frac(cost.buffer_mgmt, 50),
             lock_label,
         );
         let return_half = cost.scheduling - sched_half;
         let return_locked = (sched_locked_total - call_locked).min(return_half);
-        charge_maybe_locked(
-            cpu,
-            &mut meter,
-            Phase::Scheduling,
-            return_locked,
-            lock_label,
-        );
-        charge(
-            cpu,
-            &mut meter,
-            Phase::Scheduling,
-            return_half - return_locked,
-        );
+        meter.charge_locked(cpu, Phase::Scheduling, return_locked, lock_label);
+        meter.charge(cpu, Phase::Scheduling, return_half - return_locked);
         drop(lock_guard);
 
         // Back to the client.
         self.return_to_client(client, thread, server, &server_thread, cpu, &mut meter);
-        charge(cpu, &mut meter, Phase::Dispatch, frac(cost.dispatch, 30));
+        meter.charge(cpu, Phase::Dispatch, frac(cost.dispatch, 30));
 
         // Client stub: unmarshal results into their destination (copy F).
-        charge(cpu, &mut meter, Phase::Marshal, frac(cost.stubs, 20));
+        meter.charge(cpu, Phase::Marshal, frac(cost.stubs, 20));
         let (ret, outs) = marshal::unmarshal_reply(proc, &reply_msg.payload)?;
         if !reply_msg.is_empty() && !out_in_registers {
             copies.record(CopyOp::F, reply_msg.len());
@@ -489,22 +447,6 @@ impl MsgRpcSystem {
         server.receivers.end_dispatch(server_thread);
         client_thread.set_status(ThreadStatus::Running);
     }
-}
-
-fn charge(cpu: &Cpu, meter: &mut Meter, phase: Phase, amount: Nanos) {
-    cpu.charge(amount);
-    meter.record_span(phase, amount, cpu.now());
-}
-
-fn charge_maybe_locked(
-    cpu: &Cpu,
-    meter: &mut Meter,
-    phase: Phase,
-    amount: Nanos,
-    lock: Option<&'static str>,
-) {
-    cpu.charge(amount);
-    meter.record_locked_span(phase, amount, lock, cpu.now());
 }
 
 /// `pct` percent of `total`.

@@ -15,14 +15,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use firefly::cost::CostModel;
-use firefly::cpu::Machine;
 use firefly::fault::{FaultConfig, FaultPlan};
 use idl::wire::Value;
-use kernel::kernel::Kernel;
 use lrpc::{
-    AStackPolicy, Handler, LrpcRuntime, RecoveryConfig, Reply, ResilientClient, RetryPolicy,
-    RuntimeConfig, ServerCtx,
+    AStackPolicy, Handler, RecoveryConfig, Reply, ResilientClient, RetryPolicy, ServerCtx,
+    TestRuntime,
 };
 use workload::trace::TraceModel;
 
@@ -53,16 +50,12 @@ fn handlers() -> Vec<Handler> {
 }
 
 fn run(seed: u64) -> (u64, usize, usize, Vec<String>) {
-    let kernel = Kernel::new(Machine::new(2, CostModel::cvax_firefly()));
-    let rt = LrpcRuntime::with_config(
-        kernel,
-        RuntimeConfig {
-            domain_caching: false,
-            astack_policy: AStackPolicy::Fail,
-            import_timeout: Duration::from_millis(50),
-            ..RuntimeConfig::default()
-        },
-    );
+    let rt = TestRuntime::new()
+        .cpus(2)
+        .domain_caching(false)
+        .astack_policy(AStackPolicy::Fail)
+        .import_timeout(Duration::from_millis(50))
+        .build();
     let server = rt.kernel().create_domain("store");
     rt.export(&server, IDL, handlers()).expect("export");
 

@@ -17,22 +17,13 @@
 
 use std::sync::Arc;
 
-use firefly::cost::CostModel;
-use firefly::cpu::Machine;
 use firefly::time::Nanos;
 use idl::wire::Value;
-use kernel::kernel::Kernel;
-use lrpc::{Handler, LrpcRuntime, Reply, RuntimeConfig, ServerCtx};
+use lrpc::{Handler, LrpcRuntime, Reply, ServerCtx, TestRuntime};
 use msgrpc::Internet;
 
 fn boot() -> Arc<LrpcRuntime> {
-    LrpcRuntime::with_config(
-        Kernel::new(Machine::new(1, CostModel::cvax_firefly())),
-        RuntimeConfig {
-            domain_caching: false,
-            ..RuntimeConfig::default()
-        },
-    )
+    TestRuntime::new().domain_caching(false).build()
 }
 
 fn export_echo(rt: &Arc<LrpcRuntime>, domain_name: &str, idl_src: &str) {

@@ -14,17 +14,14 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use firefly::cost::CostModel;
-use firefly::cpu::Machine;
 use firefly::fault::{FaultConfig, FaultKind, FaultPlan};
 use firefly::meter::Phase;
 use firefly::time::Nanos;
 use idl::wire::Value;
-use kernel::kernel::Kernel;
 use kernel::Domain;
 use lrpc::{
-    AStackPolicy, BatchOutcome, Binding, CallOutcome, Handler, LrpcRuntime, Reply, RuntimeConfig,
-    ServerCtx,
+    AStackPolicy, BatchOutcome, Binding, CallOutcome, Handler, LrpcRuntime, Reply, ServerCtx,
+    TestRuntime,
 };
 use proptest::prelude::*;
 use replay::{kind, Session};
@@ -97,17 +94,12 @@ fn make_env_in(
     Binding,
     Arc<kernel::thread::Thread>,
 ) {
-    let kernel = Kernel::new(Machine::new(1, CostModel::cvax_firefly()));
-    let rt = LrpcRuntime::with_session(
-        kernel,
-        RuntimeConfig {
-            domain_caching: false,
-            astack_policy,
-            import_timeout: Duration::from_millis(50),
-            ..RuntimeConfig::default()
-        },
-        session,
-    );
+    let rt = TestRuntime::new()
+        .domain_caching(false)
+        .astack_policy(astack_policy)
+        .import_timeout(Duration::from_millis(50))
+        .session(session)
+        .build();
     let server = rt.kernel().create_domain("batch-server");
     rt.export(&server, BATCH_IDL, batch_handlers())
         .expect("export");

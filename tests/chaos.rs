@@ -12,15 +12,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use firefly::cost::CostModel;
-use firefly::cpu::Machine;
 use firefly::fault::{FaultConfig, FaultKind, FaultPlan};
 use idl::wire::Value;
-use kernel::kernel::Kernel;
 use kernel::Domain;
 use lrpc::{
     AStackPolicy, Binding, BreakerConfig, BreakerState, CallError, Handler, LrpcRuntime,
-    RecoveryConfig, Reply, ResilientClient, RetryPolicy, RuntimeConfig, ServerCtx,
+    RecoveryConfig, Reply, ResilientClient, RetryPolicy, ServerCtx, TestRuntime,
 };
 use workload::trace::{CallTrace, TraceModel};
 
@@ -52,22 +49,19 @@ fn chaos_handlers() -> Vec<Handler> {
     ]
 }
 
-fn make_runtime(config: RuntimeConfig) -> (Arc<LrpcRuntime>, Arc<Domain>) {
-    let kernel = Kernel::new(Machine::new(2, CostModel::cvax_firefly()));
-    let rt = LrpcRuntime::with_config(kernel, config);
+fn make_runtime(builder: TestRuntime) -> (Arc<LrpcRuntime>, Arc<Domain>) {
+    let rt = builder.cpus(2).build();
     let server = rt.kernel().create_domain("chaos-server");
     rt.export(&server, CHAOS_IDL, chaos_handlers())
         .expect("export");
     (rt, server)
 }
 
-fn chaos_config() -> RuntimeConfig {
-    RuntimeConfig {
-        domain_caching: false,
-        astack_policy: AStackPolicy::Fail,
-        import_timeout: Duration::from_millis(50),
-        ..RuntimeConfig::default()
-    }
+fn chaos_runtime() -> TestRuntime {
+    TestRuntime::new()
+        .domain_caching(false)
+        .astack_policy(AStackPolicy::Fail)
+        .import_timeout(Duration::from_millis(50))
 }
 
 /// Maps one trace event onto the chaos interface.
@@ -139,7 +133,7 @@ fn quiescent_plan_is_observationally_invisible() {
     // no plan at all (the bench crate's Null-call decomposition relies on
     // this).
     let run = |plan: Option<Arc<FaultPlan>>| {
-        let (rt, _server) = make_runtime(chaos_config());
+        let (rt, _server) = make_runtime(chaos_runtime());
         rt.set_fault_plan(plan);
         let client = rt.kernel().create_domain("quiet");
         let thread = rt.kernel().spawn_thread(&client);
@@ -170,7 +164,7 @@ struct RunRecord {
 }
 
 fn seeded_run(seed: u64) -> RunRecord {
-    let (rt, server) = make_runtime(chaos_config());
+    let (rt, server) = make_runtime(chaos_runtime());
     let plan = FaultPlan::new(FaultConfig {
         server_panic_every: 7,
         forge_binding_every: 11,
@@ -238,7 +232,7 @@ fn same_seed_reproduces_faults_and_errors_bit_for_bit() {
 
 #[test]
 fn panic_faults_surface_as_server_faults_and_leak_nothing() {
-    let (rt, server) = make_runtime(chaos_config());
+    let (rt, server) = make_runtime(chaos_runtime());
     let plan = FaultPlan::new(FaultConfig {
         server_panic_every: 5,
         ..FaultConfig::with_seed(1)
@@ -278,7 +272,7 @@ fn mid_call_termination_fails_every_client_without_leaks() {
     // Nth dispatch while other clients are mid-call. Every client must
     // observe a clean failure (never a hang), and afterwards nothing may
     // leak.
-    let (rt, server) = make_runtime(chaos_config());
+    let (rt, server) = make_runtime(chaos_runtime());
     let plan = FaultPlan::new(FaultConfig {
         terminate_server_after: 40,
         ..FaultConfig::with_seed(3)
@@ -346,7 +340,7 @@ fn mid_call_termination_fails_every_client_without_leaks() {
 
 #[test]
 fn hung_server_calls_abort_on_deadline_and_drain_cleanly() {
-    let (rt, server) = make_runtime(chaos_config());
+    let (rt, server) = make_runtime(chaos_runtime());
     let plan = FaultPlan::new(FaultConfig {
         server_hang_every: 5,
         ..FaultConfig::with_seed(8)
@@ -398,7 +392,7 @@ fn hung_server_calls_abort_on_deadline_and_drain_cleanly() {
 
 #[test]
 fn forged_binding_objects_are_rejected_by_the_kernel() {
-    let (rt, server) = make_runtime(chaos_config());
+    let (rt, server) = make_runtime(chaos_runtime());
     let plan = FaultPlan::new(FaultConfig {
         forge_binding_every: 3,
         ..FaultConfig::with_seed(5)
@@ -435,7 +429,7 @@ fn forged_binding_objects_are_rejected_by_the_kernel() {
 fn astack_exhaustion_respects_the_configured_policy() {
     // Under Fail, the injected exhaustion surfaces as NoAStacks and the
     // stolen stacks all return to the queue.
-    let (rt, server) = make_runtime(chaos_config());
+    let (rt, server) = make_runtime(chaos_runtime());
     let plan = FaultPlan::new(FaultConfig {
         astack_exhaust: true,
         ..FaultConfig::with_seed(6)
@@ -454,10 +448,7 @@ fn astack_exhaustion_respects_the_configured_policy() {
 
     // Under Grow, the same injection drives the overflow-allocation path
     // instead: calls succeed on freshly grown A-stacks.
-    let (rt, server) = make_runtime(RuntimeConfig {
-        astack_policy: AStackPolicy::Grow,
-        ..chaos_config()
-    });
+    let (rt, server) = make_runtime(chaos_runtime().astack_policy(AStackPolicy::Grow));
     let plan = FaultPlan::new(FaultConfig {
         astack_exhaust: true,
         ..FaultConfig::with_seed(6)
@@ -485,7 +476,7 @@ fn bulk_arena_exhaustion_falls_back_to_per_call_segments_without_leaks() {
     // must *succeed* throughout (degraded, never broken), and the
     // region table must end exactly where it started — a fallback that
     // leaked its per-call segment would grow it monotonically.
-    let (rt, _chaos_server) = make_runtime(chaos_config());
+    let (rt, _chaos_server) = make_runtime(chaos_runtime());
     let bulk_server = rt.kernel().create_domain("bulk-chaos-server");
     rt.export(
         &bulk_server,
@@ -557,14 +548,8 @@ fn bulk_arena_exhaustion_falls_back_to_per_call_segments_without_leaks() {
 #[test]
 fn packet_faults_on_the_remote_path_are_deterministic() {
     let run = || {
-        let client_machine = {
-            let kernel = Kernel::new(Machine::new(2, CostModel::cvax_firefly()));
-            LrpcRuntime::with_config(kernel, chaos_config())
-        };
-        let server_machine = {
-            let kernel = Kernel::new(Machine::new(1, CostModel::cvax_firefly()));
-            LrpcRuntime::with_config(kernel, chaos_config())
-        };
+        let client_machine = chaos_runtime().cpus(2).build();
+        let server_machine = chaos_runtime().build();
         let net = msgrpc::Internet::new();
         net.attach("a", Arc::clone(&client_machine));
         net.attach("b", Arc::clone(&server_machine));
@@ -615,7 +600,7 @@ fn packet_faults_on_the_remote_path_are_deterministic() {
 
 #[test]
 fn circuit_breaker_trips_and_recovers_through_reimport() {
-    let (rt, server) = make_runtime(chaos_config());
+    let (rt, server) = make_runtime(chaos_runtime());
     let app = rt.kernel().create_domain("app");
     let client = ResilientClient::import(
         &rt,
@@ -666,11 +651,8 @@ fn circuit_breaker_trips_and_recovers_through_reimport() {
 
 #[test]
 fn client_degrades_to_the_remote_transport_when_local_server_dies() {
-    let (rt, server) = make_runtime(chaos_config());
-    let backup_machine = {
-        let kernel = Kernel::new(Machine::new(1, CostModel::cvax_firefly()));
-        LrpcRuntime::with_config(kernel, chaos_config())
-    };
+    let (rt, server) = make_runtime(chaos_runtime());
+    let backup_machine = chaos_runtime().build();
     let net = msgrpc::Internet::new();
     net.attach("local", Arc::clone(&rt));
     net.attach("backup", Arc::clone(&backup_machine));
@@ -717,7 +699,7 @@ fn client_degrades_to_the_remote_transport_when_local_server_dies() {
 
 #[test]
 fn idempotent_retry_recovers_from_transient_server_faults() {
-    let (rt, server) = make_runtime(chaos_config());
+    let (rt, server) = make_runtime(chaos_runtime());
     let plan = FaultPlan::new(FaultConfig {
         server_panic_every: 2,
         ..FaultConfig::with_seed(2)

@@ -12,22 +12,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use firefly::cost::CostModel;
-use firefly::cpu::Machine;
 use idl::wire::Value;
-use kernel::kernel::Kernel;
-use lrpc::{AStackPolicy, CallError, Handler, LrpcRuntime, Reply, RuntimeConfig, ServerCtx};
+use lrpc::{AStackPolicy, CallError, Handler, Reply, ServerCtx, TestRuntime};
 
 #[test]
 fn many_threads_one_server_no_interference() {
-    let kernel = Kernel::new(Machine::new(4, CostModel::cvax_firefly()));
-    let rt = LrpcRuntime::with_config(
-        kernel,
-        RuntimeConfig {
-            domain_caching: false,
-            ..RuntimeConfig::default()
-        },
-    );
+    let rt = TestRuntime::new().cpus(4).domain_caching(false).build();
     let server = rt.kernel().create_domain("shared-server");
     let executed = Arc::new(AtomicU64::new(0));
     let executed2 = Arc::clone(&executed);
@@ -80,15 +70,11 @@ fn many_threads_one_server_no_interference() {
 
 #[test]
 fn small_astack_pool_serializes_under_wait_policy() {
-    let kernel = Kernel::new(Machine::new(4, CostModel::cvax_firefly()));
-    let rt = LrpcRuntime::with_config(
-        kernel,
-        RuntimeConfig {
-            domain_caching: false,
-            astack_policy: AStackPolicy::Wait(Duration::from_secs(10)),
-            ..RuntimeConfig::default()
-        },
-    );
+    let rt = TestRuntime::new()
+        .cpus(4)
+        .domain_caching(false)
+        .astack_policy(AStackPolicy::Wait(Duration::from_secs(10)))
+        .build();
     let server = rt.kernel().create_domain("narrow");
     rt.export(
         &server,
@@ -132,15 +118,10 @@ fn astack_linkage_pairs_exclude_double_use() {
     // Claim the linkage slot under a call's feet: the call must fail with
     // AStackBusy rather than corrupt the pair, and the unwinding must put
     // the A-stack back.
-    let kernel = Kernel::new(Machine::cvax_uniprocessor());
-    let rt = LrpcRuntime::with_config(
-        kernel,
-        RuntimeConfig {
-            domain_caching: false,
-            astack_policy: AStackPolicy::Fail,
-            ..RuntimeConfig::default()
-        },
-    );
+    let rt = TestRuntime::new()
+        .domain_caching(false)
+        .astack_policy(AStackPolicy::Fail)
+        .build();
     let server = rt.kernel().create_domain("s");
     rt.export(
         &server,
@@ -165,14 +146,7 @@ fn astack_linkage_pairs_exclude_double_use() {
 
 #[test]
 fn concurrent_termination_and_calls_settle_cleanly() {
-    let kernel = Kernel::new(Machine::new(2, CostModel::cvax_firefly()));
-    let rt = LrpcRuntime::with_config(
-        kernel,
-        RuntimeConfig {
-            domain_caching: false,
-            ..RuntimeConfig::default()
-        },
-    );
+    let rt = TestRuntime::new().cpus(2).domain_caching(false).build();
     let server = rt.kernel().create_domain("doomed");
     rt.export(
         &server,
@@ -237,14 +211,7 @@ fn termination_with_outstanding_calls_fails_each_one_and_releases_pairs() {
     // threads are captured inside it. Every outstanding call must return
     // with call-failed (never hang), and every A-stack/linkage pair must
     // come back to its free queue.
-    let kernel = Kernel::new(Machine::new(4, CostModel::cvax_firefly()));
-    let rt = LrpcRuntime::with_config(
-        kernel,
-        RuntimeConfig {
-            domain_caching: false,
-            ..RuntimeConfig::default()
-        },
-    );
+    let rt = TestRuntime::new().cpus(4).domain_caching(false).build();
     let server = rt.kernel().create_domain("doomed");
     let inside = Arc::new(AtomicU64::new(0));
     let gate = Arc::new((parking_lot::Mutex::new(false), parking_lot::Condvar::new()));
@@ -323,15 +290,11 @@ fn termination_with_outstanding_calls_fails_each_one_and_releases_pairs() {
 fn estack_pool_reclaims_under_concurrent_pressure() {
     // A tiny E-stack budget with many A-stacks forces the LRU reclamation
     // path while four threads hammer the server.
-    let kernel = Kernel::new(Machine::new(4, CostModel::cvax_firefly()));
-    let rt = LrpcRuntime::with_config(
-        kernel,
-        RuntimeConfig {
-            domain_caching: false,
-            max_estacks: 2,
-            ..RuntimeConfig::default()
-        },
-    );
+    let rt = TestRuntime::new()
+        .cpus(4)
+        .domain_caching(false)
+        .max_estacks(2)
+        .build();
     let server = rt.kernel().create_domain("squeezed");
     rt.export(
         &server,
@@ -403,14 +366,7 @@ fn cross_pair_churn_leaks_nothing() {
     const N_SERVERS: usize = 3;
     const CALLS: i32 = 120;
 
-    let kernel = Kernel::new(Machine::new(4, CostModel::cvax_firefly()));
-    let rt = LrpcRuntime::with_config(
-        kernel,
-        RuntimeConfig {
-            domain_caching: false,
-            ..RuntimeConfig::default()
-        },
-    );
+    let rt = TestRuntime::new().cpus(4).domain_caching(false).build();
     let servers: Vec<_> = (0..N_SERVERS)
         .map(|i| {
             let server = rt.kernel().create_domain(format!("server-{i}"));
@@ -487,15 +443,11 @@ fn blocked_callers_are_granted_astacks_in_arrival_order() {
     // must be granted the stack in that same order — the lock-free pop is
     // first-come-first-served through the ticket queue, so no waiter can
     // barge past an earlier one.
-    let kernel = Kernel::new(Machine::new(4, CostModel::cvax_firefly()));
-    let rt = LrpcRuntime::with_config(
-        kernel,
-        RuntimeConfig {
-            domain_caching: false,
-            astack_policy: AStackPolicy::Wait(Duration::from_secs(10)),
-            ..RuntimeConfig::default()
-        },
-    );
+    let rt = TestRuntime::new()
+        .cpus(4)
+        .domain_caching(false)
+        .astack_policy(AStackPolicy::Wait(Duration::from_secs(10)))
+        .build();
     let server = rt.kernel().create_domain("one-stack");
     rt.export(
         &server,
@@ -550,26 +502,8 @@ fn blocked_callers_are_granted_astacks_in_arrival_order() {
 #[test]
 fn concurrent_remote_calls_through_the_internet() {
     use msgrpc::Internet;
-    let client_machine = {
-        let kernel = Kernel::new(Machine::new(4, CostModel::cvax_firefly()));
-        LrpcRuntime::with_config(
-            kernel,
-            RuntimeConfig {
-                domain_caching: false,
-                ..RuntimeConfig::default()
-            },
-        )
-    };
-    let server_machine = {
-        let kernel = Kernel::new(Machine::new(1, CostModel::cvax_firefly()));
-        LrpcRuntime::with_config(
-            kernel,
-            RuntimeConfig {
-                domain_caching: false,
-                ..RuntimeConfig::default()
-            },
-        )
-    };
+    let client_machine = TestRuntime::new().cpus(4).domain_caching(false).build();
+    let server_machine = TestRuntime::new().domain_caching(false).build();
     let net = Internet::new();
     net.attach("a", Arc::clone(&client_machine));
     net.attach("b", Arc::clone(&server_machine));

@@ -4,21 +4,12 @@
 
 use std::sync::Arc;
 
-use firefly::cost::CostModel;
-use firefly::cpu::Machine;
 use idl::wire::Value;
-use kernel::kernel::Kernel;
-use lrpc::{Binding, Handler, LrpcRuntime, Reply, RuntimeConfig, ServerCtx};
+use lrpc::{Binding, Handler, LrpcRuntime, Reply, ServerCtx, TestRuntime};
 use msgrpc::Internet;
 
 fn boot() -> Arc<LrpcRuntime> {
-    LrpcRuntime::with_config(
-        Kernel::new(Machine::new(2, CostModel::cvax_firefly())),
-        RuntimeConfig {
-            domain_caching: false,
-            ..RuntimeConfig::default()
-        },
-    )
+    TestRuntime::new().cpus(2).domain_caching(false).build()
 }
 
 fn export_len(rt: &Arc<LrpcRuntime>, domain: &str, idl_src: &str) {

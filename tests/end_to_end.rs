@@ -3,11 +3,10 @@
 
 use std::sync::Arc;
 
-use firefly::cost::CostModel;
 use firefly::cpu::Machine;
 use idl::wire::Value;
 use kernel::kernel::Kernel;
-use lrpc::{Binding, CallError, Handler, LrpcRuntime, Reply, RuntimeConfig, ServerCtx};
+use lrpc::{Binding, CallError, Handler, LrpcRuntime, Reply, ServerCtx, TestRuntime};
 use msgrpc::{MsgHandler, RemoteMachine};
 use parking_lot::Mutex;
 
@@ -223,15 +222,7 @@ fn import_without_transport_fails_cleanly() {
 
 #[test]
 fn terminating_a_middle_tier_fails_callers_but_not_the_system() {
-    let kernel = Kernel::new(Machine::cvax_uniprocessor());
-    let rt = LrpcRuntime::with_config(
-        Arc::clone(&kernel),
-        RuntimeConfig {
-            domain_caching: false,
-            ..RuntimeConfig::default()
-        },
-    );
-    let _ = CostModel::cvax_firefly();
+    let rt = TestRuntime::new().domain_caching(false).build();
 
     let a = rt.kernel().create_domain("A");
     let b = rt.kernel().create_domain("B");

@@ -12,18 +12,11 @@ use firefly::cpu::Machine;
 use firefly::time::Nanos;
 use idl::wire::Value;
 use kernel::kernel::Kernel;
-use lrpc::{Handler, LrpcRuntime, Reply, RuntimeConfig, ServerCtx};
+use lrpc::{Handler, LrpcRuntime, Reply, ServerCtx, TestRuntime};
 use msgrpc::{MsgRpcCost, MsgRpcSystem};
 
 fn lrpc_null_latency() -> Nanos {
-    let kernel = Kernel::new(Machine::cvax_uniprocessor());
-    let rt = LrpcRuntime::with_config(
-        kernel,
-        RuntimeConfig {
-            domain_caching: false,
-            ..RuntimeConfig::default()
-        },
-    );
+    let rt = TestRuntime::new().domain_caching(false).build();
     let server = rt.kernel().create_domain("s");
     rt.export(
         &server,
@@ -142,14 +135,7 @@ fn uncommon_cases_do_not_penalize_the_common_case() {
     // path. The Null call costs exactly the same in a runtime that has
     // remote transports configured and other domains terminating around
     // it.
-    let kernel = Kernel::new(Machine::new(2, CostModel::cvax_firefly()));
-    let rt = LrpcRuntime::with_config(
-        kernel,
-        RuntimeConfig {
-            domain_caching: false,
-            ..RuntimeConfig::default()
-        },
-    );
+    let rt = TestRuntime::new().cpus(2).domain_caching(false).build();
     rt.set_remote_transport(msgrpc::RemoteMachine::new("elsewhere"));
 
     let server = rt.kernel().create_domain("s");
