@@ -33,7 +33,7 @@ fn usage() -> ! {
          bench --bulk [--check]\n       \
          bench --batch [--check]\n       \
          bench --tail [--check] [--tail-fault-us N] [--tail-cpus K]\n             \
-         [--tail-site ci|full] [--tail-no-adaptive] [--tail-force-no-cache]\n       \
+         [--tail-site ci|full] [--tail-force-no-cache]\n       \
          bench --all\n       \
          bench --record FILE [--scenario chaos|fig2|batch|site] [--seed N] [--rcalls N]\n       \
          bench --replay FILE [--check]\n       \
@@ -308,7 +308,6 @@ fn dispatch(verb: &str, rest: &[String], mut opts: Opts) -> ExitCode {
                             _ => usage(),
                         }
                     }
-                    "--tail-no-adaptive" => opts.tail.adaptive = false,
                     "--tail-force-no-cache" => opts.tail.domain_caching = false,
                     _ => usage(),
                 }

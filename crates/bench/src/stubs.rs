@@ -96,7 +96,7 @@ impl StubBenchReport {
 }
 
 /// The four Table-4 workloads: `(name, args, ret, outs)`.
-#[allow(clippy::type_complexity)]
+#[expect(clippy::type_complexity)]
 fn workloads() -> Vec<(&'static str, Vec<Value>, Option<Value>, Vec<(usize, Value)>)> {
     vec![
         ("Null", vec![], None, vec![]),

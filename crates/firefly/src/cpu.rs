@@ -67,8 +67,9 @@ impl Cpu {
         Nanos::from_nanos(self.vclock.load(Ordering::Acquire))
     }
 
-    /// Advances the virtual clock by `dur`.
-    pub fn charge(&self, dur: Nanos) {
+    /// Advances the virtual clock by `dur`. Outside this crate the clock
+    /// advances through [`Meter::charge`], which also records the span.
+    pub(crate) fn charge(&self, dur: Nanos) {
         self.vclock.fetch_add(dur.as_nanos(), Ordering::AcqRel);
         if let Some(h) = self.rr.get() {
             h.emit(replay::kind::CLOCK_CHARGE, dur.as_nanos());

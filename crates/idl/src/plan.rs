@@ -960,7 +960,7 @@ mod tests {
 
     /// Runs the full four-half cycle through either the interpreter or the
     /// compiled plan and returns (frame bytes, ret, outs, virtual ns).
-    #[allow(clippy::type_complexity)]
+    #[expect(clippy::type_complexity)]
     fn cycle(
         iface: &CompiledInterface,
         args: &[Value],

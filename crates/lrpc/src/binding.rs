@@ -7,9 +7,11 @@
 //! procedure descriptor list (PDL). ... After the binding has completed,
 //! the kernel returns to the client a Binding Object" (Section 3.1).
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use firefly::meter::{Meter, Phase};
 use firefly::time::Nanos;
 use idl::plan::InterfacePlans;
 use idl::stubgen::{CompiledInterface, ProcedureDescriptor};
@@ -56,8 +58,8 @@ impl Reply {
 
 /// Context handed to a server procedure while it runs in the server's
 /// domain on the client's thread. It borrows what the call already holds
-/// for the length of the dispatch, so handing it over costs no reference
-/// count traffic.
+/// for the length of the dispatch, the call's meter included, so handing
+/// it over costs no reference count traffic.
 pub struct ServerCtx<'a> {
     /// The runtime (for nested out-calls).
     pub rt: &'a Arc<LrpcRuntime>,
@@ -67,12 +69,20 @@ pub struct ServerCtx<'a> {
     pub domain: &'a Arc<Domain>,
     /// The CPU the call is executing on (after any processor exchange).
     pub cpu_id: usize,
+    /// The in-flight call's meter, which server-side charges land on.
+    pub(crate) meter: RefCell<&'a mut Meter>,
 }
 
 impl ServerCtx<'_> {
-    /// Charges server-procedure work to the executing CPU.
+    /// Charges server-procedure work to the executing CPU, on the call's
+    /// meter.
     pub fn charge(&self, work: Nanos) {
-        self.rt.kernel().machine().cpu(self.cpu_id).charge(work);
+        self.charge_as(Phase::ServerProcedure, work);
+    }
+
+    fn charge_as(&self, phase: Phase, dur: Nanos) {
+        let cpu = self.rt.kernel().machine().cpu(self.cpu_id);
+        self.meter.borrow_mut().charge(cpu, phase, dur);
     }
 }
 
@@ -176,7 +186,7 @@ impl Clerk {
             // client-side watchdog abandons it.
             if let Some((f, plan)) = &fault {
                 if f.delay_us > 0 {
-                    ctx.charge(firefly::Nanos::from_micros(f.delay_us));
+                    ctx.charge_as(Phase::Dispatch, Nanos::from_micros(f.delay_us));
                 }
                 if f.terminate_server {
                     ctx.rt.terminate_domain(ctx.domain);
@@ -556,16 +566,7 @@ impl Binding {
         proc_index: usize,
         args: &[Value],
     ) -> Result<crate::call::CallOutcome, CallError> {
-        crate::call::lrpc_call(
-            &self.rt,
-            self.handle,
-            &self.state,
-            cpu_id,
-            thread,
-            proc_index,
-            args,
-            true,
-        )
+        crate::call::lrpc_call(self, cpu_id, thread, proc_index, args, true)
     }
 
     /// Like [`Binding::call_indexed`] but without metering, for tight
@@ -577,16 +578,7 @@ impl Binding {
         proc_index: usize,
         args: &[Value],
     ) -> Result<crate::call::CallOutcome, CallError> {
-        crate::call::lrpc_call(
-            &self.rt,
-            self.handle,
-            &self.state,
-            cpu_id,
-            thread,
-            proc_index,
-            args,
-            false,
-        )
+        crate::call::lrpc_call(self, cpu_id, thread, proc_index, args, false)
     }
 
     /// A copy of this binding presenting a *forged* Binding Object (the

@@ -37,20 +37,21 @@
 //! * **client fetch** (`fetch`): stub return, result fetch (copy F),
 //!   resource release, statistics and the [`CallOutcome`].
 //!
-//! Two front-ends run them: the serial `lrpc_call` below and the
-//! ring-batched flush of [`crate::ring`]. A front-end decides only which
-//! meter the crossing phases (traps, kernel transfers, context switches)
-//! land on, where the stages sit around its crossing, which fault sites
-//! it probes, and whether the serve stage re-checks domain liveness. The
-//! serial path associates the E-stack before it transfers into the
-//! server, probes `call:astacks` and `call:binding`, and may exchange
-//! processors; the ring associates per drained call after its one switch,
-//! probes `batch:binding`, and never exchanges. Only the ring re-checks
-//! liveness before dispatch, because an earlier call of its batch may
-//! have terminated the server. A serial call must not: a termination
-//! racing its dispatch surfaces as call-failed on return (Section 5.3).
+//! Two front-ends run them, each on the `Binding` it serves: the serial
+//! `lrpc_call` below and the ring's batch of [`crate::ring`]. A front-end
+//! decides only which meter the crossing phases (traps, kernel transfers,
+//! context switches) land on, where the stages sit around its crossing,
+//! which fault sites it probes, and whether the serve stage re-checks
+//! domain liveness. The serial path associates the E-stack before it
+//! transfers into the server, probes `call:astacks` and `call:binding`,
+//! and may exchange processors; the ring associates per drained call
+//! after its one switch, probes `batch:binding`, and never exchanges.
+//! Only the ring re-checks liveness before dispatch, because an earlier
+//! call of its batch may have terminated the server. A serial call must
+//! not: a termination racing its dispatch surfaces as call-failed on
+//! return (Section 5.3).
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::mem;
 use std::sync::Arc;
 
@@ -70,7 +71,7 @@ use kernel::thread::{Linkage, ReturnPath, Thread};
 use kernel::Domain;
 
 use crate::astack::{AStackPolicy, AStackRef, LinkageSlot};
-use crate::binding::{BindingState, BindingStats, ServerCtx};
+use crate::binding::{Binding, BindingState, BindingStats, ServerCtx};
 use crate::error::CallError;
 use crate::runtime::LrpcRuntime;
 
@@ -603,6 +604,7 @@ impl<'a> InFlight<'a> {
             thread: self.thread,
             domain: &state.server,
             cpu_id: cpu.id(),
+            meter: RefCell::new(&mut self.meter),
         };
         let reply = state
             .clerk
@@ -878,17 +880,15 @@ fn transfer<'c>(
 /// The serial LRPC: one call, one trap pair, the crossing phases on the
 /// call's own meter. Returns the outcome or the raised exception, which
 /// it counts as the binding's failure.
-#[expect(clippy::too_many_arguments)]
 pub(crate) fn lrpc_call(
-    rt: &Arc<LrpcRuntime>,
-    handle: RawHandle,
-    client_state: &Arc<BindingState>,
+    binding: &Binding,
     cpu_start: usize,
     thread: &Arc<Thread>,
     proc_index: usize,
     args: &[Value],
     metered: bool,
 ) -> Result<CallOutcome, CallError> {
+    let (rt, client_state) = (binding.runtime(), binding.state());
     let cross = || {
         let cpu = rt.kernel().machine().cpu(cpu_start);
         let mut call = InFlight::begin(rt, client_state, thread, cpu, proc_index, metered);
@@ -919,7 +919,7 @@ pub(crate) fn lrpc_call(
             client_state,
             fault.as_deref(),
             "call:binding",
-            handle,
+            binding.handle(),
         )?;
         let linkage = call.claim(cpu, &state, handle, thread.user_sp())?;
         thread.push_linkage(linkage);

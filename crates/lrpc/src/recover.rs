@@ -27,6 +27,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use firefly::fault::splitmix64;
+use firefly::meter::{Meter, Phase};
 use firefly::time::Nanos;
 use idl::wire::Value;
 use kernel::thread::Thread;
@@ -417,9 +418,11 @@ impl ResilientClient {
                         self.retries.inc();
                         // Backoff burns *virtual* time: determinism is
                         // preserved and the latency shows up on the same
-                        // clock every other cost uses.
+                        // clock every other cost uses. It belongs to no
+                        // call, so its meter records no span.
                         let pause = self.config.retry.backoff(attempt, &mut self.jitter.lock());
-                        self.rt.kernel().machine().cpu(0).charge(pause);
+                        let cpu = self.rt.kernel().machine().cpu(0);
+                        Meter::disabled().charge(cpu, Phase::Wait, pause);
                         continue;
                     }
                     return Err(e);

@@ -39,6 +39,7 @@
 //! through the binding's `ring:{interface}` record/replay stream, so a
 //! recorded batched run replays bit-identically.
 
+use std::mem;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -51,14 +52,12 @@ use firefly::time::Nanos;
 use firefly::vm::VmContext;
 use idl::wire::Value;
 use kernel::kernel::Kernel;
-use kernel::objects::RawHandle;
 use kernel::thread::{Thread, ThreadStatus};
 use kernel::Domain;
 
-use crate::binding::{Binding, BindingState};
-use crate::call::{kernel_entry, kernel_exit, lrpc_call, pop_linkage, CallOutcome, InFlight};
+use crate::binding::Binding;
+use crate::call::{kernel_entry, kernel_exit, pop_linkage, CallOutcome, InFlight};
 use crate::error::CallError;
-use crate::runtime::LrpcRuntime;
 
 /// Submission (and completion) slots per ring. Batches larger than this
 /// simply flush mid-way — the ring is a window, not a limit.
@@ -368,17 +367,34 @@ pub struct BatchOutcome {
     pub end_cpu: usize,
 }
 
-/// Everything the batch engine threads through its helpers.
-struct BatchEnv<'a> {
-    rt: &'a Arc<LrpcRuntime>,
-    cost: CostModel,
-    state: &'a Arc<BindingState>,
+/// One batch in progress on one binding: its crossing meter, the calls
+/// enqueued since the last flush, and every request's result so far.
+struct Batch<'a> {
+    binding: &'a Binding,
     ring: &'a CallRing,
     cpu: &'a Cpu,
     thread: &'a Arc<Thread>,
-    handle: RawHandle,
-    metered: bool,
+    cost: &'a CostModel,
     fault: Option<Arc<FaultPlan>>,
+    /// The crossing costs shared by the batch.
+    meter: Meter,
+    /// Calls enqueued since the last flush. A flush empties the ring, so
+    /// this never holds more than a ring's worth; each flush takes the
+    /// vector out and puts it back empty, so its capacity is allocated once.
+    pending: Vec<PendingCall<'a>>,
+    /// Per-request results, in request order: a placeholder until the
+    /// request settles.
+    results: Vec<Result<CallOutcome, CallError>>,
+    doorbells: u64,
+    traps: u64,
+    degraded: u64,
+    /// The thread died on a flush's return crossing: nothing more is
+    /// enqueued, reaped or served.
+    thread_dead: bool,
+    /// The next enqueued call's sequence number.
+    seq: u32,
+    /// The calling CPU's clock when the batch began.
+    start: Nanos,
 }
 
 /// One enqueued-but-not-completed call: its in-flight stages, plus its
@@ -404,411 +420,291 @@ impl PendingCall<'_> {
     }
 }
 
-/// Records a batched call's result, counting a failure. Every request the
-/// ring handles is settled here exactly once; calls degraded to the serial
-/// path count themselves in `lrpc_call`.
-fn settle(
-    state: &BindingState,
-    out: &mut Option<Result<CallOutcome, CallError>>,
-    result: Result<CallOutcome, CallError>,
-) {
-    if result.is_err() {
-        state.stats.note_failure();
-    }
-    *out = Some(result);
-}
-
-/// Client half of one batched call: the client push, with the
-/// client-context load on the batch meter, then the ring-descriptor
-/// enqueue's queue op. The descriptor itself is written with the rest of
-/// the window at the flush. `holding` says earlier calls of the batch
-/// still hold A-stacks.
-fn enqueue_one<'a>(
-    env: &BatchEnv<'a>,
-    batch_meter: &mut Meter,
-    index: usize,
-    proc_index: usize,
-    args: &[Value],
-    seq: u32,
-    holding: bool,
-) -> Result<PendingCall<'a>, CallError> {
-    let cpu = env.cpu;
-    let mut call = InFlight::begin(env.rt, env.state, env.thread, cpu, proc_index, env.metered);
-    call.push(
-        cpu,
-        args,
-        Some(&mut *batch_meter),
-        env.fault.as_deref(),
-        false,
-        holding,
-    )?;
-    // The descriptor replaces the serial path's register setup + trap:
-    // one ring-descriptor queue op on the batch meter.
-    batch_meter.charge(cpu, Phase::QueueOp, env.cost.ring_descriptor_op);
-    Ok(PendingCall {
-        index,
-        seq,
-        call,
-        error: None,
-    })
-}
-
-/// Aborts a flushed batch at the crossing level (submission, binding
-/// validation or domain liveness failed): every pending call fails with
-/// the crossing's error, its resources drain, and the ring is reset.
-fn abort_batch(
-    env: &BatchEnv<'_>,
-    pending: &mut Vec<PendingCall<'_>>,
-    results: &mut [Option<Result<CallOutcome, CallError>>],
-    e: &CallError,
-) {
-    env.ring.reset();
-    for pc in pending.drain(..) {
-        settle(env.state, &mut results[pc.index], Err(e.clone()));
-    }
-}
-
-/// Writes the window, rings the doorbell and performs one full crossing:
-/// kernel validation, per-call claims, context switch, the server's
-/// one-pass drain, serve of every pending call, the one-pass completion
-/// post, and the return crossing with the one-pass reap and per-call
-/// result fetch.
-#[allow(clippy::too_many_arguments)]
-fn flush<'a>(
-    env: &BatchEnv<'a>,
-    batch_meter: &mut Meter,
-    pending: &mut Vec<PendingCall<'a>>,
-    results: &mut [Option<Result<CallOutcome, CallError>>],
-    doorbells: &mut u64,
-    traps: &mut u64,
-    thread_dead: &mut bool,
-) {
-    if pending.is_empty() {
-        return;
-    }
-    let cpu = env.cpu;
-    let cost = &env.cost;
-    let state = env.state;
-    let ring = env.ring;
-    let client_ctx = state.client.ctx();
-    let server_ctx = state.server.ctx();
-    let n = pending.len();
-    // Each pass stages its window here in turn.
-    let mut buf = [[0u8; DESC_BYTES]; MAX_SLOTS];
-
-    // ---- Submission: the whole window in one write --------------------
-    for (d, pc) in buf.iter_mut().zip(pending.iter()) {
-        *d = pc.submission();
-    }
-    let first = match ring.submit(cpu, client_ctx, &buf[..n]) {
-        Ok(first) => first,
-        Err(e) => {
-            abort_batch(env, pending, results, &e);
-            return;
-        }
-    };
-
-    // ---- Doorbell -----------------------------------------------------
-    // One trap per flush — the whole point. A lost doorbell (fault
-    // injection) must be rung again: two traps, still fewer than N.
-    let lost = matches!(&env.fault, Some(plan) if plan.lose_doorbell(&ring.doorbell_site));
-    let rings = if lost { 2 } else { 1 };
-    ring.emit(replay::kind::RING_DOORBELL, rings);
-    for _ in 0..rings {
-        env.rt.kernel().trap(cpu, batch_meter);
-        *traps += 1;
-        *doorbells += 1;
-        ring.doorbells_total.inc();
-    }
-
-    // ---- Kernel, call crossing (once per batch) -----------------------
-    let (vstate, handle) = match kernel_entry(
-        env.rt,
-        cpu,
-        batch_meter,
-        state,
-        env.fault.as_deref(),
-        "batch:binding",
-        env.handle,
-    ) {
-        Ok(v) => v,
-        Err(e) => {
-            abort_batch(env, pending, results, &e);
-            return;
-        }
-    };
-
-    // Per-call claims. The linkage stack gets ONE entry per crossing — the
-    // batch migrates the thread once.
-    let return_sp = env.thread.user_sp();
-    let mut linkage_pushed = false;
-    for pc in pending.iter_mut() {
-        match pc.call.claim(cpu, &vstate, handle, return_sp) {
-            Ok(linkage) if !linkage_pushed => {
-                env.thread.push_linkage(linkage);
-                linkage_pushed = true;
-            }
-            Ok(_) => {}
-            Err(e) => pc.error = Some(e),
+impl<'a> Batch<'a> {
+    fn new(
+        binding: &'a Binding,
+        ring: &'a CallRing,
+        cpu_id: usize,
+        thread: &'a Arc<Thread>,
+        n: usize,
+    ) -> Batch<'a> {
+        let rt = binding.runtime();
+        let machine = rt.kernel().machine();
+        let cpu = machine.cpu(cpu_id);
+        let mut meter = Meter::enabled();
+        meter.set_trace(TraceId::next());
+        Batch {
+            binding,
+            ring,
+            cpu,
+            thread,
+            cost: machine.cost(),
+            start: cpu.now(),
+            fault: rt.fault_plan(),
+            meter,
+            results: (0..n).map(|_| Err(CallError::CallFailed)).collect(),
+            pending: Vec::with_capacity(n.min(ring.slots() as usize)),
+            doorbells: 0,
+            traps: 0,
+            degraded: 0,
+            thread_dead: false,
+            seq: 0,
         }
     }
 
-    // ---- Transfer into the server domain (once per batch) -------------
-    cpu.switch_context(server_ctx.id(), cost, batch_meter);
-
-    // ---- Server drain: the whole window in one read, then every call --
-    // A window that is not exactly this flush's serves nothing.
-    let window = ring
-        .drain(cpu, server_ctx, &mut buf)
-        .ok()
-        .filter(|w| w.len() == n);
-    for (i, pc) in pending.iter_mut().enumerate() {
-        batch_meter.charge(cpu, Phase::QueueOp, cost.ring_descriptor_op);
-        // An earlier call of the window may have terminated the server
-        // (Section 5.3). The calls behind it are not served: the dead
-        // domain drains nothing more, so they fail as call-failed.
-        let matched = window.is_some_and(|w| w[i] == pc.submission()) && state.server.is_active();
-        if !matched && pc.error.is_none() {
-            pc.error = Some(CallError::CallFailed);
-        }
-        if pc.error.is_none() {
-            // The E-stack is associated per drained call, after the switch.
-            let served = pc
-                .call
-                .associate_estack(cpu)
-                .and_then(|()| pc.call.serve(cpu, false, true));
-            pc.error = served.err();
-        }
-    }
-
-    // ---- Completions: every status in one write -----------------------
-    for (d, pc) in buf.iter_mut().zip(pending.iter()) {
-        *d = desc([u32::from(pc.error.is_some()), 0, pc.seq, COMP_MAGIC]);
-    }
-    let _ = ring.post(cpu, server_ctx, first, &buf[..n]);
-
-    // ---- Kernel, return crossing (once per batch) ---------------------
-    kernel_exit(env.rt, cpu, batch_meter, state);
-    *traps += 1;
-    for pc in pending.iter_mut() {
-        pc.call.kernel_return();
-    }
-    if linkage_pushed {
-        if let Err(e) = pop_linkage(env.rt, env.thread, &vstate.client) {
-            *thread_dead = env.thread.status() == ThreadStatus::Destroyed;
-            for pc in pending.iter_mut() {
-                pc.error.get_or_insert_with(|| e.clone());
-            }
-        }
-    }
-
-    // ---- Transfer back, reap every completion in one read -------------
-    let reaped = !*thread_dead && {
-        cpu.switch_context(client_ctx.id(), cost, batch_meter);
-        ring.reap(cpu, client_ctx, first, &mut buf[..n]).is_ok()
-    };
-    for (i, mut pc) in pending.drain(..).enumerate() {
-        if !*thread_dead {
-            batch_meter.charge(cpu, Phase::QueueOp, cost.ring_descriptor_op);
-            let c = &buf[i];
-            if !(reaped && word(c, 3) == COMP_MAGIC && word(c, 2) == pc.seq) {
-                pc.error.get_or_insert(CallError::CallFailed);
-            }
-        }
-        let result = match pc.error {
-            Some(e) => Err(e),
-            None => pc.call.fetch(cpu, false),
-        };
-        settle(state, &mut results[pc.index], result);
-    }
-    if *thread_dead {
-        ring.reset();
-    }
-}
-
-/// The batched call path: enqueue every request (flushing whenever the
-/// window fills the ring), ring the doorbell once per flush, and reap
-/// completions. Remote and ringless bindings degrade to serial calls, as
-/// do calls the `ring_full` fault knob rejects.
-pub(crate) fn lrpc_call_batch(
-    rt: &Arc<LrpcRuntime>,
-    handle: RawHandle,
-    client_state: &Arc<BindingState>,
-    cpu_start: usize,
-    thread: &Arc<Thread>,
-    requests: Vec<(usize, Vec<Value>)>,
-    metered: bool,
-) -> Result<BatchOutcome, CallError> {
-    let n = requests.len();
-    client_state.stats.observe_batch_size(n as u64);
-
-    let ring = match (&client_state.ring, client_state.remote) {
-        (Some(r), false) => Arc::clone(r),
-        _ => {
-            // No ring to batch on: serial calls, one trap pair each.
-            let mut results = Vec::with_capacity(n);
-            let mut cpu_id = cpu_start;
-            for (proc_index, args) in &requests {
-                let out = lrpc_call(
-                    rt,
-                    handle,
-                    client_state,
-                    cpu_id,
-                    thread,
-                    *proc_index,
-                    args,
-                    metered,
-                );
-                if let Ok(o) = &out {
-                    cpu_id = o.end_cpu;
-                }
-                results.push(out);
-            }
-            return Ok(BatchOutcome {
-                results,
-                batch_meter: Meter::disabled(),
-                doorbells: 0,
-                traps: 0,
-                degraded: n as u64,
-                elapsed: Nanos::ZERO,
-                end_cpu: cpu_id,
-            });
-        }
-    };
-
-    let machine = rt.kernel().machine();
-    let cpu = machine.cpu(cpu_start);
-    let mut batch_meter = if metered {
-        Meter::enabled()
-    } else {
-        Meter::disabled()
-    };
-    let trace = TraceId::next();
-    batch_meter.set_trace(trace);
-    let start = cpu.now();
-
-    let env = BatchEnv {
-        rt,
-        cost: *machine.cost(),
-        state: client_state,
-        ring: &ring,
-        cpu,
-        thread,
-        handle,
-        metered,
-        fault: rt.fault_plan(),
-    };
-
-    let mut results: Vec<Option<Result<CallOutcome, CallError>>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    // A flush empties the ring, so it never holds more than a ring's worth.
-    let mut pending: Vec<PendingCall> = Vec::with_capacity(n.min(ring.slots() as usize));
-    let mut doorbells = 0u64;
-    let mut traps = 0u64;
-    let mut degraded = 0u64;
-    let mut thread_dead = false;
-    let mut seq = 0u32;
-
-    for (index, (proc_index, args)) in requests.iter().enumerate() {
+    /// Submits request `index`: flushes first when the window fills the
+    /// ring, enqueues the call, and flushes to recycle A-stacks when the
+    /// batch itself holds its class's last ones.
+    fn submit(&mut self, index: usize, proc_index: usize, args: &[Value]) {
         // Fault injection: the submission ring is presented as full and
         // this call degrades gracefully to a single-call trap. The real
         // full condition flushes and retries — no degradation needed.
-        let full_injected =
-            !thread_dead && matches!(&env.fault, Some(p) if p.ring_full(&ring.ring_full_site));
-        let window_full = ring.occupancy_now() as usize + pending.len() >= ring.slots() as usize;
+        let full_injected = !self.thread_dead
+            && matches!(&self.fault, Some(p) if p.ring_full(&self.ring.ring_full_site));
+        let window_full =
+            self.ring.occupancy_now() as usize + self.pending.len() >= self.ring.slots() as usize;
         if full_injected || window_full {
-            flush(
-                &env,
-                &mut batch_meter,
-                &mut pending,
-                &mut results,
-                &mut doorbells,
-                &mut traps,
-                &mut thread_dead,
-            );
+            self.flush();
         }
-        if thread_dead {
-            settle(
-                client_state,
-                &mut results[index],
-                Err(CallError::CallFailed),
-            );
-            continue;
+        if self.thread_dead {
+            self.settle(index, Err(CallError::CallFailed));
+            return;
         }
         if full_injected {
-            degraded += 1;
-            results[index] = Some(lrpc_call(
-                rt,
-                handle,
-                client_state,
-                cpu.id(),
-                thread,
-                *proc_index,
-                args,
-                metered,
-            ));
-            continue;
+            self.degraded += 1;
+            self.results[index] =
+                self.binding
+                    .call_indexed(self.cpu.id(), self.thread, proc_index, args);
+            return;
         }
-        let enqueued = match enqueue_one(
-            &env,
-            &mut batch_meter,
-            index,
-            *proc_index,
-            args,
-            seq,
-            !pending.is_empty(),
-        ) {
-            Err(CallError::NoAStacks) if !pending.is_empty() => {
+        let enqueued = match self.enqueue(index, proc_index, args) {
+            Err(CallError::NoAStacks) if !self.pending.is_empty() => {
                 // The batch itself is holding the class's A-stacks: flush
                 // to release them, then retry under the configured policy.
-                flush(
-                    &env,
-                    &mut batch_meter,
-                    &mut pending,
-                    &mut results,
-                    &mut doorbells,
-                    &mut traps,
-                    &mut thread_dead,
-                );
-                if thread_dead {
+                self.flush();
+                if self.thread_dead {
                     Err(CallError::CallFailed)
                 } else {
-                    enqueue_one(&env, &mut batch_meter, index, *proc_index, args, seq, false)
+                    self.enqueue(index, proc_index, args)
                 }
             }
             other => other,
         };
-        match enqueued {
-            Ok(pc) => {
-                seq = seq.wrapping_add(1);
-                pending.push(pc);
-            }
-            Err(e) => settle(client_state, &mut results[index], Err(e)),
+        if let Err(e) = enqueued {
+            self.settle(index, Err(e));
         }
     }
-    flush(
-        &env,
-        &mut batch_meter,
-        &mut pending,
-        &mut results,
-        &mut doorbells,
-        &mut traps,
-        &mut thread_dead,
-    );
 
-    let results: Vec<Result<CallOutcome, CallError>> = results
-        .into_iter()
-        .map(|r| r.unwrap_or(Err(CallError::CallFailed)))
-        .collect();
-    Ok(BatchOutcome {
-        results,
-        batch_meter,
-        doorbells,
-        traps,
-        degraded,
-        elapsed: cpu.now() - start,
-        end_cpu: cpu.id(),
-    })
+    /// Client half of one batched call: the client push, with the
+    /// client-context load on the batch meter, then the ring-descriptor
+    /// enqueue's queue op. The descriptor itself is written with the rest
+    /// of the window at the flush. While earlier calls of the batch hold
+    /// A-stacks, the push does not wait for one.
+    fn enqueue(
+        &mut self,
+        index: usize,
+        proc_index: usize,
+        args: &[Value],
+    ) -> Result<(), CallError> {
+        let (binding, cpu) = (self.binding, self.cpu);
+        let mut call = InFlight::begin(
+            binding.runtime(),
+            binding.state(),
+            self.thread,
+            cpu,
+            proc_index,
+            true,
+        );
+        call.push(
+            cpu,
+            args,
+            Some(&mut self.meter),
+            self.fault.as_deref(),
+            false,
+            !self.pending.is_empty(),
+        )?;
+        // The descriptor replaces the serial path's register setup + trap:
+        // one ring-descriptor queue op on the batch meter.
+        self.meter
+            .charge(cpu, Phase::QueueOp, self.cost.ring_descriptor_op);
+        self.pending.push(PendingCall {
+            index,
+            seq: self.seq,
+            call,
+            error: None,
+        });
+        self.seq = self.seq.wrapping_add(1);
+        Ok(())
+    }
+
+    /// Writes the window, rings the doorbell and performs one full
+    /// crossing: kernel validation, per-call claims, context switch, the
+    /// server's one-pass drain, serve of every pending call, the one-pass
+    /// completion post, and the return crossing with the one-pass reap and
+    /// per-call result fetch.
+    fn flush(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let mut pending = mem::take(&mut self.pending);
+        let (cpu, cost, ring) = (self.cpu, self.cost, self.ring);
+        let state = self.binding.state();
+        let client_ctx = state.client.ctx();
+        let server_ctx = state.server.ctx();
+        let n = pending.len();
+        // Each pass stages its window here in turn.
+        let mut buf = [[0u8; DESC_BYTES]; MAX_SLOTS];
+
+        // ---- Submission: the whole window in one write --------------------
+        for (d, pc) in buf.iter_mut().zip(&pending) {
+            *d = pc.submission();
+        }
+        let first = match ring.submit(cpu, client_ctx, &buf[..n]) {
+            Ok(first) => first,
+            Err(e) => return self.abort(pending, &e),
+        };
+
+        // ---- Doorbell -----------------------------------------------------
+        // One trap per flush — the whole point. A lost doorbell (fault
+        // injection) must be rung again: two traps, still fewer than N.
+        let lost = matches!(&self.fault, Some(plan) if plan.lose_doorbell(&ring.doorbell_site));
+        let rings = if lost { 2 } else { 1 };
+        ring.emit(replay::kind::RING_DOORBELL, rings);
+        let rt = self.binding.runtime();
+        for _ in 0..rings {
+            rt.kernel().trap(cpu, &mut self.meter);
+            self.traps += 1;
+            self.doorbells += 1;
+            ring.doorbells_total.inc();
+        }
+
+        // ---- Kernel, call crossing (once per batch) -----------------------
+        let (vstate, handle) = match kernel_entry(
+            rt,
+            cpu,
+            &mut self.meter,
+            state,
+            self.fault.as_deref(),
+            "batch:binding",
+            self.binding.handle(),
+        ) {
+            Ok(v) => v,
+            Err(e) => return self.abort(pending, &e),
+        };
+
+        // Per-call claims. The linkage stack gets ONE entry per crossing — the
+        // batch migrates the thread once.
+        let return_sp = self.thread.user_sp();
+        let mut linkage_pushed = false;
+        for pc in pending.iter_mut() {
+            match pc.call.claim(cpu, &vstate, handle, return_sp) {
+                Ok(linkage) if !linkage_pushed => {
+                    self.thread.push_linkage(linkage);
+                    linkage_pushed = true;
+                }
+                Ok(_) => {}
+                Err(e) => pc.error = Some(e),
+            }
+        }
+
+        // ---- Transfer into the server domain (once per batch) -------------
+        cpu.switch_context(server_ctx.id(), cost, &mut self.meter);
+
+        // ---- Server drain: the whole window in one read, then every call --
+        // A window that is not exactly this flush's serves nothing.
+        let window = ring
+            .drain(cpu, server_ctx, &mut buf)
+            .ok()
+            .filter(|w| w.len() == n);
+        for (i, pc) in pending.iter_mut().enumerate() {
+            self.meter
+                .charge(cpu, Phase::QueueOp, cost.ring_descriptor_op);
+            // An earlier call of the window may have terminated the server
+            // (Section 5.3). The calls behind it are not served: the dead
+            // domain drains nothing more, so they fail as call-failed.
+            let matched =
+                window.is_some_and(|w| w[i] == pc.submission()) && state.server.is_active();
+            if !matched && pc.error.is_none() {
+                pc.error = Some(CallError::CallFailed);
+            }
+            if pc.error.is_none() {
+                // The E-stack is associated per drained call, after the switch.
+                let served = pc
+                    .call
+                    .associate_estack(cpu)
+                    .and_then(|()| pc.call.serve(cpu, false, true));
+                pc.error = served.err();
+            }
+        }
+
+        // ---- Completions: every status in one write -----------------------
+        for (d, pc) in buf.iter_mut().zip(&pending) {
+            *d = desc([u32::from(pc.error.is_some()), 0, pc.seq, COMP_MAGIC]);
+        }
+        let _ = ring.post(cpu, server_ctx, first, &buf[..n]);
+
+        // ---- Kernel, return crossing (once per batch) ---------------------
+        kernel_exit(rt, cpu, &mut self.meter, state);
+        self.traps += 1;
+        for pc in pending.iter_mut() {
+            pc.call.kernel_return();
+        }
+        if linkage_pushed {
+            if let Err(e) = pop_linkage(rt, self.thread, &vstate.client) {
+                self.thread_dead = self.thread.status() == ThreadStatus::Destroyed;
+                for pc in pending.iter_mut() {
+                    pc.error.get_or_insert_with(|| e.clone());
+                }
+            }
+        }
+
+        // ---- Transfer back, reap every completion in one read -------------
+        let reaped = !self.thread_dead && {
+            cpu.switch_context(client_ctx.id(), cost, &mut self.meter);
+            ring.reap(cpu, client_ctx, first, &mut buf[..n]).is_ok()
+        };
+        for (i, mut pc) in pending.drain(..).enumerate() {
+            if !self.thread_dead {
+                self.meter
+                    .charge(cpu, Phase::QueueOp, cost.ring_descriptor_op);
+                let c = &buf[i];
+                if !(reaped && word(c, 3) == COMP_MAGIC && word(c, 2) == pc.seq) {
+                    pc.error.get_or_insert(CallError::CallFailed);
+                }
+            }
+            let result = match pc.error {
+                Some(e) => Err(e),
+                None => pc.call.fetch(cpu, false),
+            };
+            self.settle(pc.index, result);
+        }
+        if self.thread_dead {
+            ring.reset();
+        }
+        self.pending = pending;
+    }
+
+    /// Aborts a flush at the crossing level (submission, binding
+    /// validation or domain liveness failed): every pending call fails
+    /// with the crossing's error, its resources drain, and the ring is
+    /// reset.
+    fn abort(&mut self, mut pending: Vec<PendingCall<'a>>, e: &CallError) {
+        self.ring.reset();
+        for pc in pending.drain(..) {
+            self.settle(pc.index, Err(e.clone()));
+        }
+        self.pending = pending;
+    }
+
+    /// Records request `index`'s result, counting a failure. Every request
+    /// the ring handles is settled here exactly once; calls degraded to the
+    /// serial path count their own failures.
+    fn settle(&mut self, index: usize, result: Result<CallOutcome, CallError>) {
+        if result.is_err() {
+            self.binding.state().stats.note_failure();
+        }
+        self.results[index] = result;
+    }
 }
 
 impl Binding {
@@ -816,21 +712,49 @@ impl Binding {
     /// ring: every request is enqueued (the ring flushes as it fills),
     /// the doorbell rings once per flush, and the server drains the whole
     /// batch per wakeup. Requests are `(procedure index, arguments)`.
+    /// Calls the `ring_full` fault knob rejects degrade to serial calls,
+    /// and so does every call of a remote binding, which has no ring.
     pub fn call_batch(
         &self,
         cpu_id: usize,
         thread: &Arc<Thread>,
         requests: Vec<(usize, Vec<Value>)>,
     ) -> Result<BatchOutcome, CallError> {
-        lrpc_call_batch(
-            self.runtime(),
-            self.handle(),
-            self.state(),
-            cpu_id,
-            thread,
-            requests,
-            true,
-        )
+        let n = requests.len();
+        self.state().stats.observe_batch_size(n as u64);
+        let Some(ring) = &self.state().ring else {
+            // Serial calls, one trap pair each. A remote call branches off
+            // before any transfer, so the thread stays on `cpu_id`.
+            let cpu = self.runtime().kernel().machine().cpu(cpu_id);
+            let start = cpu.now();
+            let results = requests
+                .iter()
+                .map(|(proc_index, args)| self.call_indexed(cpu_id, thread, *proc_index, args))
+                .collect();
+            return Ok(BatchOutcome {
+                results,
+                batch_meter: Meter::disabled(),
+                doorbells: 0,
+                traps: 0,
+                degraded: n as u64,
+                elapsed: cpu.now() - start,
+                end_cpu: cpu_id,
+            });
+        };
+        let mut batch = Batch::new(self, ring, cpu_id, thread, n);
+        for (index, (proc_index, args)) in requests.iter().enumerate() {
+            batch.submit(index, *proc_index, args);
+        }
+        batch.flush();
+        Ok(BatchOutcome {
+            results: batch.results,
+            batch_meter: batch.meter,
+            doorbells: batch.doorbells,
+            traps: batch.traps,
+            degraded: batch.degraded,
+            elapsed: batch.cpu.now() - batch.start,
+            end_cpu: batch.cpu.id(),
+        })
     }
 }
 

@@ -123,6 +123,43 @@ fn table_5_breakdown_matches_the_paper() {
 }
 
 #[test]
+fn server_work_and_dispatch_delays_tile_the_call_on_its_meter() {
+    let rt = TestRuntime::new().domain_caching(false).build();
+    let server = rt.kernel().create_domain("worker");
+    rt.export(
+        &server,
+        "interface Work { procedure Work(); }",
+        vec![Box::new(|ctx: &ServerCtx, _: &[Value]| {
+            ctx.charge(Nanos::from_micros(5));
+            Ok(Reply::none())
+        }) as Handler],
+    )
+    .expect("export");
+    let client = rt.kernel().create_domain("client");
+    let thread = rt.kernel().spawn_thread(&client);
+    let binding = rt.import(&client, "Work").expect("import");
+    binding.call(0, &thread, "Work", &[]).expect("warmup");
+
+    // The Null call's 157 us plus 5 us of server procedure.
+    let out = binding.call(0, &thread, "Work", &[]).expect("call");
+    assert_eq!(out.elapsed, Nanos::from_micros(162));
+    assert_eq!(out.meter.total(), out.elapsed);
+    assert_eq!(
+        out.meter.total_for(Phase::ServerProcedure),
+        Nanos::from_micros(5)
+    );
+
+    // An injected dispatch delay is dispatch time on the same meter.
+    rt.set_fault_plan(Some(FaultPlan::new(FaultConfig {
+        dispatch_delay_us: 5,
+        ..FaultConfig::default()
+    })));
+    let out = binding.call(0, &thread, "Work", &[]).expect("delayed call");
+    assert_eq!(out.meter.total_for(Phase::Dispatch), Nanos::from_micros(5));
+    assert_eq!(out.meter.total(), out.elapsed);
+}
+
+#[test]
 fn null_call_incurs_about_43_tlb_misses() {
     let env = setup_serial();
     env.binding.call(0, &env.thread, "Null", &[]).unwrap();

@@ -14,15 +14,11 @@
 //!    throughput scales with processors, while SRC RPC's global lock caps
 //!    it near 4 000 calls/second (Figure 2).
 
-use firefly::contention::{simulate_throughput, CallProfile, ResourceId, Seg};
-use firefly::cost::CostModel;
 use firefly::cpu::Machine;
-use firefly::time::Nanos;
 use idl::wire::Value;
 use kernel::kernel::Kernel;
 use kernel::prod_idle_processors;
 use lrpc::{Handler, LrpcRuntime, Reply, ServerCtx};
-use msgrpc::MsgRpcCost;
 
 fn main() {
     // ---- Part 1: domain caching -------------------------------------
@@ -83,54 +79,10 @@ fn main() {
         "{:>5} {:>14} {:>14} {:>10}",
         "CPUs", "LRPC calls/s", "optimal", "SRC RPC"
     );
-    let cvax = CostModel::cvax_firefly();
-    let src = MsgRpcCost::src_rpc_taos();
-    let second = Nanos::from_secs(1);
-    for n in 1..=4usize {
-        let lrpc_profiles: Vec<CallProfile> = (0..n)
-            .map(|i| {
-                let total = cvax.lrpc_null_serial();
-                let bus = cvax.bus_time_null_call;
-                let q = cvax.astack_queue_op;
-                let compute = total - bus - q * 2;
-                CallProfile::new(vec![
-                    Seg::Use {
-                        res: ResourceId(1 + i),
-                        hold: q,
-                    },
-                    Seg::Compute(compute / 2),
-                    Seg::Use {
-                        res: ResourceId(0),
-                        hold: bus,
-                    },
-                    Seg::Compute(compute - compute / 2),
-                    Seg::Use {
-                        res: ResourceId(1 + i),
-                        hold: q,
-                    },
-                ])
-            })
-            .collect();
-        let lrpc_tp = simulate_throughput(&lrpc_profiles, 1 + n, second).calls_per_second();
-
-        let src_total = src.null_actual();
-        let lock = src.global_lock_held;
-        let src_profile = CallProfile::new(vec![
-            Seg::Compute((src_total - lock) / 2),
-            Seg::Use {
-                res: ResourceId(0),
-                hold: lock,
-            },
-            Seg::Compute(src_total - lock - (src_total - lock) / 2),
-        ]);
-        let src_tp = simulate_throughput(&vec![src_profile; n], 1, second).calls_per_second();
-
-        let single = 1_000_000.0 / cvax.lrpc_null_serial().as_micros_f64();
+    for p in bench::experiments::figure2().points {
         println!(
-            "{n:>5} {:>14.0} {:>14.0} {:>10.0}",
-            lrpc_tp,
-            single * n as f64,
-            src_tp
+            "{:>5} {:>14.0} {:>14.0} {:>10.0}",
+            p.cpus, p.lrpc, p.optimal, p.src
         );
     }
     println!("\nLRPC scales with processors; SRC RPC flattens behind its global lock.");

@@ -210,6 +210,49 @@ fn local_and_remote_servers_share_a_programming_model() {
 }
 
 #[test]
+fn a_remote_batch_runs_serial_calls_and_reports_their_time() {
+    let kernel = Kernel::new(Machine::cvax_firefly());
+    let rt = LrpcRuntime::new(kernel);
+    let remote = RemoteMachine::new("far-away");
+    remote
+        .export(
+            "interface FarEcho { procedure Echo(x: int32) -> int32; }",
+            vec![Box::new(|args: &[Value]| Ok(Reply::value(args[0].clone()))) as MsgHandler],
+        )
+        .unwrap();
+    rt.set_remote_transport(remote);
+    let app = rt.kernel().create_domain("app");
+    let thread = rt.kernel().spawn_thread(&app);
+    let far = rt.import_remote(&app, "FarEcho").unwrap();
+    let echo = far.proc_index("Echo").unwrap();
+    let requests: Vec<(usize, Vec<Value>)> =
+        (0..4).map(|i| (echo, vec![Value::Int32(i)])).collect();
+
+    // A remote binding has no ring: every request degrades to a serial call.
+    let stats = &far.state().stats;
+    let remote_before = stats.remote_calls();
+    let out = far.call_batch(0, &thread, requests.clone()).unwrap();
+    assert_eq!(out.degraded, 4);
+    assert_eq!((out.doorbells, out.traps), (0, 0));
+    assert!(out.batch_meter.segments().is_empty());
+    assert_eq!(stats.remote_calls(), remote_before + 4);
+
+    let batched: Vec<_> = out.results.iter().map(|r| r.as_ref().unwrap()).collect();
+    for ((proc_index, args), b) in requests.iter().zip(&batched) {
+        let serial = far.call_indexed(0, &thread, *proc_index, args).unwrap();
+        assert_eq!(
+            (&b.ret, &b.outs, b.elapsed),
+            (&serial.ret, &serial.outs, serial.elapsed)
+        );
+    }
+    assert_eq!(
+        out.elapsed,
+        batched.iter().map(|b| b.elapsed).sum::<firefly::Nanos>(),
+        "the batch took the time of its serial calls"
+    );
+}
+
+#[test]
 fn import_without_transport_fails_cleanly() {
     let kernel = Kernel::new(Machine::cvax_uniprocessor());
     let rt = LrpcRuntime::new(kernel);

@@ -54,7 +54,7 @@ fn fixed_ty_and_values() -> impl Strategy<Value = (Ty, Value, Value)> {
 
 /// A procedure over fixed-size types only, together with conforming
 /// client arguments, a server return value and server out-values.
-#[allow(clippy::type_complexity)]
+#[expect(clippy::type_complexity)]
 fn fixed_proc_and_values(
 ) -> impl Strategy<Value = (ProcDef, Vec<Value>, Option<Value>, Vec<(usize, Value)>)> {
     let params = proptest::collection::vec(
