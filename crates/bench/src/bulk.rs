@@ -5,16 +5,20 @@
 //! parameter is statically demoted to an out-of-band slot and travels the
 //! bulk plane regardless of its actual length. Two things are measured:
 //!
-//! * **Transport cycles** (the timed comparison): the exact per-call
-//!   transport work the call path performs for the in-direction segment,
-//!   both ways. The arena leg leases a chunk of the binding's bind-time
-//!   bulk region (one lock-free pop), writes the length-prefixed segment,
-//!   revalidates and rereads it under the server's protection context, and
-//!   pushes the chunk back. The fallback leg allocates, pairwise-maps,
-//!   rewrites, rereads, unmaps and frees a fresh kernel segment — the way
-//!   the pre-arena call path did on *every* large call. The copies are
+//! * **Transport cycles** (the timed comparison): the staged transport of
+//!   one in-direction segment, both ways, as calls performed it before
+//!   segments moved in place. The arena leg leases a chunk of the
+//!   binding's bind-time bulk region (one lock-free pop), writes an
+//!   already marshaled length-prefixed segment, revalidates and rereads it
+//!   into a buffer under the server's protection context, and pushes the
+//!   chunk back. The fallback leg allocates, pairwise-maps, rewrites,
+//!   rereads, unmaps and frees a fresh kernel segment — the way the
+//!   pre-arena call path did on *every* large call. The copies are
 //!   byte-identical on both legs; the delta is purely the per-call
-//!   map/unmap machinery the arena amortized into bind time.
+//!   map/unmap machinery the arena amortized into bind time. Calls now
+//!   encode segments straight into the transport and decode them straight
+//!   out, in both directions: these cycles time the old staging, not what
+//!   a call does.
 //!
 //! * **Full calls** (the contract checks): one steady-state call per leg
 //!   through the real runtime, with the fallback leg forced through the

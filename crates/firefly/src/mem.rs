@@ -102,34 +102,47 @@ impl Region {
             })
     }
 
-    /// Copies `data` into the region at `offset`, without any protection
-    /// check (the check belongs to [`crate::cpu::Machine`], which knows
-    /// the accessing context).
-    ///
-    /// Fails with [`MemFault::OutOfRange`] if the write would exceed the
-    /// region.
-    pub fn write_raw(&self, offset: usize, data: &[u8]) -> Result<(), MemFault> {
-        let end = self.range_end(offset, data.len())?;
-        let mut bytes = self.bytes.write();
-        bytes[offset..end].copy_from_slice(data);
-        Ok(())
+    /// Lends the bytes `offset..offset + len` to `f` under the read lock,
+    /// so a reader can decode them in place, or fails with
+    /// [`MemFault::OutOfRange`] before `f` runs. No protection check: that
+    /// belongs to [`crate::vm::VmContext`], which knows the accessor.
+    pub fn read_with<R>(
+        &self,
+        offset: usize,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, MemFault> {
+        let end = self.range_end(offset, len)?;
+        Ok(f(&self.bytes.read()[offset..end]))
     }
 
-    /// Copies `buf.len()` bytes out of the region at `offset` into `buf`,
-    /// without any protection check.
+    /// [`Region::read_with`] under the write lock, so a writer can encode
+    /// into the bytes in place.
+    pub fn write_with<R>(
+        &self,
+        offset: usize,
+        len: usize,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R, MemFault> {
+        let end = self.range_end(offset, len)?;
+        Ok(f(&mut self.bytes.write()[offset..end]))
+    }
+
+    /// Copies `data` into the region at `offset`.
+    pub fn write_raw(&self, offset: usize, data: &[u8]) -> Result<(), MemFault> {
+        self.write_with(offset, data.len(), |bytes| bytes.copy_from_slice(data))
+    }
+
+    /// Copies `buf.len()` bytes out of the region at `offset` into `buf`.
     pub fn read_raw(&self, offset: usize, buf: &mut [u8]) -> Result<(), MemFault> {
-        let end = self.range_end(offset, buf.len())?;
-        let bytes = self.bytes.read();
-        buf.copy_from_slice(&bytes[offset..end]);
-        Ok(())
+        self.read_with(offset, buf.len(), |bytes| buf.copy_from_slice(bytes))
     }
 
     /// Reads `len` bytes at `offset` into a fresh vector. The range is
     /// checked before anything is allocated, so a length read from shared
     /// memory cannot make the reader allocate more than the region holds.
     pub fn read_vec(&self, offset: usize, len: usize) -> Result<Vec<u8>, MemFault> {
-        let end = self.range_end(offset, len)?;
-        Ok(self.bytes.read()[offset..end].to_vec())
+        self.read_with(offset, len, <[u8]>::to_vec)
     }
 
     /// Fills the whole region with `byte`.
@@ -262,6 +275,34 @@ mod tests {
         ));
         assert!(r.read_vec(usize::MAX, 2).is_err());
         assert_eq!(r.read_vec(4090, 6).unwrap(), vec![0; 6]);
+    }
+
+    #[test]
+    fn lent_ranges_are_checked_before_the_closure_runs() {
+        let mem = PhysMem::new();
+        let r = mem.alloc("lend", 16);
+        let n = r
+            .write_with(4, 8, |b| {
+                b.copy_from_slice(&[7; 8]);
+                b.len()
+            })
+            .unwrap();
+        assert_eq!(n, 8);
+        assert_eq!(
+            r.read_with(3, 10, |b| b.to_vec()).unwrap()[..6],
+            [0, 7, 7, 7, 7, 7]
+        );
+        let mut ran = false;
+        assert!(matches!(
+            r.write_with(12, 8, |_| ran = true),
+            Err(MemFault::OutOfRange {
+                offset: 12,
+                len: 8,
+                ..
+            })
+        ));
+        assert!(r.read_with(usize::MAX, 1, |_| ran = true).is_err());
+        assert!(!ran, "an out-of-range lend never reaches the closure");
     }
 
     #[test]

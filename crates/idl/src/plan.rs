@@ -39,7 +39,7 @@ use crate::layout::SlotKind;
 use crate::stubgen::{CompiledInterface, CompiledProc, StubLang};
 use crate::stubvm::{needs_server_copy, FetchedResults, Frame, StubError, StubVm};
 use crate::types::Ty;
-use crate::wire::{decode, decode_checked, Value, WireError};
+use crate::wire::{decode_as, encode_into, Value, WireError};
 
 /// Stack scratch size for scalar encodes/decodes. Fixed values larger than
 /// this (big records) are left to the interpreter.
@@ -82,52 +82,6 @@ fn classify(ty: &Ty) -> Option<Class> {
     }
 }
 
-/// Encodes a fixed-size value into the front of `out`, returning the
-/// encoded length. Mirrors [`crate::wire::encode`] exactly (including its
-/// error cases) for the fixed subset of types.
-fn encode_fixed(value: &Value, ty: &Ty, out: &mut [u8]) -> Result<usize, WireError> {
-    match (value, ty) {
-        (Value::Bool(b), Ty::Bool) => {
-            out[0] = u8::from(*b);
-            Ok(1)
-        }
-        (Value::Byte(b), Ty::Byte) => {
-            out[0] = *b;
-            Ok(1)
-        }
-        (Value::Int16(v), Ty::Int16) => {
-            out[..2].copy_from_slice(&v.to_le_bytes());
-            Ok(2)
-        }
-        (Value::Int32(v), Ty::Int32) => {
-            out[..4].copy_from_slice(&v.to_le_bytes());
-            Ok(4)
-        }
-        (Value::Cardinal(v), Ty::Cardinal) => {
-            out[..4].copy_from_slice(&(*v as u32).to_le_bytes());
-            Ok(4)
-        }
-        (Value::Bytes(b), Ty::ByteArray(n)) => {
-            if b.len() != *n {
-                return Err(mismatch(ty));
-            }
-            out[..*n].copy_from_slice(b);
-            Ok(*n)
-        }
-        (Value::Record(vals), Ty::Record(fields)) => {
-            if vals.len() != fields.len() {
-                return Err(mismatch(ty));
-            }
-            let mut pos = 0;
-            for (v, (_, t)) in vals.iter().zip(fields) {
-                pos += encode_fixed(v, t, &mut out[pos..])?;
-            }
-            Ok(pos)
-        }
-        _ => Err(mismatch(ty)),
-    }
-}
-
 /// Writes one fixed-size value into its frame slot: byte arrays go
 /// directly from the value's buffer, everything else stages through stack
 /// scratch.
@@ -147,7 +101,7 @@ fn write_fixed(
         return write_var(frame, offset, value, ty);
     }
     let mut scratch = [0u8; SCRATCH_BYTES];
-    let len = encode_fixed(value, ty, &mut scratch)?;
+    let len = encode_into(value, ty, &mut scratch)?;
     frame.write(offset, &scratch[..len])
 }
 
@@ -197,21 +151,11 @@ fn read_fixed(
         // (TLB touches match); the decoder consumes the length-prefixed
         // payload and ignores the slot tail.
         let buf = frame.read(offset, size)?;
-        let (v, _) = if checked {
-            decode_checked(&buf, ty)?
-        } else {
-            decode(&buf, ty)?
-        };
-        return Ok(v);
+        return Ok(decode_as(&buf, ty, checked)?.0);
     }
     let mut scratch = [0u8; SCRATCH_BYTES];
     frame.read_into(offset, &mut scratch[..size])?;
-    let (v, _) = if checked {
-        decode_checked(&scratch[..size], ty)?
-    } else {
-        decode(&scratch[..size], ty)?
-    };
-    Ok(v)
+    Ok(decode_as(&scratch[..size], ty, checked)?.0)
 }
 
 /// A server-argument vector with inline stack capacity.
@@ -393,7 +337,7 @@ impl PushPlan {
                         .iter()
                         .zip(&proc.def.params[*first..*first + *count]);
                     for (arg, param) in run {
-                        pos += encode_fixed(arg, &param.ty, &mut scratch[pos..])?;
+                        pos += encode_into(arg, &param.ty, &mut scratch[pos..])?;
                     }
                     debug_assert_eq!(pos, *len);
                     frame.write(*offset, &scratch[..*len])?;

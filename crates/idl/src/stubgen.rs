@@ -17,7 +17,8 @@
 //! plan; [`crate::stubvm`] interprets the halves no plan covers.
 
 use crate::ast::{InterfaceDef, ProcDef};
-use crate::layout::{layout, FrameLayout};
+use crate::layout::{layout, FrameLayout, Slot, SlotKind};
+use crate::types::Ty;
 
 /// Default number of simultaneous calls (A-stacks) per procedure
 /// (Section 5.2: "The number defaults to five").
@@ -61,6 +62,28 @@ pub struct CompiledProc {
     /// Procedure descriptor for the PDL (its `entry` is the procedure
     /// identifier).
     pub pd: ProcedureDescriptor,
+}
+
+impl CompiledProc {
+    /// The out-of-band slots one direction moves, with their declared
+    /// types: the in-direction parameters' (`results` false), or the
+    /// return value's and the out-direction parameters'.
+    pub fn oob_slots(&self, results: bool) -> impl Iterator<Item = (&Slot, &Ty)> {
+        let params = self
+            .layout
+            .params
+            .iter()
+            .zip(self.def.params.iter().map(|p| &p.ty));
+        let ret = self.layout.ret.iter().zip(&self.def.ret);
+        params.chain(ret).filter(move |(s, _)| {
+            s.kind == SlotKind::OutOfBand
+                && if results {
+                    s.dir.is_out()
+                } else {
+                    s.dir.is_in()
+                }
+        })
+    }
 }
 
 /// A compiled interface: everything binding and calling needs.

@@ -25,7 +25,7 @@ use firefly::meter::{Meter, Phase};
 use crate::layout::SlotKind;
 use crate::stubgen::{CompiledProc, StubLang};
 use crate::types::Ty;
-use crate::wire::{decode, decode_checked, encode_vec, Value, WireError};
+use crate::wire::{decode, decode_as, decode_checked, encode_vec, Value, WireError};
 
 /// Cost multiplier of the Modula2+ marshaling path relative to assembly
 /// stubs (Section 3.3).
@@ -151,8 +151,46 @@ impl Frame for LocalFrame {
     }
 }
 
-/// Out-of-band segments accompanying one call.
+/// Where one call's out-of-band segments live: host vectors ([`OobStore`])
+/// or, in the LRPC runtime, the call's pairwise-shared transport. The
+/// sender appends a segment and writes its `[id | len]` descriptor into the
+/// frame; the receiver checks the descriptor and decodes the segment.
+pub trait OobSegments {
+    /// Appends `value`, encoded as `ty`, as the next segment; returns the
+    /// segment's id and encoded length.
+    fn append(&mut self, value: &Value, ty: &Ty) -> Result<(u32, usize), StubError>;
+    /// Checks that segment `id` exists ([`StubError::OutOfBandMissing`])
+    /// and holds `len` bytes ([`WireError::Truncated`]).
+    fn check(&self, id: u32, len: u32) -> Result<(), StubError>;
+    /// Decodes a `ty` from the first `len` bytes of the checked segment
+    /// `id`, folding in the conformance checks when `checked`.
+    fn decode(&self, id: u32, len: u32, ty: &Ty, checked: bool) -> Result<Value, StubError>;
+}
+
+/// Out-of-band segments accompanying one call, in host memory.
 pub type OobStore = Vec<Vec<u8>>;
+
+impl OobSegments for OobStore {
+    fn append(&mut self, value: &Value, ty: &Ty) -> Result<(u32, usize), StubError> {
+        let encoded = encode_vec(value, ty)?;
+        let len = encoded.len();
+        self.push(encoded);
+        Ok((self.len() as u32 - 1, len))
+    }
+
+    fn check(&self, id: u32, len: u32) -> Result<(), StubError> {
+        match self.get(id as usize) {
+            None => Err(StubError::OutOfBandMissing { id }),
+            Some(seg) if seg.len() < len as usize => Err(WireError::Truncated.into()),
+            Some(_) => Ok(()),
+        }
+    }
+
+    fn decode(&self, id: u32, len: u32, ty: &Ty, checked: bool) -> Result<Value, StubError> {
+        self.check(id, len)?;
+        Ok(decode_as(&self[id as usize][..len as usize], ty, checked)?.0)
+    }
+}
 
 /// Fetched results: the return value plus `(param_index, value)` pairs for
 /// out-direction parameters.
@@ -205,43 +243,41 @@ impl<'a> StubVm<'a> {
         self.meter.charge(self.cpu, phase, cost);
     }
 
-    /// Marshals `encoded` into a new out-of-band segment, always on the
+    /// Marshals `value` into a new out-of-band segment, always on the
     /// Modula2+ path, and writes its `[id | len]` descriptor at `offset`.
     fn marshal_oob(
         &mut self,
         frame: &mut dyn Frame,
         offset: usize,
-        encoded: Vec<u8>,
-        oob: &mut OobStore,
+        value: &Value,
+        ty: &Ty,
+        oob: &mut dyn OobSegments,
     ) -> Result<(), StubError> {
-        self.charge_bulk(StubLang::Modula2Plus, 1, encoded.len() as u64);
+        let (id, len) = oob.append(value, ty)?;
+        self.charge_bulk(StubLang::Modula2Plus, 1, len as u64);
         let mut d = [0u8; 8];
-        d[..4].copy_from_slice(&(oob.len() as u32).to_le_bytes());
-        d[4..].copy_from_slice(&(encoded.len() as u32).to_le_bytes());
-        oob.push(encoded);
+        d[..4].copy_from_slice(&id.to_le_bytes());
+        d[4..].copy_from_slice(&(len as u32).to_le_bytes());
         frame.write(offset, &d)
     }
 
-    /// The out-of-band segment whose descriptor is at `offset`, its
-    /// unmarshaling charged on the Modula2+ path.
-    fn unmarshal_oob<'o>(
+    /// Decodes the out-of-band segment whose descriptor is at `offset`,
+    /// its unmarshaling charged on the Modula2+ path.
+    fn unmarshal_oob(
         &mut self,
         frame: &dyn Frame,
         offset: usize,
-        oob: &'o OobStore,
-    ) -> Result<&'o [u8], StubError> {
+        oob: &dyn OobSegments,
+        ty: &Ty,
+        checked: bool,
+    ) -> Result<Value, StubError> {
         let mut d = [0u8; 8];
         frame.read_into(offset, &mut d)?;
         let id = u32::from_le_bytes([d[0], d[1], d[2], d[3]]);
         let len = u32::from_le_bytes([d[4], d[5], d[6], d[7]]);
-        let seg = oob
-            .get(id as usize)
-            .ok_or(StubError::OutOfBandMissing { id })?;
-        let seg = seg
-            .get(..len as usize)
-            .ok_or(StubError::Wire(WireError::Truncated))?;
+        oob.check(id, len)?;
         self.charge_bulk(StubLang::Modula2Plus, 1, u64::from(len));
-        Ok(seg)
+        oob.decode(id, len, ty, checked)
     }
 
     /// Client call half: pushes every in-direction argument onto the frame
@@ -251,7 +287,7 @@ impl<'a> StubVm<'a> {
         proc: &CompiledProc,
         args: &[Value],
         frame: &mut dyn Frame,
-        oob: &mut OobStore,
+        oob: &mut dyn OobSegments,
     ) -> Result<(), StubError> {
         if args.len() != proc.def.params.len() {
             return Err(StubError::ArgCount {
@@ -264,13 +300,15 @@ impl<'a> StubVm<'a> {
                 continue;
             }
             let slot = &proc.layout.params[i];
-            let encoded = encode_vec(&args[i], &param.ty)?;
             match slot.kind {
                 SlotKind::Inline => {
+                    let encoded = encode_vec(&args[i], &param.ty)?;
                     self.charge_bulk(proc.lang, 1, encoded.len() as u64);
                     frame.write(slot.offset, &encoded)?;
                 }
-                SlotKind::OutOfBand => self.marshal_oob(frame, slot.offset, encoded, oob)?,
+                SlotKind::OutOfBand => {
+                    self.marshal_oob(frame, slot.offset, &args[i], &param.ty, oob)?;
+                }
             }
         }
         Ok(())
@@ -286,7 +324,7 @@ impl<'a> StubVm<'a> {
         &mut self,
         proc: &CompiledProc,
         frame: &dyn Frame,
-        oob: &OobStore,
+        oob: &dyn OobSegments,
     ) -> Result<Vec<Value>, StubError> {
         let mut vals = Vec::with_capacity(proc.def.params.len());
         for (i, param) in proc.def.params.iter().enumerate() {
@@ -314,8 +352,7 @@ impl<'a> StubVm<'a> {
                     }
                 }
                 SlotKind::OutOfBand => {
-                    let seg = self.unmarshal_oob(frame, slot.offset, oob)?;
-                    decode_checked(seg, &param.ty)?.0
+                    self.unmarshal_oob(frame, slot.offset, oob, &param.ty, true)?
                 }
             };
             vals.push(value);
@@ -336,34 +373,36 @@ impl<'a> StubVm<'a> {
         ret: Option<&Value>,
         outs: &[(usize, Value)],
         frame: &mut dyn Frame,
-        oob: &mut OobStore,
+        oob: &mut dyn OobSegments,
     ) -> Result<(), StubError> {
         if let Some(ret_ty) = &proc.def.ret {
             let ret_slot = proc.layout.ret.as_ref().expect("layout has a ret slot");
             let v = ret.ok_or(StubError::MissingResult)?;
-            let encoded = encode_vec(v, ret_ty)?;
-            match ret_slot.kind {
-                SlotKind::Inline => {
-                    frame.write(ret_slot.offset, &encoded)?;
-                }
-                SlotKind::OutOfBand => self.marshal_oob(frame, ret_slot.offset, encoded, oob)?,
-            }
+            self.place(frame, ret_slot, v, ret_ty, oob)?;
         }
         for (i, v) in outs {
             let param = &proc.def.params[*i];
-            if !param.dir.is_out() {
-                continue;
-            }
-            let slot = &proc.layout.params[*i];
-            let encoded = encode_vec(v, &param.ty)?;
-            match slot.kind {
-                SlotKind::Inline => {
-                    frame.write(slot.offset, &encoded)?;
-                }
-                SlotKind::OutOfBand => self.marshal_oob(frame, slot.offset, encoded, oob)?,
+            if param.dir.is_out() {
+                self.place(frame, &proc.layout.params[*i], v, &param.ty, oob)?;
             }
         }
         Ok(())
+    }
+
+    /// Places one result: inline into its slot, uncharged, or into a new
+    /// out-of-band segment.
+    fn place(
+        &mut self,
+        frame: &mut dyn Frame,
+        slot: &crate::layout::Slot,
+        v: &Value,
+        ty: &Ty,
+        oob: &mut dyn OobSegments,
+    ) -> Result<(), StubError> {
+        match slot.kind {
+            SlotKind::Inline => frame.write(slot.offset, &encode_vec(v, ty)?),
+            SlotKind::OutOfBand => self.marshal_oob(frame, slot.offset, v, ty, oob),
+        }
     }
 
     /// Client return half: copies returned values "from the A-stack into
@@ -373,7 +412,7 @@ impl<'a> StubVm<'a> {
         &mut self,
         proc: &CompiledProc,
         frame: &dyn Frame,
-        oob: &OobStore,
+        oob: &dyn OobSegments,
     ) -> Result<FetchedResults, StubError> {
         let ret = match (&proc.def.ret, &proc.layout.ret) {
             (Some(ret_ty), Some(slot)) => Some(self.fetch_slot(proc, frame, oob, slot, ret_ty)?),
@@ -393,7 +432,7 @@ impl<'a> StubVm<'a> {
         &mut self,
         proc: &CompiledProc,
         frame: &dyn Frame,
-        oob: &OobStore,
+        oob: &dyn OobSegments,
         slot: &crate::layout::Slot,
         ty: &Ty,
     ) -> Result<Value, StubError> {
@@ -404,10 +443,7 @@ impl<'a> StubVm<'a> {
                 let (v, _) = decode(&raw, ty)?;
                 Ok(v)
             }
-            SlotKind::OutOfBand => {
-                let seg = self.unmarshal_oob(frame, slot.offset, oob)?;
-                Ok(decode(seg, ty)?.0)
-            }
+            SlotKind::OutOfBand => self.unmarshal_oob(frame, slot.offset, oob, ty, false),
         }
     }
 }

@@ -144,25 +144,97 @@ fn mismatch(ty: &Ty) -> WireError {
     }
 }
 
+/// Where an encoding goes: a growing vector ([`encode`]), a borrowed slice
+/// ([`encode_into`]) or a byte counter ([`encoded_len`]). The one encoder
+/// is generic over it.
+trait Sink {
+    /// Appends `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+    /// Appends one byte.
+    fn put_byte(&mut self, b: u8) {
+        self.put(&[b]);
+    }
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    #[inline]
+    fn put_byte(&mut self, b: u8) {
+        self.push(b);
+    }
+}
+
+/// Fills a borrowed slice front to back, counting every byte put and
+/// noting those that did not fit.
+struct Cursor<'a> {
+    buf: &'a mut [u8],
+    pos: usize,
+    overrun: bool,
+}
+
+impl Sink for Cursor<'_> {
+    fn put(&mut self, bytes: &[u8]) {
+        match self.buf.get_mut(self.pos..self.pos + bytes.len()) {
+            Some(dst) => dst.copy_from_slice(bytes),
+            None => self.overrun = true,
+        }
+        self.pos += bytes.len();
+    }
+}
+
 /// Encodes `value` as `ty` into `out`.
 ///
 /// Note that a non-conforming CARDINAL encodes successfully (truncated to
 /// its low 32 bits, as a buggy or malicious client stub would); it is the
 /// *receiver's* checked decode that rejects it.
 pub fn encode(value: &Value, ty: &Ty, out: &mut Vec<u8>) -> Result<(), WireError> {
+    encode_to(value, ty, out)
+}
+
+/// Encodes `value` as `ty` into the front of `out`, returning the encoded
+/// length, or [`WireError::Truncated`] if it does not fit.
+pub fn encode_into(value: &Value, ty: &Ty, out: &mut [u8]) -> Result<usize, WireError> {
+    match fill(value, ty, out)? {
+        (len, false) => Ok(len),
+        (_, true) => Err(WireError::Truncated),
+    }
+}
+
+/// The length of `value`'s encoding as `ty`, or the error [`encode`] would
+/// raise.
+pub fn encoded_len(value: &Value, ty: &Ty) -> Result<usize, WireError> {
+    Ok(fill(value, ty, &mut [])?.0)
+}
+
+/// Encodes into as much of `buf` as it holds: the full length, and whether
+/// it overran.
+fn fill(value: &Value, ty: &Ty, buf: &mut [u8]) -> Result<(usize, bool), WireError> {
+    let mut cursor = Cursor {
+        buf,
+        pos: 0,
+        overrun: false,
+    };
+    encode_to(value, ty, &mut cursor)?;
+    Ok((cursor.pos, cursor.overrun))
+}
+
+/// The encoder behind [`encode`], [`encode_into`] and [`encoded_len`].
+fn encode_to<S: Sink>(value: &Value, ty: &Ty, out: &mut S) -> Result<(), WireError> {
     match (value, ty) {
-        (Value::Bool(b), Ty::Bool) => out.push(u8::from(*b)),
-        (Value::Byte(b), Ty::Byte) => out.push(*b),
-        (Value::Int16(v), Ty::Int16) => out.extend_from_slice(&v.to_le_bytes()),
-        (Value::Int32(v), Ty::Int32) => out.extend_from_slice(&v.to_le_bytes()),
-        (Value::Cardinal(v), Ty::Cardinal) => {
-            out.extend_from_slice(&(*v as u32).to_le_bytes());
-        }
+        (Value::Bool(b), Ty::Bool) => out.put_byte(u8::from(*b)),
+        (Value::Byte(b), Ty::Byte) => out.put_byte(*b),
+        (Value::Int16(v), Ty::Int16) => out.put(&v.to_le_bytes()),
+        (Value::Int32(v), Ty::Int32) => out.put(&v.to_le_bytes()),
+        (Value::Cardinal(v), Ty::Cardinal) => out.put(&(*v as u32).to_le_bytes()),
         (Value::Bytes(b), Ty::ByteArray(n)) => {
             if b.len() != *n {
                 return Err(mismatch(ty));
             }
-            out.extend_from_slice(b);
+            out.put(b);
         }
         (Value::Var(b), Ty::VarBytes(max)) => {
             if b.len() > *max {
@@ -171,39 +243,39 @@ pub fn encode(value: &Value, ty: &Ty, out: &mut Vec<u8>) -> Result<(), WireError
                     max: *max,
                 });
             }
-            out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-            out.extend_from_slice(b);
+            out.put(&(b.len() as u32).to_le_bytes());
+            out.put(b);
         }
         (Value::Record(vals), Ty::Record(fields)) => {
             if vals.len() != fields.len() {
                 return Err(mismatch(ty));
             }
             for (v, (_, t)) in vals.iter().zip(fields) {
-                encode(v, t, out)?;
+                encode_to(v, t, out)?;
             }
         }
         (Value::List(items), Ty::Complex(ComplexKind::LinkedList)) => {
-            out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+            out.put(&(items.len() as u32).to_le_bytes());
             for i in items {
-                out.extend_from_slice(&i.to_le_bytes());
+                out.put(&i.to_le_bytes());
             }
         }
         (Value::Tree(t), Ty::Complex(ComplexKind::Tree)) => encode_tree(t, out),
         (Value::Gc(b), Ty::Complex(ComplexKind::GarbageCollected)) => {
-            out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-            out.extend_from_slice(b);
+            out.put(&(b.len() as u32).to_le_bytes());
+            out.put(b);
         }
         _ => return Err(mismatch(ty)),
     }
     Ok(())
 }
 
-fn encode_tree(t: &TreeVal, out: &mut Vec<u8>) {
+fn encode_tree<S: Sink>(t: &TreeVal, out: &mut S) {
     match t {
-        TreeVal::Leaf => out.push(0),
+        TreeVal::Leaf => out.put_byte(0),
         TreeVal::Node(l, v, r) => {
-            out.push(1);
-            out.extend_from_slice(&v.to_le_bytes());
+            out.put_byte(1);
+            out.put(&v.to_le_bytes());
             encode_tree(l, out);
             encode_tree(r, out);
         }
@@ -241,17 +313,20 @@ impl<'a> Reader<'a> {
 /// value and the number of bytes consumed. No conformance checking — see
 /// [`decode_checked`].
 pub fn decode(buf: &[u8], ty: &Ty) -> Result<(Value, usize), WireError> {
-    let mut r = Reader { buf, pos: 0 };
-    let v = decode_inner(&mut r, ty, false)?;
-    Ok((v, r.pos))
+    decode_as(buf, ty, false)
 }
 
 /// Decodes with receiver-side conformance checks folded into the copy: a
 /// CARDINAL slot holding a value that a negative 32-bit integer would
 /// produce is rejected.
 pub fn decode_checked(buf: &[u8], ty: &Ty) -> Result<(Value, usize), WireError> {
+    decode_as(buf, ty, true)
+}
+
+/// [`decode_checked`] if `checked`, else [`decode`].
+pub fn decode_as(buf: &[u8], ty: &Ty, checked: bool) -> Result<(Value, usize), WireError> {
     let mut r = Reader { buf, pos: 0 };
-    let v = decode_inner(&mut r, ty, true)?;
+    let v = decode_inner(&mut r, ty, checked)?;
     Ok((v, r.pos))
 }
 
@@ -341,6 +416,16 @@ mod tests {
         let (back, used) = decode(&bytes, &ty).unwrap();
         assert_eq!(back, v, "roundtrip of {ty}");
         assert_eq!(used, bytes.len());
+        // Every sink of the one encoder sees the same bytes.
+        assert_eq!(encoded_len(&v, &ty).unwrap(), bytes.len());
+        let mut slice = vec![0xEE; bytes.len() + 1];
+        assert_eq!(encode_into(&v, &ty, &mut slice).unwrap(), bytes.len());
+        assert_eq!(&slice[..bytes.len()], &bytes[..]);
+        assert_eq!(slice[bytes.len()], 0xEE, "nothing past the encoding");
+        assert_eq!(
+            encode_into(&v, &ty, &mut slice[..bytes.len() - 1]),
+            Err(WireError::Truncated)
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use firefly::mem::{Region, PAGE_SIZE};
-use idl::layout::{SlotKind, OOB_DESCRIPTOR_SIZE};
+use idl::layout::OOB_DESCRIPTOR_SIZE;
 use idl::stubgen::CompiledInterface;
 use idl::types::Ty;
 use kernel::kernel::Kernel;
@@ -72,17 +72,17 @@ fn max_encoded_size(ty: &Ty) -> Option<usize> {
     }
 }
 
-/// Bytes one call of `proc` can need in the arena: every in-direction
-/// out-of-band slot at its declared maximum, each with its 8-byte segment
-/// header. Unbounded types contribute [`UNBOUNDED_ESTIMATE`].
+/// Bytes one call of `proc` can need in the arena: each out-of-band slot
+/// of one direction (arguments, then results, take the chunk in turn) at
+/// its declared maximum, each with its 8-byte segment header, for the
+/// direction that needs more. Unbounded types count [`UNBOUNDED_ESTIMATE`].
 fn proc_oob_need(proc: &idl::stubgen::CompiledProc) -> usize {
-    proc.def
-        .params
-        .iter()
-        .zip(&proc.layout.params)
-        .filter(|(p, s)| p.dir.is_in() && s.kind == SlotKind::OutOfBand)
-        .map(|(p, _)| max_encoded_size(&p.ty).unwrap_or(UNBOUNDED_ESTIMATE) + OOB_DESCRIPTOR_SIZE)
-        .sum()
+    let need = |results| -> usize {
+        proc.oob_slots(results)
+            .map(|(_, ty)| max_encoded_size(ty).unwrap_or(UNBOUNDED_ESTIMATE) + OOB_DESCRIPTOR_SIZE)
+            .sum()
+    };
+    need(false).max(need(true))
 }
 
 fn align_up(n: usize, to: usize) -> usize {
@@ -262,6 +262,29 @@ mod tests {
         assert_eq!(arena.chunk_size() % PAGE_SIZE, 0);
         assert_eq!(arena.chunk_count(), 5);
         assert_eq!(arena.free_count(), 5);
+    }
+
+    #[test]
+    fn chunks_fit_whichever_direction_needs_more() {
+        let (k, c, s) = setup();
+        let live = replay::Session::live();
+        // Out-of-band results alone still get an arena, sized for them.
+        let iface = compiled("interface B { procedure Get(h: int32, pkt: out var bytes[8192]); }");
+        let astacks = astack_set(&k, &c, &s, &[(1500, 2)]);
+        let arena = BulkArena::for_interface(&k, &c, &s, "bulk", &iface, &astacks, &live).unwrap();
+        assert_eq!(
+            arena.chunk_size(),
+            align_up(8192 + 4 + OOB_DESCRIPTOR_SIZE, PAGE_SIZE)
+        );
+        // Both directions out of band: the larger one sizes the chunk.
+        let iface = compiled(
+            "interface B { procedure Swap(a: in var bytes[2048], r: out var bytes[6000]); }",
+        );
+        let arena = BulkArena::for_interface(&k, &c, &s, "bulk", &iface, &astacks, &live).unwrap();
+        assert_eq!(
+            arena.chunk_size(),
+            align_up(6000 + 4 + OOB_DESCRIPTOR_SIZE, PAGE_SIZE)
+        );
     }
 
     #[test]

@@ -26,16 +26,18 @@
 //! (`InFlight`), whose `Drop` releases whatever the call still holds:
 //!
 //! * **client push** (`begin`, `push`): procedure-call and client-stub
-//!   charges, A-stack acquire, argument push (copy A), and the
-//!   out-of-band transport of oversized arguments;
+//!   charges, A-stack acquire, the out-of-band transport's lease, argument
+//!   push (copy A), oversized arguments straight into the transport;
 //! * **kernel claim** (`claim`): procedure range check, A-stack validation
 //!   (charging the overflow path), linkage-slot claim and record;
 //! * **E-stack association** (`associate_estack`);
-//! * **server serve** (`serve`): stub entry, out-of-band rebuild, argument
-//!   read (copy E), the ring's liveness re-check, dispatch, stub return,
-//!   result place;
-//! * **client fetch** (`fetch`): stub return, result fetch (copy F),
-//!   resource release, statistics and the [`CallOutcome`].
+//! * **server serve** (`serve`): stub entry, argument read (copy E), out of
+//!   band ones decoded straight out of the transport by the server's own
+//!   segment table, the ring's liveness re-check, dispatch, stub return,
+//!   result place, out-of-band ones straight into the transport;
+//! * **client fetch** (`fetch`): stub return, result fetch (copy F), out of
+//!   band ones decoded straight out of the transport, resource release,
+//!   statistics and the [`CallOutcome`].
 //!
 //! Two front-ends run them, each on the `Binding` it serves: the serial
 //! `lrpc_call` below and the ring's batch of [`crate::ring`]. A front-end
@@ -63,15 +65,18 @@ use firefly::meter::{Meter, Phase, TraceId};
 use firefly::time::Nanos;
 use firefly::vm::VmContext;
 use idl::copyops::{CopyLog, CopyOp};
+use idl::layout::{Slot, SlotKind, OOB_DESCRIPTOR_SIZE};
 use idl::plan::ArgVec;
-use idl::stubvm::{needs_server_copy, Frame, OobStore, StubError, StubVm};
-use idl::wire::Value;
+use idl::stubgen::CompiledProc;
+use idl::stubvm::{needs_server_copy, Frame, OobSegments, StubError, StubVm};
+use idl::types::Ty;
+use idl::wire::{decode_as, encode_into, encoded_len, Value, WireError};
 use kernel::objects::RawHandle;
 use kernel::thread::{Linkage, ReturnPath, Thread};
 use kernel::Domain;
 
 use crate::astack::{AStackPolicy, AStackRef, LinkageSlot};
-use crate::binding::{Binding, BindingState, BindingStats, ServerCtx};
+use crate::binding::{Binding, BindingState, BindingStats, Reply, ServerCtx};
 use crate::error::CallError;
 use crate::runtime::LrpcRuntime;
 
@@ -205,15 +210,194 @@ fn touch_stage(cpu: &Cpu, set: &[PageId], astack: Option<&AStackRef>, meter: &mu
     );
 }
 
-/// Where one call's in-direction out-of-band segments travel: a chunk of
-/// the binding's bind-time bulk arena (steady state) or a freshly mapped
-/// per-call segment (fallback). Either way the bytes cross domains through
-/// a pairwise-shared region under the server's protection checks.
+/// Where one call's out-of-band segments travel: a chunk of the binding's
+/// bulk arena, or a per-call segment, checked against the accessing
+/// domain's mapping table. The sender encodes each segment straight into it
+/// behind a `[len | 0]` header; the receiver rebuilds its own table from
+/// the headers and decodes each segment where it lies. Arguments go in from
+/// the base, then results. Without a region, a transport only sizes what is
+/// appended, so a stub that cannot encode a value fails where it would.
+#[derive(Default)]
 struct OobTransport {
-    region: Arc<Region>,
+    region: Option<Arc<Region>>,
+    /// The span the call holds: `len` bytes from `base`.
     base: usize,
+    len: usize,
     /// The leased arena chunk; `None` for a per-call segment.
     chunk: Option<usize>,
+    /// This side's segment table: each payload's offset and length.
+    segs: Vec<(usize, usize)>,
+}
+
+impl OobTransport {
+    /// Readies the transport for the `need` bytes the `sender` puts in from
+    /// its base (`None`: a value that cannot encode, which the stub then
+    /// raises without a transport). One too small, or none, gives way to a
+    /// new lease: an arena chunk, else (or if `exhausted`) a per-call
+    /// segment, for which this returns true.
+    fn ready(
+        &mut self,
+        rt: &LrpcRuntime,
+        state: &BindingState,
+        need: Option<usize>,
+        exhausted: bool,
+        sender: &VmContext,
+    ) -> Result<bool, MemFault> {
+        self.segs.clear();
+        if need == Some(0) {
+            return Ok(false);
+        }
+        let fits = self.region.is_some() && need.is_some_and(|n| n <= self.len);
+        if !fits {
+            self.release(rt, state);
+            let Some(need) = need else {
+                return Ok(false);
+            };
+            let arena = state.bulk.as_ref().filter(|_| !exhausted);
+            match arena.and_then(|a| Some((a, a.acquire(need)?))) {
+                Some((arena, c)) => {
+                    self.region = Some(Arc::clone(arena.region()));
+                    (self.base, self.len, self.chunk) = (c.offset, c.size, Some(c.index));
+                }
+                None => {
+                    state.stats.note_bulk_fallback();
+                    self.len = need.max(8);
+                    let (client, server) = (&state.client, &state.server);
+                    let seg = rt
+                        .kernel()
+                        .map_pairwise("oob-segment", client, server, self.len);
+                    self.region = Some(seg);
+                }
+            }
+        }
+        let region = self.region.as_ref().expect("a leased transport");
+        sender.check(region.id(), true, false)?;
+        Ok(!fits && self.chunk.is_none())
+    }
+
+    /// Returns the arena chunk or unmaps and frees the per-call segment.
+    fn release(&mut self, rt: &LrpcRuntime, state: &BindingState) {
+        let t = mem::take(self);
+        let Some(region) = t.region else {
+            return;
+        };
+        match (t.chunk, &state.bulk) {
+            (Some(chunk), Some(arena)) => arena.release(chunk),
+            (Some(_), None) => {}
+            (None, _) => {
+                state.client.ctx().unmap(region.id());
+                state.server.ctx().unmap(region.id());
+                rt.kernel().machine().mem().free(region.id());
+            }
+        }
+    }
+
+    /// The receiver's half: `ctx`'s read check, then the table of the first
+    /// `count` segments from their headers, and their pages touched.
+    fn receive(&mut self, cpu: &Cpu, ctx: &VmContext, count: usize) -> Result<(), MemFault> {
+        self.segs.clear();
+        let Some(region) = &self.region else {
+            return Ok(());
+        };
+        ctx.check(region.id(), false, false)?;
+        let mut off = self.base;
+        for _ in 0..count {
+            let mut hdr = [0u8; 4];
+            region.read_raw(off, &mut hdr)?;
+            let len = u32::from_le_bytes(hdr) as usize;
+            off += OOB_DESCRIPTOR_SIZE;
+            if off + len > self.base + self.len {
+                let region = region.id();
+                return Err(MemFault::OutOfRange {
+                    region,
+                    offset: off,
+                    len,
+                });
+            }
+            self.segs.push((off, len));
+            off += len;
+        }
+        self.touch(cpu);
+        Ok(())
+    }
+
+    /// The sender's last step: the per-call segment's charge if it
+    /// `fell_back` to one, then the pages of the segments it put in.
+    fn sent(&self, cpu: &Cpu, meter: &mut Meter, fell_back: bool) {
+        if fell_back {
+            meter.charge(cpu, Phase::OobSegment, OOB_SEGMENT_COST);
+        }
+        self.touch(cpu);
+    }
+
+    /// Touches the pages of every segment in the table, headers included.
+    fn touch(&self, cpu: &Cpu) {
+        let Some(region) = &self.region else {
+            return;
+        };
+        for &(off, len) in &self.segs {
+            let seg = region.pages_for(off - OOB_DESCRIPTOR_SIZE, len + OOB_DESCRIPTOR_SIZE);
+            cpu.touch_pages(seg, &mut Meter::disabled());
+        }
+    }
+}
+
+impl OobSegments for OobTransport {
+    fn append(&mut self, value: &Value, ty: &Ty) -> Result<(u32, usize), StubError> {
+        let id = self.segs.len() as u32;
+        let Some(region) = &self.region else {
+            return Ok((id, encoded_len(value, ty)?));
+        };
+        let hdr = self.segs.last().map_or(self.base, |&(off, len)| off + len);
+        let len = region.write_with(hdr, self.base + self.len - hdr, |b| {
+            let seg = b
+                .get_mut(OOB_DESCRIPTOR_SIZE..)
+                .ok_or(WireError::Truncated)?;
+            let len = encode_into(value, ty, seg)?;
+            b[..OOB_DESCRIPTOR_SIZE].copy_from_slice(&(len as u64).to_le_bytes());
+            Ok::<_, WireError>(len)
+        })??;
+        self.segs.push((hdr + OOB_DESCRIPTOR_SIZE, len));
+        Ok((id, len))
+    }
+
+    fn check(&self, id: u32, len: u32) -> Result<(), StubError> {
+        match self.segs.get(id as usize) {
+            None => Err(StubError::OutOfBandMissing { id }),
+            Some(&(_, seg)) if seg < len as usize => Err(WireError::Truncated.into()),
+            Some(_) => Ok(()),
+        }
+    }
+
+    fn decode(&self, id: u32, len: u32, ty: &Ty, checked: bool) -> Result<Value, StubError> {
+        self.check(id, len)?;
+        let region = self.region.as_ref().expect("only a region holds segments");
+        let read = |seg: &[u8]| decode_as(seg, ty, checked);
+        Ok(region
+            .read_with(self.segs[id as usize].0, len as usize, read)??
+            .0)
+    }
+}
+
+/// Bytes `vals` need in a transport: each encoding behind its header.
+fn segments_need<'v>(vals: impl Iterator<Item = (&'v Value, &'v Ty)>) -> Result<usize, WireError> {
+    vals.map(|(v, ty)| Ok(encoded_len(v, ty)? + OOB_DESCRIPTOR_SIZE))
+        .sum()
+}
+
+/// Bytes a reply's out-of-band results need, or `None` when placing them
+/// must fail (a declared result missing, a value that cannot encode).
+fn results_need(proc: &CompiledProc, reply: &Reply) -> Option<usize> {
+    let oob = |slot: &Slot| slot.kind == SlotKind::OutOfBand;
+    let ret = match (&proc.def.ret, &proc.layout.ret) {
+        (Some(ty), Some(slot)) if oob(slot) => Some((reply.ret.as_ref()?, ty)),
+        _ => None,
+    };
+    let outs = reply.outs.iter().filter_map(|(i, v)| {
+        let (p, slot) = (&proc.def.params[*i], &proc.layout.params[*i]);
+        (p.dir.is_out() && oob(slot)).then_some((v, &p.ty))
+    });
+    segments_need(ret.into_iter().chain(outs)).ok()
 }
 
 /// One LRPC in flight: what its stages hand each other, and every
@@ -229,10 +413,7 @@ pub(crate) struct InFlight<'a> {
     meter: Meter,
     copies: CopyLog,
     astack: Option<AStackRef>,
-    /// In-direction segments from the push; the server's place appends
-    /// the out-direction ones.
-    oob: OobStore,
-    transport: Option<OobTransport>,
+    transport: OobTransport,
     slot: Option<Arc<LinkageSlot>>,
     estack_key: Option<u64>,
     /// True while the serial front-end's linkage is on the thread.
@@ -282,8 +463,7 @@ impl<'a> InFlight<'a> {
             meter,
             copies: CopyLog::new(),
             astack: None,
-            oob: OobStore::new(),
-            transport: None,
+            transport: OobTransport::default(),
             slot: None,
             estack_key: None,
             linkage_pushed: false,
@@ -383,11 +563,30 @@ impl<'a> InFlight<'a> {
             Some(ASTACK_QUEUE_LOCK),
         );
         let aref = self.astack.as_ref().ok_or(CallError::BadAStack)?;
+
+        // Oversized/complex values travel in a pairwise-mapped out-of-band
+        // transport: size them, lease it (a bulk-arena chunk, or a per-call
+        // segment for payloads over the chunk size or an exhausted arena),
+        // and encode them straight into it. Arguments that cannot encode
+        // lease nothing: the push below raises their error.
+        let mut fell_back = false;
+        if plan.push.is_none() && args.len() == proc.def.params.len() {
+            let ins = proc.oob_slots(false);
+            let ins = ins.filter_map(|(slot, ty)| Some((&args[slot.param_index?], ty)));
+            if let Ok(need @ 1..) = segments_need(ins) {
+                state.stats.observe_bulk_bytes(need as u64);
+                // Fault injection: present the arena as exhausted, so this
+                // call exercises the real per-call fallback path.
+                let exhausted = fault.is_some_and(|plan| plan.exhaust_bulk("call:bulk"));
+                let t = &mut self.transport;
+                fell_back = t.ready(rt, state, Some(need), exhausted, client_ctx)?;
+            }
+        }
         on_frame(cpu, client_ctx, aref, &mut self.meter, |frame, meter| {
             let mut vm = StubVm::new(cost, cpu, meter);
             match &plan.push {
                 Some(p) => p.execute(proc, args, frame, &mut vm),
-                None => vm.client_push_args(proc, args, frame, &mut self.oob),
+                None => vm.client_push_args(proc, args, frame, &mut self.transport),
             }
         })?;
         if self.meter.is_enabled() {
@@ -397,59 +596,8 @@ impl<'a> InFlight<'a> {
                 }
             }
         }
-
-        // Oversized/complex values travel in a real out-of-band memory
-        // segment, pairwise-mapped like the A-stacks, rather than in host
-        // memory: write the marshaled segments into it and reread them on
-        // the server side under the server's protection context. Steady
-        // state leases a chunk of the bind-time bulk arena (no map/unmap);
-        // the per-call segment survives as the fallback for payloads over
-        // the chunk size or an exhausted arena.
-        if self.oob.is_empty() {
-            return Ok(());
-        }
-        let total: usize = self.oob.iter().map(|s| s.len() + 8).sum();
-        state.stats.observe_bulk_bytes(total as u64);
-        // Fault injection: present the arena as exhausted, so this call
-        // exercises the real per-call fallback path.
-        let exhausted = fault.is_some_and(|plan| plan.exhaust_bulk("call:bulk"));
-        let leased = state
-            .bulk
-            .as_ref()
-            .filter(|_| !exhausted)
-            .and_then(|arena| Some((arena, arena.acquire(total)?)));
-        let t = self.transport.insert(match leased {
-            Some((arena, chunk)) => OobTransport {
-                region: Arc::clone(arena.region()),
-                base: chunk.offset,
-                chunk: Some(chunk.index),
-            },
-            None => {
-                state.stats.note_bulk_fallback();
-                self.meter.charge(cpu, Phase::OobSegment, OOB_SEGMENT_COST);
-                OobTransport {
-                    region: rt.kernel().map_pairwise(
-                        "oob-segment",
-                        &state.client,
-                        &state.server,
-                        total.max(8),
-                    ),
-                    base: 0,
-                    chunk: None,
-                }
-            }
-        });
-        let mut off = t.base;
-        for seg in &self.oob {
-            let mut hdr = [0u8; 8];
-            hdr[..4].copy_from_slice(&(seg.len() as u32).to_le_bytes());
-            t.region.write_raw(off, &hdr)?;
-            t.region.write_raw(off + 8, seg)?;
-            cpu.touch_pages(
-                t.region.pages_for(off, seg.len() + 8),
-                &mut Meter::disabled(),
-            );
-            off += seg.len() + 8;
+        if plan.push.is_none() {
+            self.transport.sent(cpu, &mut self.meter, fell_back);
         }
         Ok(())
     }
@@ -559,22 +707,13 @@ impl<'a> InFlight<'a> {
             );
         }
 
-        // Rebuild the out-of-band store from the shared segment, with the
-        // server's protection context enforced.
-        let mut server_oob = OobStore::new();
-        if let Some(t) = &self.transport {
-            server_ctx.check(t.region.id(), false, false)?;
-            let mut off = t.base;
-            for _ in 0..self.oob.len() {
-                let mut hdr = [0u8; 8];
-                t.region.read_raw(off, &mut hdr)?;
-                let len = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]) as usize;
-                server_oob.push(t.region.read_vec(off + 8, len)?);
-                cpu.touch_pages(t.region.pages_for(off, len + 8), &mut Meter::disabled());
-                off += len + 8;
-            }
+        // The arguments' out-of-band segments, under the server's
+        // protection context: its own table, rebuilt from the headers in
+        // the shared transport, then decoded straight out of it.
+        if self.transport.region.is_some() {
+            self.transport
+                .receive(cpu, server_ctx, proc.oob_slots(false).count())?;
         }
-
         let sargs = on_frame(cpu, server_ctx, aref, &mut self.meter, |frame, meter| {
             let mut vm = StubVm::new(cost, cpu, meter);
             match &plan.read {
@@ -583,7 +722,7 @@ impl<'a> InFlight<'a> {
                     rp.execute(frame, &mut vm, &mut out).map(|()| out)
                 }
                 None => vm
-                    .server_read_args(proc, frame, &server_oob)
+                    .server_read_args(proc, frame, &self.transport)
                     .map(ArgVec::from_vec),
             }
         })?;
@@ -613,6 +752,13 @@ impl<'a> InFlight<'a> {
         // ---- Server stub, return half ---------------------------------
         self.meter
             .charge(cpu, Phase::ServerStub, cost.server_stub_return);
+        let fell_back = match &plan.place {
+            Some(_) => false,
+            None => {
+                let need = results_need(proc, &reply);
+                self.transport.ready(rt, state, need, false, server_ctx)?
+            }
+        };
         on_frame(
             cpu,
             server_ctx,
@@ -625,10 +771,13 @@ impl<'a> InFlight<'a> {
                     reply.ret.as_ref(),
                     &reply.outs,
                     frame,
-                    &mut self.oob,
+                    &mut self.transport,
                 ),
             },
         )?;
+        if plan.place.is_none() {
+            self.transport.sent(cpu, &mut self.meter, fell_back);
+        }
         Ok(())
     }
 
@@ -670,6 +819,14 @@ impl<'a> InFlight<'a> {
             );
         }
         let aref = self.astack.as_ref().ok_or(CallError::BadAStack)?;
+        // The results' out-of-band segments, under the client's protection
+        // context, the way the server received the arguments'.
+        if plan.fetch.is_none() {
+            let count = proc.oob_slots(true).count();
+            if count > 0 {
+                self.transport.receive(cpu, state.client.ctx(), count)?;
+            }
+        }
         let (ret, outs) = on_frame(
             cpu,
             state.client.ctx(),
@@ -679,7 +836,7 @@ impl<'a> InFlight<'a> {
                 let mut vm = StubVm::new(cost, cpu, meter);
                 match &plan.fetch {
                     Some(p) => p.execute(frame, &mut vm),
-                    None => vm.client_fetch_results(proc, frame, &self.oob),
+                    None => vm.client_fetch_results(proc, frame, &self.transport),
                 }
             },
         )?;
@@ -742,16 +899,8 @@ impl<'a> InFlight<'a> {
             let _ = self.thread.pop_linkage();
         }
         self.kernel_return();
-        if let Some(t) = self.transport.take() {
-            match (t.chunk, &self.state.bulk) {
-                (Some(chunk), Some(arena)) => arena.release(chunk),
-                (Some(_), None) => {}
-                (None, _) => {
-                    self.state.client.ctx().unmap(t.region.id());
-                    self.state.server.ctx().unmap(t.region.id());
-                    self.rt.kernel().machine().mem().free(t.region.id());
-                }
-            }
+        if self.transport.region.is_some() {
+            self.transport.release(self.rt, self.state);
         }
         if let Some(a) = self.astack.take() {
             self.state.astacks.release(a.index);

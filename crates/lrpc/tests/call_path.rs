@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use firefly::cost::CostModel;
 use firefly::cpu::Machine;
+use firefly::error::MemFault;
 use firefly::fault::{FaultConfig, FaultPlan};
 use firefly::meter::Phase;
 use firefly::time::Nanos;
@@ -786,4 +787,98 @@ fn termination_with_multiple_outstanding_calls_mixes_failed_and_aborted() {
         }
     }
     assert_eq!(rt.kernel().snapshot().threads_in_calls, 0);
+}
+
+/// Large variable parameters, statically demoted to out-of-band slots.
+const OOB_IDL: &str = r#"
+    interface Oob {
+        procedure Send(data: in var bytes[65536] noninterpreted);
+        procedure Bump(data: inout var bytes[65536] noninterpreted);
+    }
+"#;
+
+/// A runtime serving [`OOB_IDL`]: `Bump` returns each byte plus one.
+fn oob_setup() -> (Arc<Domain>, Arc<Thread>, Binding) {
+    let rt = TestRuntime::new().build();
+    let server = rt.kernel().create_domain("oob-server");
+    let handlers: Vec<Handler> = vec![
+        Box::new(|_: &ServerCtx, _: &[Value]| Ok(Reply::none())),
+        Box::new(|_: &ServerCtx, args: &[Value]| {
+            let Value::Var(data) = &args[0] else {
+                unreachable!("stubs decoded the declared types")
+            };
+            let bumped = data.iter().map(|b| b.wrapping_add(1)).collect();
+            Ok(Reply::none().with_out(0, Value::Var(bumped)))
+        }),
+    ];
+    rt.export(&server, OOB_IDL, handlers).expect("export");
+    let client = rt.kernel().create_domain("oob-client");
+    let thread = rt.kernel().spawn_thread(&client);
+    let binding = rt.import(&client, "Oob").expect("import");
+    (client, thread, binding)
+}
+
+#[test]
+fn out_of_band_results_cross_the_leased_chunk() {
+    // Results travel the way arguments do: the server encodes them into
+    // the call's arena chunk, and the client decodes them out of it.
+    let (_client, thread, binding) = oob_setup();
+    let out = binding
+        .call(0, &thread, "Bump", &[Value::Var(vec![0x10; 3000])])
+        .unwrap();
+    assert_eq!(out.outs, vec![(0, Value::Var(vec![0x11; 3000]))]);
+    let region = binding.state().bulk.as_ref().expect("an arena").region();
+    // Chunk 0: the segment's `[len | 0]` header, the value's length
+    // prefix, then the returned bytes.
+    let header = [3004u32.to_le_bytes(), [0; 4], 3000u32.to_le_bytes()].concat();
+    assert_eq!(region.read_vec(0, 12).unwrap(), header);
+    assert_eq!(region.read_vec(12, 4).unwrap(), vec![0x11; 4]);
+}
+
+#[test]
+fn a_client_unmapped_from_the_arena_cannot_move_out_of_band_data() {
+    // Every out-of-band byte crosses a region checked against the
+    // accessing domain's mapping table, the client's included.
+    let (client, thread, binding) = oob_setup();
+    let arena = binding.state().bulk.as_ref().expect("an arena");
+    client.ctx().unmap(arena.region().id());
+    for proc in ["Send", "Bump"] {
+        let err = binding
+            .call(0, &thread, proc, &[Value::Var(vec![7; 3000])])
+            .unwrap_err();
+        assert!(
+            matches!(err, CallError::Mem(MemFault::NotMapped { .. })),
+            "{proc}: {err}"
+        );
+    }
+    assert_eq!(arena.free_count(), arena.chunk_count(), "chunks returned");
+}
+
+#[test]
+fn an_out_of_band_argument_that_cannot_encode_leases_nothing() {
+    // Sizing the arguments finds the error first: the call leases no
+    // chunk and observes no bulk bytes, and the push raises the error the
+    // stub's encoder gives.
+    let (_client, thread, binding) = oob_setup();
+    let stats = &binding.state().stats;
+    let observed = || stats.bulk_bytes().map_or(0, |h| h.count());
+    let err = binding
+        .call(0, &thread, "Send", &[Value::Var(vec![1; 65537])])
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            CallError::Stub(idl::stubvm::StubError::Wire(
+                idl::wire::WireError::TooLong {
+                    len: 65537,
+                    max: 65536
+                }
+            ))
+        ),
+        "{err}"
+    );
+    assert_eq!(observed(), 0);
+    let arena = binding.state().bulk.as_ref().expect("an arena");
+    assert_eq!(arena.free_count(), arena.chunk_count());
+    assert_eq!(stats.bulk_fallbacks(), 0);
 }

@@ -452,3 +452,60 @@ fn oob_segments_are_mapped_and_reclaimed_per_call() {
     assert_eq!(small.ret, Some(Value::Int32(8)));
     assert_eq!(rt.kernel().machine().mem().region_count(), before);
 }
+
+#[test]
+fn out_of_band_results_get_a_transport_of_their_own() {
+    // A procedure with out-of-band results but no out-of-band arguments
+    // leases an arena chunk for its results; results that outgrow the
+    // chunk (an unbounded type past its estimate) take a per-call segment,
+    // charged like the arguments' fallback and reclaimed on return.
+    let rt = runtime(1);
+    let server = rt.kernel().create_domain("blob");
+    rt.export(
+        &server,
+        "interface R { procedure Make(n: int32) -> gc; }",
+        vec![Box::new(|_: &ServerCtx, args: &[Value]| {
+            let Value::Int32(n) = args[0] else {
+                unreachable!()
+            };
+            Ok(Reply::value(Value::Gc(vec![0x5a; n as usize])))
+        }) as Handler],
+    )
+    .unwrap();
+    let client = rt.kernel().create_domain("c");
+    let thread = rt.kernel().spawn_thread(&client);
+    let binding = rt.import(&client, "R").unwrap();
+    let arena = binding
+        .state()
+        .bulk
+        .as_ref()
+        .expect("results need an arena");
+    let regions = || rt.kernel().machine().mem().region_count();
+
+    let small = binding
+        .call(0, &thread, "Make", &[Value::Int32(100)])
+        .unwrap();
+    assert_eq!(small.ret, Some(Value::Gc(vec![0x5a; 100])));
+    assert_eq!(
+        small.meter.total_for(firefly::meter::Phase::OobSegment),
+        firefly::Nanos::ZERO
+    );
+    let before = regions();
+
+    let big = 2 * arena.chunk_size();
+    let out = binding
+        .call(0, &thread, "Make", &[Value::Int32(big as i32)])
+        .unwrap();
+    assert_eq!(out.ret, Some(Value::Gc(vec![0x5a; big])));
+    assert_eq!(
+        out.meter.total_for(firefly::meter::Phase::OobSegment),
+        lrpc::OOB_SEGMENT_COST
+    );
+    assert_eq!(binding.state().stats.bulk_fallbacks(), 1);
+    assert_eq!(regions(), before, "the per-call segment is freed on return");
+    assert_eq!(
+        arena.free_count(),
+        arena.chunk_count(),
+        "every chunk returned"
+    );
+}

@@ -468,6 +468,18 @@ fn warmed_batch_tlb_hits_and_misses_are_pinned() {
     // as one access per descriptor would. Touching each ring page once
     // per pass instead leaves the misses alone and drops hits, which the
     // replay corpus reports only as a metrics-digest mismatch.
+    //
+    // Out-of-band results cross the arena too. The four `Echo` calls
+    // (payloads 512, 64, 1,024 and 128 bytes) each lease a chunk, and a
+    // segment is an 8-byte header, a 4-byte length and the payload, so one
+    // pass over the four segments touches 2 + 1 + 3 + 1 = 7 pages. The
+    // server's result place hits the 7 pages its argument read has just
+    // missed (+7 hits); the client's result fetch, after the switch back,
+    // misses all 7 (+7 misses). The LIFO chunk stack hands this batch its
+    // chunks in the reverse order of the warm-up batch before it, whose
+    // fetch left the first page of each chunk resident, so this batch's
+    // push hits 4 of its 7 pages that it used to miss (+4 hits, -4
+    // misses). Net: (555, 75) became (566, 78).
     let (rt, _server, binding, thread) = make_env();
     let requests: Vec<(usize, Vec<Value>)> = (0..16).map(|i| request(i as u8, i)).collect();
     for _ in 0..2 {
@@ -482,7 +494,7 @@ fn warmed_batch_tlb_hits_and_misses_are_pinned() {
     assert!(out.results.iter().all(Result::is_ok));
     assert_eq!(
         (cpu.tlb_hits() - hits, cpu.tlb_misses() - misses),
-        (555, 75),
+        (566, 78),
         "TLB (hits, misses) of a warmed 16-call batch"
     );
 }

@@ -52,23 +52,30 @@ fn flight_toggle() -> MutexGuard<'static, ()> {
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation of `bytes` on this thread.
+fn note_alloc(bytes: usize) {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+    ALLOC_BYTES.with(|c| c.set(c.get() + bytes as u64));
 }
 
 struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        note_alloc(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        note_alloc(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        note_alloc(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -82,6 +89,10 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn thread_allocations() -> u64 {
     ALLOCS.with(|c| c.get())
+}
+
+fn thread_allocated_bytes() -> u64 {
+    ALLOC_BYTES.with(|c| c.get())
 }
 
 fn null_env(domain_caching: bool) -> (Arc<LrpcRuntime>, Arc<kernel::Domain>, lrpc::Binding) {
@@ -388,17 +399,9 @@ fn steady_state_fixed_arg_call_makes_zero_heap_allocations() {
     assert_eq!(scope.global(), 0);
 }
 
-#[test]
-fn steady_state_large_calls_allocate_zero_per_call_oob_regions() {
-    // The bulk-arena acceptance gate: once the binding's pairwise bulk
-    // region exists, large variable-size arguments ride arena chunks, so
-    // a steady-state burst of BigIn/BigInOut calls must create *no*
-    // per-call OOB segments — the physical-memory region table stays
-    // exactly as large as it was before the burst, and the binding
-    // records zero arena-exhaustion fallbacks.
-    //
-    // `region_count()` takes the global region-table lock, so both
-    // samples happen outside any `LockTally::scope`.
+/// A runtime whose `BigIn` and `BigInOut` (an echo) move their `var
+/// bytes` parameter out of band, a binding to it and a client thread.
+fn bulk_env() -> (Arc<LrpcRuntime>, lrpc::Binding, Arc<kernel::thread::Thread>) {
     let rt = TestRuntime::new().cpus(2).build();
     let server = rt.kernel().create_domain("bulk-server");
     rt.export(
@@ -421,6 +424,21 @@ fn steady_state_large_calls_allocate_zero_per_call_oob_regions() {
     let client = rt.kernel().create_domain("bulk-client");
     let binding = rt.import(&client, "Bulk").unwrap();
     let thread = rt.kernel().spawn_thread(&client);
+    (rt, binding, thread)
+}
+
+#[test]
+fn steady_state_large_calls_allocate_zero_per_call_oob_regions() {
+    // The bulk-arena acceptance gate: once the binding's pairwise bulk
+    // region exists, large variable-size arguments ride arena chunks, so
+    // a steady-state burst of BigIn/BigInOut calls must create *no*
+    // per-call OOB segments — the physical-memory region table stays
+    // exactly as large as it was before the burst, and the binding
+    // records zero arena-exhaustion fallbacks.
+    //
+    // `region_count()` takes the global region-table lock, so both
+    // samples happen outside any `LockTally::scope`.
+    let (rt, binding, thread) = bulk_env();
     let payload = vec![0xa5u8; 8 * 1024];
 
     // Warm up both procedures so every pooled resource exists.
@@ -461,6 +479,36 @@ fn steady_state_large_calls_allocate_zero_per_call_oob_regions() {
         "the burst really moved bulk payloads through the arena \
          (zero fallbacks is not vacuous)"
     );
+}
+
+#[test]
+fn steady_state_large_calls_copy_only_the_values_they_decode() {
+    // Out-of-band values are encoded straight into the call's arena chunk
+    // and decoded straight out of it, so the payload-sized buffers a
+    // steady-state call allocates are the values it produces: BigIn's
+    // decoded argument, and for BigInOut also the handler's reply value
+    // and the client's decoded result.
+    let _recorder = flight_toggle();
+    let (_rt, binding, thread) = bulk_env();
+    let payload = 8 * 1024;
+    let args = [Value::Var(vec![0xa5u8; payload])];
+    for proc_idx in [0usize, 1] {
+        binding
+            .call_unmetered(0, &thread, proc_idx, &args)
+            .expect("warmup");
+    }
+    for (proc_idx, name, bound) in [(0usize, "BigIn", 1.5), (1, "BigInOut", 3.5)] {
+        let before = thread_allocated_bytes();
+        let out = binding
+            .call_unmetered(0, &thread, proc_idx, &args)
+            .expect("steady-state call");
+        drop(out);
+        let bytes = thread_allocated_bytes() - before;
+        assert!(
+            (bytes as f64) < bound * payload as f64,
+            "{name} allocated {bytes} bytes for a {payload}-byte payload (bound {bound}x)"
+        );
+    }
 }
 
 #[test]
