@@ -7,6 +7,8 @@
 //! runs the gated suites of [`suite::SUITES`] and persists their
 //! trajectories under one schema.
 
+#![forbid(unsafe_code)]
+
 pub mod ablations;
 pub mod batch;
 pub mod bulk;

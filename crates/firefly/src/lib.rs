@@ -26,6 +26,8 @@
 //! simulated costs to the executing [`cpu::Cpu`]. Latency results read the
 //! virtual clock, so they are deterministic and host-independent.
 
+#![forbid(unsafe_code)]
+
 pub mod contention;
 pub mod cost;
 pub mod cpu;

@@ -11,8 +11,9 @@
 //! being mapped into every context.
 
 use core::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockWriteGuard};
 
 use crate::error::MemFault;
 use crate::idhash::IdMap;
@@ -50,10 +51,22 @@ impl Protection {
     }
 }
 
-/// The mapping table of one protection domain.
+/// Slots in a context's lookup cache. Region ids are dense, so a call's
+/// A-stack, arena and ring regions fall into different slots.
+const CACHE_SLOTS: usize = 8;
+
+/// The mapping table of one protection domain, and a cache of its recent
+/// successful lookups: slot `region % CACHE_SLOTS` holds `region << 2 |
+/// code` (1 read-only, 2 read-write), or 0 when empty.
+///
+/// Invariant: no slot answers older than the last completed table change.
+/// Slots fill only under the read lock, and a change empties them all under
+/// the write lock before it edits, so a racing check lands before or after
+/// the change, as with the lock alone.
 pub struct VmContext {
     id: ContextId,
     maps: RwLock<IdMap<RegionId, Protection>>,
+    cache: [AtomicU64; CACHE_SLOTS],
 }
 
 impl VmContext {
@@ -62,6 +75,7 @@ impl VmContext {
         VmContext {
             id,
             maps: RwLock::new(IdMap::default()),
+            cache: Default::default(),
         }
     }
 
@@ -72,22 +86,50 @@ impl VmContext {
 
     /// Maps (or remaps) a region with the given protection.
     pub fn map(&self, region: RegionId, prot: Protection) {
-        self.maps.write().insert(region, prot);
+        self.change().insert(region, prot);
     }
 
     /// Removes a region's mapping; subsequent accesses fault.
     pub fn unmap(&self, region: RegionId) {
-        self.maps.write().remove(&region);
+        self.change().remove(&region);
     }
 
     /// Removes every mapping (domain teardown).
     pub fn unmap_all(&self) {
-        self.maps.write().clear();
+        self.change().clear();
     }
 
-    /// The protection with which `region` is mapped, if at all.
+    /// The write-locked table, its cache emptied under the lock.
+    fn change(&self) -> RwLockWriteGuard<'_, IdMap<RegionId, Protection>> {
+        let maps = self.maps.write();
+        for slot in &self.cache {
+            slot.store(0, Ordering::Release);
+        }
+        maps
+    }
+
+    /// The protection with which `region` is mapped, if at all: a cached
+    /// answer without a lock, else the table's (cached if mapped).
     pub fn protection(&self, region: RegionId) -> Option<Protection> {
-        self.maps.read().get(&region).copied()
+        let slot = &self.cache[region.0 as usize % CACHE_SLOTS];
+        // Pairs with the Release stores that fill and empty the slots.
+        let cached = slot.load(Ordering::Acquire);
+        match cached & 3 {
+            1 if cached >> 2 == region.0 => return Some(Protection::Read),
+            2 if cached >> 2 == region.0 => return Some(Protection::ReadWrite),
+            _ => {}
+        }
+        let maps = self.maps.read();
+        let prot = maps.get(&region).copied();
+        // Fill under the read lock: a change waits for the fill, then
+        // empties the slot. A fill after dropping the lock could keep an
+        // answer a change has revoked. An id too large to shift is never
+        // cached.
+        if let Some(p) = prot.filter(|_| region.0 <= u64::MAX >> 2) {
+            let code = 1 + p.allows_write() as u64;
+            slot.store(region.0 << 2 | code, Ordering::Release);
+        }
+        prot
     }
 
     /// Number of regions mapped.
@@ -179,5 +221,101 @@ mod tests {
         c.map(RegionId(5), Protection::Read);
         c.unmap_all();
         assert_eq!(c.mapped_count(), 0);
+    }
+
+    fn not_mapped(c: &VmContext, region: u64) -> bool {
+        let err = c.check(RegionId(region), false, false);
+        matches!(err, Err(MemFault::NotMapped { .. }))
+    }
+
+    #[test]
+    fn unmap_empties_a_warm_cache() {
+        let c = ctx();
+        c.map(RegionId(3), Protection::ReadWrite);
+        assert!(c.check(RegionId(3), true, false).is_ok());
+        c.unmap(RegionId(3));
+        assert!(not_mapped(&c, 3));
+    }
+
+    #[test]
+    fn a_read_only_remap_revokes_a_cached_write() {
+        let c = ctx();
+        c.map(RegionId(3), Protection::ReadWrite);
+        assert!(c.check(RegionId(3), true, false).is_ok());
+        c.map(RegionId(3), Protection::Read);
+        let err = c.check(RegionId(3), true, false).unwrap_err();
+        assert!(matches!(
+            err,
+            MemFault::ProtectionViolation { write: true, .. }
+        ));
+        assert!(c.check(RegionId(3), false, false).is_ok());
+    }
+
+    #[test]
+    fn unmap_all_empties_a_warm_cache() {
+        let c = ctx();
+        for r in 1..=CACHE_SLOTS as u64 {
+            c.map(RegionId(r), Protection::Read);
+            assert!(c.check(RegionId(r), false, false).is_ok());
+        }
+        c.unmap_all();
+        assert!((1..=CACHE_SLOTS as u64).all(|r| not_mapped(&c, r)));
+    }
+
+    #[test]
+    fn regions_sharing_a_slot_do_not_cross_talk() {
+        let (a, b) = (RegionId(3), RegionId(3 + CACHE_SLOTS as u64));
+        let c = ctx();
+        c.map(a, Protection::ReadWrite);
+        c.map(b, Protection::Read);
+        for _ in 0..4 {
+            assert!(c.check(a, true, false).is_ok());
+            assert!(c.check(b, true, false).is_err());
+            assert!(c.check(b, false, false).is_ok());
+        }
+        c.unmap(b);
+        assert!(c.check(a, true, false).is_ok());
+        assert!(not_mapped(&c, b.0));
+    }
+
+    #[test]
+    fn ids_too_large_to_cache_are_checked_in_the_table() {
+        let big = RegionId((1 << 62) + 3);
+        let c = ctx();
+        c.map(big, Protection::Read);
+        for _ in 0..2 {
+            assert!(c.check(big, false, false).is_ok());
+            assert!(c.check(big, true, false).is_err());
+            assert!(not_mapped(&c, 3), "no answer for the id's low bits");
+        }
+    }
+
+    #[test]
+    fn an_unmap_seen_on_another_thread_is_never_answered_stale() {
+        use std::sync::mpsc::channel;
+        use std::sync::Arc;
+
+        let c = Arc::new(ctx());
+        let (warmed_tx, warmed_rx) = channel::<u64>();
+        let (unmapped_tx, unmapped_rx) = channel::<u64>();
+        let unmapper = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || {
+                for region in warmed_rx {
+                    c.unmap(RegionId(region));
+                    unmapped_tx.send(region).unwrap();
+                }
+            })
+        };
+        for round in 0..1_000u64 {
+            let region = 1 + round % (2 * CACHE_SLOTS as u64);
+            c.map(RegionId(region), Protection::ReadWrite);
+            assert!(c.check(RegionId(region), true, false).is_ok());
+            warmed_tx.send(region).unwrap();
+            assert_eq!(unmapped_rx.recv().unwrap(), region);
+            assert!(not_mapped(&c, region), "round {round}: a stale answer");
+        }
+        drop(warmed_tx);
+        unmapper.join().unwrap();
     }
 }

@@ -1,15 +1,16 @@
 //! Property tests for the hardware substrate.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use firefly::contention::{simulate_throughput, CallProfile, ResourceId, Seg};
 use firefly::cost::CostModel;
 use firefly::cpu::Machine;
+use firefly::error::MemFault;
 use firefly::mem::{PageId, RegionId, PAGE_SIZE};
 use firefly::meter::{Meter, Phase};
 use firefly::time::Nanos;
 use firefly::tlb::{Tlb, TlbMode};
-use firefly::vm::ContextId;
+use firefly::vm::{ContextId, Protection, VmContext};
 use proptest::prelude::*;
 
 proptest! {
@@ -274,6 +275,82 @@ proptest! {
         prop_assert_eq!(tlb.hits(), reference.hits);
         prop_assert_eq!(tlb.misses(), reference.misses);
         prop_assert_eq!(tlb.invalidations(), reference.invalidations);
+    }
+}
+
+// ----------------------------------------------------------------------
+// Protection checks against a plain map.
+// ----------------------------------------------------------------------
+
+#[derive(Clone, Copy, Debug)]
+enum VmOp {
+    Map(RegionId, Protection),
+    Unmap(RegionId),
+    UnmapAll,
+    Check(RegionId, bool),
+}
+
+/// Random table changes and checks over a dozen region ids, so ids that
+/// share a cache slot meet often and most checks hit a warm slot.
+fn vm_ops() -> impl Strategy<Value = Vec<VmOp>> {
+    let op = (0u32..32, 0u64..12, any::<bool>()).prop_map(|(kind, id, flag)| {
+        let region = RegionId(id);
+        match kind {
+            0..=3 => {
+                let prot = if flag {
+                    Protection::ReadWrite
+                } else {
+                    Protection::Read
+                };
+                VmOp::Map(region, prot)
+            }
+            4..=7 => VmOp::Unmap(region),
+            8 => VmOp::UnmapAll,
+            _ => VmOp::Check(region, flag),
+        }
+    });
+    proptest::collection::vec(op, 1..400)
+}
+
+proptest! {
+    #[test]
+    fn protection_checks_agree_with_a_plain_map(ops in vm_ops()) {
+        let ctx = VmContext::new(ContextId(5));
+        let mut reference: HashMap<RegionId, Protection> = HashMap::new();
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                VmOp::Map(region, prot) => {
+                    ctx.map(region, prot);
+                    reference.insert(region, prot);
+                }
+                VmOp::Unmap(region) => {
+                    ctx.unmap(region);
+                    reference.remove(&region);
+                }
+                VmOp::UnmapAll => {
+                    ctx.unmap_all();
+                    reference.clear();
+                }
+                VmOp::Check(region, write) => {
+                    let expected = match reference.get(&region) {
+                        None => Err(MemFault::NotMapped { ctx: ctx.id(), region }),
+                        Some(p) if write && !p.allows_write() => {
+                            Err(MemFault::ProtectionViolation { ctx: ctx.id(), region, write })
+                        }
+                        Some(_) => Ok(()),
+                    };
+                    prop_assert_eq!(
+                        ctx.check(region, write, false),
+                        expected,
+                        "step {}: {:?}",
+                        step,
+                        op
+                    );
+                    prop_assert_eq!(ctx.protection(region), reference.get(&region).copied());
+                }
+            }
+        }
+        prop_assert_eq!(ctx.mapped_count(), reference.len());
     }
 }
 

@@ -19,6 +19,8 @@
 //! * [`kernel::Kernel`] — the facade: domain/thread creation, pairwise
 //!   shared-memory mapping, trap accounting and the termination collector.
 
+#![forbid(unsafe_code)]
+
 pub mod domain;
 pub mod ids;
 pub mod kernel;

@@ -77,6 +77,7 @@ use kernel::Domain;
 
 use crate::astack::{AStackPolicy, AStackRef, LinkageSlot};
 use crate::binding::{Binding, BindingState, BindingStats, Reply, ServerCtx};
+use crate::bulk::BulkArena;
 use crate::error::CallError;
 use crate::runtime::LrpcRuntime;
 
@@ -215,21 +216,69 @@ fn touch_stage(cpu: &Cpu, set: &[PageId], astack: Option<&AStackRef>, meter: &mu
 /// domain's mapping table. The sender encodes each segment straight into it
 /// behind a `[len | 0]` header; the receiver rebuilds its own table from
 /// the headers and decodes each segment where it lies. Arguments go in from
-/// the base, then results. Without a region, a transport only sizes what is
+/// the base, then results. Without a lease, a transport only sizes what is
 /// appended, so a stub that cannot encode a value fails where it would.
 #[derive(Default)]
-struct OobTransport {
-    region: Option<Arc<Region>>,
+struct OobTransport<'a> {
+    lease: Option<Lease<'a>>,
     /// The span the call holds: `len` bytes from `base`.
     base: usize,
     len: usize,
-    /// The leased arena chunk; `None` for a per-call segment.
-    chunk: Option<usize>,
     /// This side's segment table: each payload's offset and length.
-    segs: Vec<(usize, usize)>,
+    segs: SegTable,
 }
 
-impl OobTransport {
+/// What a transport holds for the call.
+enum Lease<'a> {
+    /// A chunk, by index, of the binding's arena (which outlives the call).
+    Chunk(&'a BulkArena, usize),
+    /// A per-call segment, unmapped and freed on release.
+    Segment(Arc<Region>),
+}
+
+impl Lease<'_> {
+    fn region(&self) -> &Region {
+        match self {
+            Lease::Chunk(arena, _) => arena.region(),
+            Lease::Segment(region) => region,
+        }
+    }
+}
+
+/// A segment table kept inline up to `INLINE_SEGS` entries, so a call with
+/// no more segments allocates none; past that, every entry is in `spill`.
+#[derive(Default)]
+struct SegTable {
+    inline: [(usize, usize); INLINE_SEGS],
+    spill: Vec<(usize, usize)>,
+    len: usize,
+}
+
+const INLINE_SEGS: usize = 4;
+
+impl SegTable {
+    fn push(&mut self, seg: (usize, usize)) {
+        match self.inline.get_mut(self.len) {
+            Some(entry) => *entry = seg,
+            None => {
+                if self.len == INLINE_SEGS {
+                    self.spill.extend_from_slice(&self.inline);
+                }
+                self.spill.push(seg);
+            }
+        }
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for SegTable {
+    type Target = [(usize, usize)];
+    fn deref(&self) -> &Self::Target {
+        self.inline.get(..self.len).unwrap_or(&self.spill)
+    }
+}
+
+impl<'a> OobTransport<'a> {
     /// Readies the transport for the `need` bytes the `sender` puts in from
     /// its base (`None`: a value that cannot encode, which the stub then
     /// raises without a transport). One too small, or none, gives way to a
@@ -238,26 +287,26 @@ impl OobTransport {
     fn ready(
         &mut self,
         rt: &LrpcRuntime,
-        state: &BindingState,
+        state: &'a BindingState,
         need: Option<usize>,
         exhausted: bool,
         sender: &VmContext,
     ) -> Result<bool, MemFault> {
-        self.segs.clear();
+        self.segs = SegTable::default();
         if need == Some(0) {
             return Ok(false);
         }
-        let fits = self.region.is_some() && need.is_some_and(|n| n <= self.len);
+        let fits = self.lease.is_some() && need.is_some_and(|n| n <= self.len);
         if !fits {
             self.release(rt, state);
             let Some(need) = need else {
                 return Ok(false);
             };
-            let arena = state.bulk.as_ref().filter(|_| !exhausted);
-            match arena.and_then(|a| Some((a, a.acquire(need)?))) {
+            let arena = state.bulk.as_deref().filter(|_| !exhausted);
+            self.lease = Some(match arena.and_then(|a| Some((a, a.acquire(need)?))) {
                 Some((arena, c)) => {
-                    self.region = Some(Arc::clone(arena.region()));
-                    (self.base, self.len, self.chunk) = (c.offset, c.size, Some(c.index));
+                    (self.base, self.len) = (c.offset, c.size);
+                    Lease::Chunk(arena, c.index)
                 }
                 None => {
                     state.stats.note_bulk_fallback();
@@ -266,25 +315,21 @@ impl OobTransport {
                     let seg = rt
                         .kernel()
                         .map_pairwise("oob-segment", client, server, self.len);
-                    self.region = Some(seg);
+                    Lease::Segment(seg)
                 }
-            }
+            });
         }
-        let region = self.region.as_ref().expect("a leased transport");
-        sender.check(region.id(), true, false)?;
-        Ok(!fits && self.chunk.is_none())
+        let lease = self.lease.as_ref().expect("a leased transport");
+        sender.check(lease.region().id(), true, false)?;
+        Ok(!fits && matches!(lease, Lease::Segment(_)))
     }
 
     /// Returns the arena chunk or unmaps and frees the per-call segment.
     fn release(&mut self, rt: &LrpcRuntime, state: &BindingState) {
-        let t = mem::take(self);
-        let Some(region) = t.region else {
-            return;
-        };
-        match (t.chunk, &state.bulk) {
-            (Some(chunk), Some(arena)) => arena.release(chunk),
-            (Some(_), None) => {}
-            (None, _) => {
+        match mem::take(self).lease {
+            None => {}
+            Some(Lease::Chunk(arena, chunk)) => arena.release(chunk),
+            Some(Lease::Segment(region)) => {
                 state.client.ctx().unmap(region.id());
                 state.server.ctx().unmap(region.id());
                 rt.kernel().machine().mem().free(region.id());
@@ -295,8 +340,8 @@ impl OobTransport {
     /// The receiver's half: `ctx`'s read check, then the table of the first
     /// `count` segments from their headers, and their pages touched.
     fn receive(&mut self, cpu: &Cpu, ctx: &VmContext, count: usize) -> Result<(), MemFault> {
-        self.segs.clear();
-        let Some(region) = &self.region else {
+        self.segs = SegTable::default();
+        let Some(region) = self.lease.as_ref().map(Lease::region) else {
             return Ok(());
         };
         ctx.check(region.id(), false, false)?;
@@ -332,20 +377,20 @@ impl OobTransport {
 
     /// Touches the pages of every segment in the table, headers included.
     fn touch(&self, cpu: &Cpu) {
-        let Some(region) = &self.region else {
+        let Some(region) = self.lease.as_ref().map(Lease::region) else {
             return;
         };
-        for &(off, len) in &self.segs {
+        for &(off, len) in self.segs.iter() {
             let seg = region.pages_for(off - OOB_DESCRIPTOR_SIZE, len + OOB_DESCRIPTOR_SIZE);
             cpu.touch_pages(seg, &mut Meter::disabled());
         }
     }
 }
 
-impl OobSegments for OobTransport {
+impl OobSegments for OobTransport<'_> {
     fn append(&mut self, value: &Value, ty: &Ty) -> Result<(u32, usize), StubError> {
         let id = self.segs.len() as u32;
-        let Some(region) = &self.region else {
+        let Some(region) = self.lease.as_ref().map(Lease::region) else {
             return Ok((id, encoded_len(value, ty)?));
         };
         let hdr = self.segs.last().map_or(self.base, |&(off, len)| off + len);
@@ -371,7 +416,8 @@ impl OobSegments for OobTransport {
 
     fn decode(&self, id: u32, len: u32, ty: &Ty, checked: bool) -> Result<Value, StubError> {
         self.check(id, len)?;
-        let region = self.region.as_ref().expect("only a region holds segments");
+        let region = self.lease.as_ref().map(Lease::region);
+        let region = region.expect("only a lease holds segments");
         let read = |seg: &[u8]| decode_as(seg, ty, checked);
         Ok(region
             .read_with(self.segs[id as usize].0, len as usize, read)??
@@ -413,7 +459,7 @@ pub(crate) struct InFlight<'a> {
     meter: Meter,
     copies: CopyLog,
     astack: Option<AStackRef>,
-    transport: OobTransport,
+    transport: OobTransport<'a>,
     slot: Option<Arc<LinkageSlot>>,
     estack_key: Option<u64>,
     /// True while the serial front-end's linkage is on the thread.
@@ -710,7 +756,7 @@ impl<'a> InFlight<'a> {
         // The arguments' out-of-band segments, under the server's
         // protection context: its own table, rebuilt from the headers in
         // the shared transport, then decoded straight out of it.
-        if self.transport.region.is_some() {
+        if self.transport.lease.is_some() {
             self.transport
                 .receive(cpu, server_ctx, proc.oob_slots(false).count())?;
         }
@@ -862,13 +908,16 @@ impl<'a> InFlight<'a> {
         );
         if self.meter.is_enabled() {
             // Virtual time the four stub halves cost this call, for the
-            // per-interface `lrpc_stub_ns` histogram.
-            state.stats.observe_stub_ns(
-                self.meter.total_for(Phase::ClientStub)
-                    + self.meter.total_for(Phase::ServerStub)
-                    + self.meter.total_for(Phase::ArgCopy)
-                    + self.meter.total_for(Phase::Marshal),
-            );
+            // per-interface `lrpc_stub_ns` histogram, in one pass.
+            let stub = [
+                Phase::ClientStub,
+                Phase::ServerStub,
+                Phase::ArgCopy,
+                Phase::Marshal,
+            ];
+            let segs = self.meter.segments().iter();
+            let stub_ns = segs.filter(|s| stub.contains(&s.phase)).map(|s| s.dur);
+            state.stats.observe_stub_ns(stub_ns.sum());
         }
         Ok(self.finish(cpu, ret, outs))
     }
@@ -899,7 +948,7 @@ impl<'a> InFlight<'a> {
             let _ = self.thread.pop_linkage();
         }
         self.kernel_return();
-        if self.transport.region.is_some() {
+        if self.transport.lease.is_some() {
             self.transport.release(self.rt, self.state);
         }
         if let Some(a) = self.astack.take() {

@@ -53,6 +53,8 @@
 //! assert_eq!(outcome.ret, Some(Value::Int32(5)));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adapt;
 pub mod astack;
 pub mod binding;

@@ -9,6 +9,7 @@ use firefly::fault::{FaultConfig, FaultPlan};
 use firefly::meter::Phase;
 use firefly::time::Nanos;
 use firefly::tlb::TlbMode;
+use firefly::vm::Protection;
 use idl::wire::Value;
 use kernel::thread::Thread;
 use kernel::Domain;
@@ -852,6 +853,62 @@ fn a_client_unmapped_from_the_arena_cannot_move_out_of_band_data() {
         );
     }
     assert_eq!(arena.free_count(), arena.chunk_count(), "chunks returned");
+}
+
+#[test]
+fn mapping_changes_after_warm_calls_take_effect_at_once() {
+    // Each domain answers repeated protection checks from a cache, so
+    // these changes land after successful calls have warmed it: every
+    // unmap and remap must still decide the very next call.
+    let (client, thread, binding) = oob_setup();
+    let state = binding.state();
+    let arena = state.bulk.as_ref().expect("an arena");
+    let calls = |expect_ok: bool| {
+        for proc in ["Send", "Bump"] {
+            for _ in 0..2 {
+                let out = binding.call(0, &thread, proc, &[Value::Var(vec![7; 3000])]);
+                match out {
+                    Ok(_) if expect_ok => {}
+                    Err(CallError::Mem(MemFault::NotMapped { .. })) if !expect_ok => {}
+                    other => panic!("{proc}: {other:?}"),
+                }
+            }
+        }
+    };
+    calls(true);
+    client.ctx().unmap(arena.region().id());
+    calls(false);
+    client.ctx().map(arena.region().id(), Protection::ReadWrite);
+    calls(true);
+    let bumped = binding
+        .call(0, &thread, "Bump", &[Value::Var(vec![7; 3000])])
+        .unwrap();
+    assert_eq!(bumped.outs, vec![(0, Value::Var(vec![8; 3000]))]);
+
+    // The server loses its A-stacks: the call fails as it does on a
+    // binding that never warmed a cache.
+    let astacks = |binding: &Binding| binding.state().astacks.primary_region().id();
+    let unmap_astacks = |binding: &Binding| {
+        binding.state().server.ctx().unmap(astacks(binding));
+    };
+    let send = |binding: &Binding, thread: &Arc<Thread>| {
+        let err = binding
+            .call(0, thread, "Send", &[Value::Var(vec![7; 3000])])
+            .unwrap_err();
+        format!("{err:?}")
+    };
+    unmap_astacks(&binding);
+    let warm = send(&binding, &thread);
+    let (_cold_client, cold_thread, cold) = oob_setup();
+    unmap_astacks(&cold);
+    assert_eq!(warm, send(&cold, &cold_thread));
+    assert!(warm.contains("NotMapped"), "{warm}");
+
+    assert_eq!(arena.free_count(), arena.chunk_count(), "chunks returned");
+    for class in 0..state.astacks.classes().len() {
+        let free = state.astacks.free_count(class);
+        assert_eq!(free, state.astacks.class_count(class), "A-stacks returned");
+    }
 }
 
 #[test]

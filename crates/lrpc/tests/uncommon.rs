@@ -509,3 +509,42 @@ fn out_of_band_results_get_a_transport_of_their_own() {
         "every chunk returned"
     );
 }
+
+#[test]
+fn more_out_of_band_segments_than_the_table_keeps_inline_round_trip() {
+    // Five out-of-band values each way: the fifth spills the segment
+    // table past its inline entries on both sides of both directions.
+    let rt = runtime(1);
+    let server = rt.kernel().create_domain("five");
+    rt.export(
+        &server,
+        "interface F { procedure Five(a: inout gc, b: inout gc, c: inout gc, \
+         d: inout gc, e: inout gc); }",
+        vec![Box::new(|_: &ServerCtx, args: &[Value]| {
+            let mut reply = Reply::none();
+            for (i, arg) in args.iter().enumerate() {
+                let Value::Gc(data) = arg else { unreachable!() };
+                let bumped = data.iter().map(|b| b + 1).collect();
+                reply = reply.with_out(i, Value::Gc(bumped));
+            }
+            Ok(reply)
+        }) as Handler],
+    )
+    .unwrap();
+    let client = rt.kernel().create_domain("c");
+    let thread = rt.kernel().spawn_thread(&client);
+    let binding = rt.import(&client, "F").unwrap();
+    let args: Vec<Value> = (0..5u8)
+        .map(|i| Value::Gc(vec![i; 100 + i as usize]))
+        .collect();
+    for _ in 0..2 {
+        let out = binding.call(0, &thread, "Five", &args).unwrap();
+        let want: Vec<(usize, Value)> = (0..5u8)
+            .map(|i| (i as usize, Value::Gc(vec![i + 1; 100 + i as usize])))
+            .collect();
+        assert_eq!(out.outs, want);
+    }
+    let arena = binding.state().bulk.as_ref().expect("an arena");
+    assert_eq!(arena.free_count(), arena.chunk_count());
+    assert_eq!(binding.state().stats.bulk_fallbacks(), 0);
+}

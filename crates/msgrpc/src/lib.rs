@@ -22,6 +22,8 @@
 //! conventional network RPC stub that LRPC's remote-bit branch targets
 //! (Section 5.1).
 
+#![forbid(unsafe_code)]
+
 pub mod internet;
 pub mod marshal;
 pub mod message;

@@ -30,6 +30,8 @@
 //! is plain atomic stores). `tests/lockfree.rs` at the workspace root
 //! proves both.
 
+#![forbid(unsafe_code)]
+
 pub mod export;
 pub mod flight;
 pub mod latency;

@@ -31,6 +31,8 @@
 //! but each site's own sequence is exactly reproducible — and that is
 //! what the byte-equality oracle needs.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

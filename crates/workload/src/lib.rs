@@ -18,6 +18,8 @@
 //!   interfaces, tens of thousands of bindings, seeded exponential
 //!   arrivals mixing serial/batch/bulk calls) for the tail benchmark.
 
+#![forbid(unsafe_code)]
+
 pub mod activity;
 pub mod corpus;
 pub mod site;

@@ -487,7 +487,11 @@ fn steady_state_large_calls_copy_only_the_values_they_decode() {
     // and decoded straight out of it, so the payload-sized buffers a
     // steady-state call allocates are the values it produces: BigIn's
     // decoded argument, and for BigInOut also the handler's reply value
-    // and the client's decoded result.
+    // and the client's decoded result. The lease itself allocates
+    // nothing: the chunk is borrowed and the segment table is inline.
+    // The count is pinned exactly: beyond those values, BigIn allocates
+    // the interpreter's argument vector, and BigInOut that vector and the
+    // reply's and the outcome's `outs` vectors.
     let _recorder = flight_toggle();
     let (_rt, binding, thread) = bulk_env();
     let payload = 8 * 1024;
@@ -497,8 +501,8 @@ fn steady_state_large_calls_copy_only_the_values_they_decode() {
             .call_unmetered(0, &thread, proc_idx, &args)
             .expect("warmup");
     }
-    for (proc_idx, name, bound) in [(0usize, "BigIn", 1.5), (1, "BigInOut", 3.5)] {
-        let before = thread_allocated_bytes();
+    for (proc_idx, name, bound, count) in [(0usize, "BigIn", 1.5, 2), (1, "BigInOut", 3.5, 6)] {
+        let (before, allocs) = (thread_allocated_bytes(), thread_allocations());
         let out = binding
             .call_unmetered(0, &thread, proc_idx, &args)
             .expect("steady-state call");
@@ -508,6 +512,8 @@ fn steady_state_large_calls_copy_only_the_values_they_decode() {
             (bytes as f64) < bound * payload as f64,
             "{name} allocated {bytes} bytes for a {payload}-byte payload (bound {bound}x)"
         );
+        let allocs = thread_allocations() - allocs;
+        assert_eq!(allocs, count, "{name}'s allocations per call");
     }
 }
 
