@@ -9,8 +9,9 @@
 //!
 //! * **Per-mix quantiles.** Every call's *open-loop* virtual latency
 //!   (completion − scheduled arrival, so backlog queueing counts) lands
-//!   in an HDR [`obs::TailHistogram`] per workload mix; host wall time
-//!   is recorded alongside but never gated — the host runs a simulator.
+//!   in a tail-precision [`obs::Histogram`] per workload mix; host wall
+//!   time is recorded alongside but never gated — the host runs a
+//!   simulator.
 //! * **A windowed time-series** over virtual completion time, so a burst
 //!   that queues behind a batch or a bulk copy shows up in *its* window's
 //!   p99 instead of being averaged away.
@@ -52,7 +53,7 @@ use firefly::vm::ContextId;
 use idl::wire::Value;
 use kernel::thread::Thread;
 use lrpc::{AStackPolicy, AdaptConfig, AdaptPlan, Binding, Handler, Reply, ServerCtx, TestRuntime};
-use obs::latency::{TailHistogram, TailSnapshot, WindowedSeries};
+use obs::histogram::{Histogram, HistogramSnapshot, WindowedSeries, TAIL_BITS};
 use workload::site::{
     generate_site, interface_name, CallKind, SitePlan, SiteSpec, PROC_GET, PROC_PUT, PROC_SEND,
 };
@@ -153,7 +154,7 @@ pub struct MixStats {
 }
 
 impl MixStats {
-    fn from_snapshot(s: &TailSnapshot) -> MixStats {
+    fn from_snapshot(s: &HistogramSnapshot) -> MixStats {
         MixStats {
             count: s.count,
             p50: s.quantile(0.50).unwrap_or(0),
@@ -394,23 +395,27 @@ fn run_leg(
     let harvested = env.rt.adapt_plan(&AdaptConfig::default());
 
     // Per-mix quantiles, virtual and host.
-    let virt_all = TailHistogram::new();
-    let host_all = TailHistogram::new();
-    let mut virt_mix: BTreeMap<&'static str, TailHistogram> = BTreeMap::new();
-    let mut host_mix: BTreeMap<&'static str, TailHistogram> = BTreeMap::new();
+    let tail = || Histogram::new(TAIL_BITS);
+    let virt_all = tail();
+    let host_all = tail();
+    let mut virt_mix: BTreeMap<&'static str, Histogram> = BTreeMap::new();
+    let mut host_mix: BTreeMap<&'static str, Histogram> = BTreeMap::new();
     let mut windows = WindowedSeries::new(spec.site.window_ns);
     for r in &records {
         virt_all.observe(r.latency_ns);
         host_all.observe(r.wall_ns);
         virt_mix
             .entry(r.mix.name())
-            .or_default()
+            .or_insert_with(tail)
             .observe(r.latency_ns);
-        host_mix.entry(r.mix.name()).or_default().observe(r.wall_ns);
+        host_mix
+            .entry(r.mix.name())
+            .or_insert_with(tail)
+            .observe(r.wall_ns);
         windows.observe(r.completion_ns, r.latency_ns);
     }
-    let stats_for = |map: &BTreeMap<&'static str, TailHistogram>,
-                     all: &TailHistogram|
+    let stats_for = |map: &BTreeMap<&'static str, Histogram>,
+                     all: &Histogram|
      -> Vec<(&'static str, MixStats)> {
         MIXES
             .iter()

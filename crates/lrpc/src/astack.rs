@@ -104,17 +104,17 @@ pub struct AStackRef {
     pub overflow: bool,
 }
 
-/// The kernel-private record paired with each A-stack.
+/// The kernel-private record paired with each A-stack: its `in_use`
+/// flag. The caller's return linkage itself lives on the thread's
+/// linkage stack.
 pub struct LinkageSlot {
     in_use: AtomicBool,
-    record: Mutex<Option<Linkage>>,
 }
 
 impl LinkageSlot {
     fn new() -> LinkageSlot {
         LinkageSlot {
             in_use: AtomicBool::new(false),
-            record: Mutex::new(None),
         }
     }
 
@@ -125,14 +125,13 @@ impl LinkageSlot {
             .is_ok()
     }
 
-    /// Stores the caller's return linkage.
-    pub fn set_record(&self, l: Linkage) {
-        *self.record.lock() = Some(l);
-    }
+    /// Does nothing: the slot keeps no copy of the linkage. It stays only
+    /// while hostbench's probe, which replays the call path, still calls
+    /// it; it goes with the probe (ROADMAP item 1).
+    pub fn set_record(&self, _linkage: Linkage) {}
 
     /// Releases the slot at return time.
     pub fn release(&self) {
-        *self.record.lock() = None;
         self.in_use.store(false, Ordering::Release);
     }
 

@@ -19,6 +19,7 @@ use idl::wire::Value;
 use kernel::objects::RawHandle;
 use kernel::thread::Thread;
 use kernel::Domain;
+use obs::histogram::{LOG2_BITS, TAIL_BITS};
 
 use crate::astack::AStackSet;
 use crate::bulk::BulkArena;
@@ -234,22 +235,21 @@ pub struct BindingStats {
     /// binding of the interface the same counters, which outlive the
     /// binding, so the runtime totals keep what terminated bindings counted.
     totals: [obs::Counter; 4],
-    /// Per-call latency histogram, `lrpc_call_latency_ns:{interface}`.
-    latency: obs::Histogram,
     /// Per-call stub-phase (client stub + server stub + argument
-    /// copy/marshal) virtual time, `lrpc_stub_ns:{interface}`.
+    /// copy/marshal) virtual time (log2 buckets),
+    /// `lrpc_stub_ns:{interface}`.
     stub_ns: obs::Histogram,
     /// Total out-of-band bytes per call (log2 buckets),
     /// `lrpc_bulk_bytes:{interface}`; `None` for a remote binding.
     bulk_bytes: Option<obs::Histogram>,
-    /// Calls per submitted batch, `lrpc_batch_size:{interface}`; `None`
-    /// for a remote binding.
+    /// Calls per submitted batch (log2 buckets),
+    /// `lrpc_batch_size:{interface}`; `None` for a remote binding.
     batch_size: Option<obs::Histogram>,
-    /// High-resolution per-call latency (HDR-style sub-octave buckets,
-    /// so p99/p999 are resolvable), `lrpc_tail_latency_ns:{interface}`.
-    /// Stamped on every completion path — serial, batch reap, and the
-    /// remote branch.
-    tail_latency: obs::TailHistogram,
+    /// The binding's one latency histogram, at tail precision (128
+    /// sub-buckets per octave, so p99/p999 are resolvable),
+    /// `lrpc_tail_latency_ns:{interface}`. Every completion — serial,
+    /// batch reap, and the remote branch — observes it once.
+    tail_latency: obs::Histogram,
     /// Transfers that found a processor idling in the target context
     /// (Section 3.4's domain caching), `lrpc_domain_cache_hits:{interface}`:
     /// the processor exchanges. Call and return directions both count,
@@ -279,13 +279,13 @@ impl BindingStats {
             remote_calls: AtomicU64::new(0),
             bulk_fallbacks: AtomicU64::new(0),
             totals: TOTALS.map(|total| metrics.counter(&format!("{total}:{interface}"))),
-            latency: metrics.histogram(&format!("lrpc_call_latency_ns:{interface}")),
-            stub_ns: metrics.histogram(&format!("lrpc_stub_ns:{interface}")),
+            stub_ns: metrics.histogram(&format!("lrpc_stub_ns:{interface}"), LOG2_BITS),
             bulk_bytes: (!remote)
-                .then(|| metrics.histogram(&format!("lrpc_bulk_bytes:{interface}"))),
+                .then(|| metrics.histogram(&format!("lrpc_bulk_bytes:{interface}"), LOG2_BITS)),
             batch_size: (!remote)
-                .then(|| metrics.histogram(&format!("lrpc_batch_size:{interface}"))),
-            tail_latency: metrics.tail(&format!("lrpc_tail_latency_ns:{interface}")),
+                .then(|| metrics.histogram(&format!("lrpc_batch_size:{interface}"), LOG2_BITS)),
+            tail_latency: metrics
+                .histogram(&format!("lrpc_tail_latency_ns:{interface}"), TAIL_BITS),
             cache_hits: (!remote)
                 .then(|| metrics.counter(&format!("lrpc_domain_cache_hits:{interface}"))),
             cache_misses: (!remote)
@@ -334,13 +334,12 @@ impl BindingStats {
         self.totals[3].inc();
     }
 
-    /// The latency histogram; every binding has one.
+    /// Always `None`: [`BindingStats::tail_latency`] is the binding's one
+    /// latency histogram. This accessor stays only while hostbench's
+    /// probe, which replays the call path and observes what it returns,
+    /// still calls it; it goes with the probe (ROADMAP item 1).
     pub fn latency(&self) -> Option<&obs::Histogram> {
-        Some(&self.latency)
-    }
-
-    pub(crate) fn observe_latency(&self, elapsed: Nanos) {
-        self.latency.observe(elapsed.as_nanos());
+        None
     }
 
     /// The stub-phase histogram; every binding has one.
@@ -380,8 +379,8 @@ impl BindingStats {
         self.batch_peak.load(Ordering::Relaxed)
     }
 
-    /// The tail-latency histogram; every binding has one.
-    pub fn tail_latency(&self) -> Option<&obs::TailHistogram> {
+    /// The latency histogram; every binding has one.
+    pub fn tail_latency(&self) -> Option<&obs::Histogram> {
         Some(&self.tail_latency)
     }
 

@@ -55,9 +55,6 @@ pub struct BulkArena {
     /// Free chunk indices: the same lock-free LIFO as the A-stack queues,
     /// so chunk churn never serializes concurrent calls.
     free: IndexStack,
-    /// Chunks currently leased to in-flight calls; registered by the
-    /// runtime as `lrpc_bulk_arena_busy:{interface}`.
-    busy: obs::Gauge,
     /// Record/replay stream for chunk acquire outcomes (`bulk:{label}`);
     /// `None` in live mode.
     rr: Option<replay::Handle>,
@@ -145,7 +142,6 @@ impl BulkArena {
             chunk_count,
             // Seeded highest-first, so the first acquire leases chunk 0.
             free: IndexStack::full(0..chunk_count),
-            busy: obs::Gauge::new(),
             rr: (!session.is_live()).then(|| session.stream(&format!("bulk:{label}"))),
         }
     }
@@ -171,7 +167,6 @@ impl BulkArena {
             return None;
         }
         let index = self.free.pop()?;
-        self.busy.inc();
         Some(BulkChunk {
             index,
             offset: index * self.chunk_size,
@@ -182,7 +177,6 @@ impl BulkArena {
     /// Returns a chunk to the free stack at call return.
     pub fn release(&self, index: usize) {
         debug_assert!(index < self.chunk_count);
-        self.busy.dec();
         self.free.push(index);
     }
 
@@ -201,14 +195,11 @@ impl BulkArena {
         self.chunk_count
     }
 
-    /// Chunks currently free.
+    /// Chunks currently free; the rest are leased to in-flight calls
+    /// ([`LrpcRuntime::collect_metrics`](crate::LrpcRuntime::collect_metrics)
+    /// exports those as `lrpc_bulk_arena_busy:{interface}`).
     pub fn free_count(&self) -> usize {
         self.free.len()
-    }
-
-    /// Live occupancy gauge (chunks leased to in-flight calls).
-    pub fn busy_gauge(&self) -> &obs::Gauge {
-        &self.busy
     }
 }
 
@@ -298,13 +289,13 @@ mod tests {
         assert!(arena.acquire(2000).is_none(), "oversized payloads refuse");
         let c3 = arena.acquire(1).unwrap();
         assert_eq!(arena.free_count(), 0);
-        assert_eq!(arena.busy_gauge().get(), 3);
+        assert_eq!(arena.chunk_count() - arena.free_count(), 3);
         assert!(arena.acquire(1).is_none(), "exhausted arena refuses");
         arena.release(c3.index);
         arena.release(b.index);
         arena.release(a.index);
         assert_eq!(arena.free_count(), 3);
-        assert_eq!(arena.busy_gauge().get(), 0);
+        assert_eq!(arena.chunk_count() - arena.free_count(), 0);
         // LIFO: the most recently released chunk comes back first.
         assert_eq!(arena.acquire(1).unwrap().index, a.index);
     }
@@ -338,7 +329,7 @@ mod tests {
             }
         });
         assert_eq!(arena.free_count(), 4, "all chunks return to the stack");
-        assert_eq!(arena.busy_gauge().get(), 0);
+        assert_eq!(arena.chunk_count() - arena.free_count(), 0);
         let mut got: Vec<usize> = (0..4).map(|_| arena.acquire(1).unwrap().index).collect();
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2, 3]);

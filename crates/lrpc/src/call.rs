@@ -650,9 +650,9 @@ impl<'a> InFlight<'a> {
 
     /// Kernel claim against the validated binding `kstate`: the procedure
     /// range check, A-stack validation (charging the slower overflow path),
-    /// and the claim of the A-stack's linkage slot, which records the
-    /// caller's return linkage. Returns that linkage; the front-end decides
-    /// whether it goes on the thread's linkage stack.
+    /// and the claim of the A-stack's linkage slot. Returns the caller's
+    /// return linkage; the front-end decides whether it goes on the
+    /// thread's linkage stack, the one place it is kept.
     pub(crate) fn claim(
         &mut self,
         cpu: &Cpu,
@@ -679,7 +679,7 @@ impl<'a> InFlight<'a> {
         if !slot.try_claim() {
             return Err(CallError::AStackBusy);
         }
-        // Record the caller's return address and stack pointer.
+        // The caller's return address and stack pointer.
         let linkage = Linkage {
             caller_domain: kstate.client.id(),
             callee_domain: kstate.server.id(),
@@ -689,7 +689,6 @@ impl<'a> InFlight<'a> {
             return_sp,
             valid: true,
         };
-        slot.set_record(linkage);
         self.slot = Some(slot);
         Ok(linkage)
     }
@@ -922,12 +921,11 @@ impl<'a> InFlight<'a> {
         Ok(self.finish(cpu, ret, outs))
     }
 
-    /// Completes the call: elapsed time, call count, latency histograms.
+    /// Completes the call: elapsed time, call count, latency histogram.
     fn finish(mut self, cpu: &Cpu, ret: Option<Value>, outs: Vec<(usize, Value)>) -> CallOutcome {
         let elapsed = cpu.now() - self.start;
         let stats = &self.state.stats;
         stats.note_call();
-        stats.observe_latency(elapsed);
         stats.observe_tail_latency(elapsed);
         CallOutcome {
             ret,

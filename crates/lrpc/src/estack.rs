@@ -56,11 +56,6 @@ pub struct EStackPool {
     estack_size: usize,
     max_estacks: usize,
     inner: Mutex<PoolInner>,
-    /// Mirrors the number of in-call associations as a metrics gauge.
-    /// Maintained on the in_call flips inside the pool lock, so it always
-    /// agrees with [`EStackPool::busy_count`] once calls quiesce. The
-    /// runtime adopts it into its registry when the pool is created.
-    busy: obs::Gauge,
     /// Record/replay stream for association outcomes
     /// (`estack:{server name}`); `None` in live mode.
     rr: Option<replay::Handle>,
@@ -102,14 +97,7 @@ impl EStackPool {
                 allocations: 0,
                 reclamations: 0,
             }),
-            busy: obs::Gauge::new(),
         }
-    }
-
-    /// The live "E-stacks in a call right now" gauge (a cheap clone of it
-    /// can be registered in a metrics registry).
-    pub fn busy_gauge(&self) -> &obs::Gauge {
-        &self.busy
     }
 
     /// Finds the E-stack for a call arriving on the A-stack identified by
@@ -138,9 +126,6 @@ impl EStackPool {
         // Fast path: the association from a previous call still holds.
         if let Some(a) = inner.assoc.get_mut(&astack_key) {
             a.last_used = tick;
-            if !a.in_call {
-                self.busy.inc();
-            }
             a.in_call = true;
             let estack = Arc::clone(&a.estack);
             inner.lazy_hits += 1;
@@ -159,7 +144,6 @@ impl EStackPool {
             if let Some(victim) = victim {
                 let a = inner.assoc.remove(&victim).expect("victim exists");
                 inner.reclamations += 1;
-                self.busy.inc();
                 inner.assoc.insert(
                     astack_key,
                     Assoc {
@@ -182,7 +166,6 @@ impl EStackPool {
             Protection::ReadWrite,
         );
         inner.allocations += 1;
-        self.busy.inc();
         inner.assoc.insert(
             astack_key,
             Assoc {
@@ -199,9 +182,6 @@ impl EStackPool {
     pub fn end_call(&self, astack_key: u64) {
         firefly::meter::note_sharded_lock();
         if let Some(a) = self.inner.lock().assoc.get_mut(&astack_key) {
-            if a.in_call {
-                self.busy.dec();
-            }
             a.in_call = false;
         }
     }
@@ -221,6 +201,8 @@ impl EStackPool {
     /// call. Zero between calls — the invariant the chaos tests assert
     /// after every fault schedule (no orphaned in-call association may
     /// survive a failed or aborted call).
+    /// [`LrpcRuntime::collect_metrics`](crate::LrpcRuntime::collect_metrics)
+    /// exports it as `lrpc_estacks_busy:{server}`.
     pub fn busy_count(&self) -> usize {
         firefly::meter::note_sharded_lock();
         self.inner
@@ -229,6 +211,11 @@ impl EStackPool {
             .values()
             .filter(|a| a.in_call)
             .count()
+    }
+
+    /// The server domain whose E-stacks the pool holds.
+    pub fn server(&self) -> &Arc<Domain> {
+        &self.server
     }
 
     /// The configured E-stack size.
@@ -307,18 +294,19 @@ mod tests {
     }
 
     #[test]
-    fn busy_gauge_tracks_in_call_associations() {
+    fn busy_count_tracks_in_call_associations() {
         let (k, pool) = setup(4);
-        assert_eq!(pool.busy_gauge().get(), 0);
+        assert_eq!(pool.busy_count(), 0);
         pool.get_for_call(&k, 0);
         pool.get_for_call(&k, 1);
-        assert_eq!(pool.busy_gauge().get(), 2);
-        assert_eq!(pool.busy_gauge().get() as usize, pool.busy_count());
+        assert_eq!(pool.busy_count(), 2);
+        // A repeated get on a busy association counts it once.
+        pool.get_for_call(&k, 1);
+        assert_eq!(pool.busy_count(), 2);
         pool.end_call(0);
-        pool.end_call(0); // double end must not double-decrement
-        assert_eq!(pool.busy_gauge().get(), 1);
+        pool.end_call(0); // a second end of one call changes nothing
+        assert_eq!(pool.busy_count(), 1);
         pool.end_call(1);
-        assert_eq!(pool.busy_gauge().get(), 0);
         assert_eq!(pool.busy_count(), 0);
     }
 

@@ -110,8 +110,6 @@ pub struct CallRing {
     head: AtomicU32,
     /// Next submission slot the client will fill.
     tail: AtomicU32,
-    /// `lrpc_ring_occupancy:{interface}` — live submission-ring depth.
-    occupancy: obs::Gauge,
     /// `lrpc_doorbells_total` — doorbells that actually trapped.
     doorbells_total: obs::Counter,
     /// The fault plan's `doorbell:{interface}` and `ring-full:{interface}`
@@ -124,8 +122,8 @@ pub struct CallRing {
 }
 
 impl CallRing {
-    /// Maps a ring of `slots` slots pairwise into both domains and wires
-    /// its instruments in `metrics`. Called by the runtime at import time,
+    /// Maps a ring of `slots` slots pairwise into both domains and takes
+    /// the doorbell counter from `metrics`. Called by the runtime at import time,
     /// at [`RING_SLOTS`] or at the depth the adaptive sizing controller
     /// recommends; the depth is clamped to 1..=256 slots. Under a
     /// recording or replaying `session`, enqueue slots, doorbell outcomes
@@ -152,7 +150,6 @@ impl CallRing {
             slots,
             head: AtomicU32::new(0),
             tail: AtomicU32::new(0),
-            occupancy: metrics.gauge(&format!("lrpc_ring_occupancy:{name}")),
             doorbells_total: metrics.counter("lrpc_doorbells_total"),
             doorbell_site: format!("doorbell:{name}"),
             ring_full_site: format!("ring-full:{name}"),
@@ -178,6 +175,9 @@ impl CallRing {
 
     /// Descriptors published and not yet drained. A flush publishes its
     /// whole window at once, so between flushes this is 0.
+    /// [`LrpcRuntime::collect_metrics`](crate::LrpcRuntime::collect_metrics)
+    /// exports it, summed over an interface's rings, as
+    /// `lrpc_ring_occupancy:{interface}`.
     pub fn occupancy_now(&self) -> u32 {
         self.tail
             .load(Ordering::Acquire)
@@ -193,7 +193,6 @@ impl CallRing {
     pub(crate) fn reset(&self) {
         let tail = self.tail.load(Ordering::Acquire);
         self.head.store(tail, Ordering::Release);
-        self.occupancy.set(0);
     }
 
     /// Byte offset of `slot` in the half that starts at slot `half` (0 for
@@ -280,7 +279,6 @@ impl CallRing {
         self.write_pass(cpu, ctx, 0, first, descs)?;
         self.tail
             .store(tail.wrapping_add(descs.len() as u32), Ordering::Release);
-        self.occupancy.set(self.occupancy_now() as i64);
         for (i, d) in descs.iter().enumerate() {
             let slot = (first + i as u32) % self.slots;
             self.emit(
@@ -306,7 +304,6 @@ impl CallRing {
         let window = &mut buf[..tail.wrapping_sub(head) as usize];
         self.read_pass(cpu, ctx, 0, first, window)?;
         self.head.store(tail, Ordering::Release);
-        self.occupancy.set(self.occupancy_now() as i64);
         for (i, d) in window.iter().enumerate() {
             if word(d, 3) == DESC_MAGIC {
                 let slot = (first + i as u32) % self.slots;

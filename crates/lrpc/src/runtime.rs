@@ -307,12 +307,6 @@ impl LrpcRuntime {
             )
             .map(Arc::new)
         };
-        if let Some(arena) = &bulk {
-            self.metrics.register_gauge(
-                &format!("lrpc_bulk_arena_busy:{name}"),
-                arena.busy_gauge().clone(),
-            );
-        }
         let touch = TouchPlan::allocate(kernel, client, &server);
         let estack_pool = self.estack_pool(&server);
         // The pairwise submission/completion ring for doorbell-batched
@@ -515,19 +509,12 @@ impl LrpcRuntime {
         firefly::meter::note_global_lock();
         let mut pools = self.estacks.write();
         Arc::clone(pools.entry(server.id()).or_insert_with(|| {
-            let pool = Arc::new(EStackPool::new(
+            Arc::new(EStackPool::new(
                 Arc::clone(server),
                 DEFAULT_ESTACK_SIZE,
                 self.config.max_estacks,
                 &self.rr,
-            ));
-            // Adopt the pool's live busy gauge so exports see "E-stacks in
-            // a call right now" per server domain without a sweep.
-            self.metrics.register_gauge(
-                &format!("lrpc_estacks_busy:{}", server.name()),
-                pool.busy_gauge().clone(),
-            );
-            pool
+            ))
         }))
     }
 
@@ -561,21 +548,24 @@ impl LrpcRuntime {
     /// Samples the runtime-wide observable state into the metrics registry
     /// and returns the resulting snapshot.
     ///
-    /// A slow-path sweep (every shard, every binding, every CPU): gauges
-    /// that components cannot cheaply maintain live — A-stack occupancy
-    /// and wait-queue depth, TLB hit/miss totals, call and domain-cache totals,
-    /// fault-plan event counts — are read here, point-in-time.
-    /// Live handles (E-stack busy gauges, per-binding latency histograms,
-    /// circuit-breaker state) are already registered and simply appear in
-    /// the snapshot.
+    /// A slow-path sweep (every shard, every binding, every pool, every
+    /// CPU): occupancy is read from the structures that count it — A-stack
+    /// and bulk-chunk occupancy, wait-queue depth, E-stacks in a call, ring
+    /// descriptors in flight — as are TLB hit/miss totals, call and
+    /// domain-cache totals and fault-plan event counts, point-in-time.
+    /// Nothing on the call path mirrors them. Live handles (per-binding
+    /// histograms and counters, circuit-breaker state) are already
+    /// registered and simply appear in the snapshot.
     pub fn collect_metrics(&self) -> obs::Snapshot {
-        // A-stacks across every live binding.
+        // A-stacks, bulk chunks and ring descriptors across every live
+        // binding; the per-interface gauges sum the interface's bindings.
         let mut astacks_total = 0usize;
         let mut astacks_free = 0usize;
         let mut astack_waiters = 0usize;
         let mut astack_wait_events = 0u64;
         let mut bulk_chunks_total = 0usize;
         let mut bulk_chunks_free = 0usize;
+        let mut occupancy = Vec::new();
         self.bindings.for_each(|state| {
             astacks_total += state.astacks.total_count();
             astack_wait_events += state.astacks.total_stall_events();
@@ -583,12 +573,31 @@ impl LrpcRuntime {
                 astacks_free += state.astacks.free_count(ci);
                 astack_waiters += state.astacks.waiters(ci);
             }
+            let name = &state.interface.name;
             if let Some(arena) = &state.bulk {
                 bulk_chunks_total += arena.chunk_count();
                 bulk_chunks_free += arena.free_count();
+                let busy = arena.chunk_count() - arena.free_count();
+                occupancy.push((format!("lrpc_bulk_arena_busy:{name}"), busy as i64));
+            }
+            if let Some(ring) = &state.ring {
+                let in_flight = i64::from(ring.occupancy_now());
+                occupancy.push((format!("lrpc_ring_occupancy:{name}"), in_flight));
             }
         });
+        // E-stacks in a call, per live server pool.
+        firefly::meter::note_global_lock();
+        for pool in self.estacks.read().values() {
+            let name = format!("lrpc_estacks_busy:{}", pool.server().name());
+            occupancy.push((name, pool.busy_count() as i64));
+        }
         let m = &self.metrics;
+        let families = [
+            "lrpc_bulk_arena_busy:",
+            "lrpc_ring_occupancy:",
+            "lrpc_estacks_busy:",
+        ];
+        m.set_gauges(&families, occupancy);
         m.gauge("lrpc_astacks_total").set(astacks_total as i64);
         m.gauge("lrpc_astacks_free").set(astacks_free as i64);
         m.gauge("lrpc_astack_waiters").set(astack_waiters as i64);

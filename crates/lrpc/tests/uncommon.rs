@@ -193,6 +193,37 @@ fn each_client_gets_its_own_pairwise_astacks() {
 }
 
 #[test]
+fn arena_occupancy_counts_every_binding_of_the_interface() {
+    let rt = runtime(1);
+    let server = rt.kernel().create_domain("blob-server");
+    rt.export(
+        &server,
+        "interface Blob { procedure Put(data: in var bytes[8192]); }",
+        vec![Box::new(|_: &ServerCtx, _: &[Value]| Ok(Reply::none())) as Handler],
+    )
+    .unwrap();
+    let a = rt.kernel().create_domain("a");
+    let first = rt.import(&a, "Blob").unwrap();
+    let _second = rt.import(&rt.kernel().create_domain("b"), "Blob").unwrap();
+
+    // A chunk leased from the first import's arena shows in the
+    // interface's gauge, though the second import came later.
+    let arena = first.state().bulk.as_ref().expect("out-of-band arena");
+    let chunk = arena.acquire(1).expect("a free chunk");
+    let busy = |rt: &LrpcRuntime| rt.collect_metrics().gauge("lrpc_bulk_arena_busy:Blob");
+    assert_eq!(busy(&rt), Some(1));
+    arena.release(chunk.index);
+    assert_eq!(busy(&rt), Some(0));
+
+    // The gauge sums live bindings only: a terminated client's binding
+    // leaves the sum, chunk and all, instead of freezing its last reading.
+    arena.acquire(1).expect("a free chunk");
+    assert_eq!(busy(&rt), Some(1));
+    rt.terminate_domain(&a);
+    assert_eq!(busy(&rt), Some(0));
+}
+
+#[test]
 fn lifo_astacks_keep_the_estack_association_warm() {
     // A-stacks are LIFO managed precisely so the A-stack/E-stack
     // association keeps getting reused.

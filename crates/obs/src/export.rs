@@ -6,7 +6,6 @@
 //! runs.
 
 use crate::flight::SpanRecord;
-use crate::latency::TailSnapshot;
 use crate::metrics::{MetricValue, Snapshot};
 
 /// Escapes `s` for inclusion inside a JSON string literal.
@@ -26,58 +25,40 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// A tail histogram's rank-exact quantiles as JSON members
-/// (`"p50":..,"p90":..,"p99":..,"p999":..`).
-fn json_quantiles(t: &TailSnapshot) -> String {
-    [(0.50, "p50"), (0.90, "p90"), (0.99, "p99"), (0.999, "p999")]
-        .iter()
-        .map(|&(q, key)| format!("\"{key}\":{}", t.quantile(q).unwrap_or(0)))
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
 /// Encodes a metrics snapshot as a JSON object:
-/// `{"counters":{...},"gauges":{...},"histograms":{name:{"count":..,"sum":..,"buckets":[[le,n],..]}},"tails":{name:{"count":..,"sum":..,"max":..,"p50":..,"p90":..,"p99":..,"p999":..}}}`.
+/// `{"counters":{...},"gauges":{...},"histograms":{name:{"count":..,"sum":..,"max":..,"p50":..,"p90":..,"p99":..,"p999":..}}}`.
+/// Every histogram has that one shape: its exact count, sum and max,
+/// then its rank-exact quantiles at its own precision.
 pub fn metrics_to_json(snapshot: &Snapshot) -> String {
     let mut counters = Vec::new();
     let mut gauges = Vec::new();
     let mut histograms = Vec::new();
-    let mut tails = Vec::new();
     for m in &snapshot.metrics {
         let name = json_escape(&m.name);
         match &m.value {
             MetricValue::Counter(v) => counters.push(format!("\"{name}\":{v}")),
             MetricValue::Gauge(v) => gauges.push(format!("\"{name}\":{v}")),
             MetricValue::Histogram(h) => {
-                let buckets: Vec<String> = h
-                    .buckets
-                    .iter()
-                    .map(|&(le, n)| format!("[{le},{n}]"))
-                    .collect();
+                let quantiles: Vec<String> =
+                    [(0.50, "p50"), (0.90, "p90"), (0.99, "p99"), (0.999, "p999")]
+                        .iter()
+                        .map(|&(q, key)| format!("\"{key}\":{}", h.quantile(q).unwrap_or(0)))
+                        .collect();
                 histograms.push(format!(
-                    "\"{name}\":{{\"count\":{},\"sum\":{},\"buckets\":[{}]}}",
+                    "\"{name}\":{{\"count\":{},\"sum\":{},\"max\":{},{}}}",
                     h.count,
                     h.sum,
-                    buckets.join(",")
-                ));
-            }
-            MetricValue::Tail(t) => {
-                tails.push(format!(
-                    "\"{name}\":{{\"count\":{},\"sum\":{},\"max\":{},{}}}",
-                    t.count,
-                    t.sum,
-                    t.max,
-                    json_quantiles(t)
+                    h.max,
+                    quantiles.join(",")
                 ));
             }
         }
     }
     format!(
-        "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}},\"tails\":{{{}}}}}",
+        "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}}}}",
         counters.join(","),
         gauges.join(","),
-        histograms.join(","),
-        tails.join(",")
+        histograms.join(",")
     )
 }
 
@@ -104,6 +85,7 @@ pub fn spans_to_json(spans: &[SpanRecord], phase_name: &dyn Fn(u16) -> String) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::histogram::{LOG2_BITS, TAIL_BITS};
     use crate::metrics::Registry;
     use crate::trace::TraceId;
 
@@ -111,10 +93,11 @@ mod tests {
         let reg = Registry::new();
         reg.counter("calls_total").add(3);
         reg.gauge("estack/busy").set(-1);
-        let h = reg.histogram("latency_ns");
-        h.observe(0);
-        h.observe(5);
-        let t = reg.tail("tail_ns");
+        let h = reg.histogram("bytes", LOG2_BITS);
+        for v in [0, 5, 9] {
+            h.observe(v);
+        }
+        let t = reg.histogram("tail_ns", TAIL_BITS);
         t.observe(10);
         t.observe(20);
         reg.snapshot()
@@ -122,13 +105,16 @@ mod tests {
 
     #[test]
     fn json_shape_is_stable() {
+        // At 0 bits 5 reports its bucket's bound 7; 9's bucket [8, 15]
+        // caps at the exact max. At 7 bits values below 128 are exact.
         let json = metrics_to_json(&sample());
         assert_eq!(
             json,
             "{\"counters\":{\"calls_total\":3},\
              \"gauges\":{\"estack/busy\":-1},\
-             \"histograms\":{\"latency_ns\":{\"count\":2,\"sum\":5,\"buckets\":[[0,1],[7,1]]}},\
-             \"tails\":{\"tail_ns\":{\"count\":2,\"sum\":30,\"max\":20,\
+             \"histograms\":{\"bytes\":{\"count\":3,\"sum\":14,\"max\":9,\
+             \"p50\":7,\"p90\":9,\"p99\":9,\"p999\":9},\
+             \"tail_ns\":{\"count\":2,\"sum\":30,\"max\":20,\
              \"p50\":10,\"p90\":20,\"p99\":20,\"p999\":20}}}"
         );
     }

@@ -12,10 +12,11 @@
 //!   of per-phase spans (virtual-time start + duration), bounded and
 //!   overwrite-oldest, from which the paper's tables can be regenerated
 //!   after the fact;
-//! * [`metrics`] — an atomic counter/gauge/log2-histogram registry;
-//! * [`latency`] — HDR-style tail histograms (128 sub-buckets per octave,
-//!   rank-exact p50/p99/p999, lossless merge) and a windowed time-series
-//!   for localizing tail spikes;
+//! * [`metrics`] — an atomic counter/gauge/histogram registry;
+//! * [`histogram`] — the one histogram type, its precision fixed at
+//!   creation (log2 buckets for sizes and counts, 128 sub-buckets per
+//!   octave for latencies), with rank-exact p50/p99/p999 and lossless
+//!   merge, and a windowed time-series for localizing tail spikes;
 //! * [`export`] — JSON encoders for metrics snapshots and recorded spans.
 //!
 //! The crate sits *below* the simulator (`firefly` depends on `obs`, not
@@ -34,16 +35,14 @@
 
 pub mod export;
 pub mod flight;
-pub mod latency;
+pub mod histogram;
 pub mod metrics;
 pub mod tally;
 pub mod trace;
 
 pub use export::{metrics_to_json, spans_to_json};
 pub use flight::{FlightRing, SpanRecord};
-pub use latency::{TailHistogram, TailSnapshot, WindowedSeries};
-pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricSnapshot, MetricValue, Registry, Snapshot,
-};
+pub use histogram::{Histogram, HistogramSnapshot, WindowedSeries};
+pub use metrics::{Counter, Gauge, MetricSnapshot, MetricValue, Registry, Snapshot};
 pub use tally::{LockScope, LockTally};
 pub use trace::TraceId;

@@ -1,13 +1,15 @@
-//! Atomic metrics: counters, gauges, log2-bucket histograms, and a named
-//! registry.
+//! Atomic metrics: counters, gauges, histograms, and a named registry.
 //!
 //! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap `Arc`s around
 //! atomics — components own a clone and update it with single atomic ops
 //! on the hot path, no locks, no formatting. Names enter the picture only
-//! in the [`Registry`], which maps name → handle for export; components
-//! may create handles *unregistered* (e.g. an E-stack pool's busy gauge)
-//! and have the runtime adopt them later via the `register_*` methods, so
-//! metric plumbing never dictates construction order.
+//! in the [`Registry`], which maps name → handle for export; a component
+//! may create a handle *unregistered* (a resilient client's breaker-state
+//! gauge) and have the registry adopt it later
+//! ([`Registry::register_gauge`]), so metric plumbing never dictates
+//! construction order. Occupancy that a structure already counts is not
+//! mirrored in a gauge: a metrics sweep reads it from the structure and
+//! sets its gauge family ([`Registry::set_gauges`]).
 //!
 //! The registry's interior maps are guarded by mutexes that are taken
 //! only at registration and snapshot time — never per call — and every
@@ -18,12 +20,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::latency::{TailHistogram, TailSnapshot};
+use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::tally;
-
-/// Number of log2 buckets: bucket 0 holds the value 0, bucket `i` (for
-/// `i >= 1`) holds values in `[2^(i-1), 2^i)`, up to bucket 64.
-pub const HISTOGRAM_BUCKETS: usize = 65;
 
 /// Monotone event counter.
 #[derive(Clone, Debug, Default)]
@@ -49,28 +47,14 @@ impl Counter {
     }
 }
 
-/// Instantaneous level (occupancy, depth, state).
+/// Instantaneous level (occupancy, depth, state), set whole by its one
+/// writer: a metrics sweep, or the component that owns the state.
 #[derive(Clone, Debug, Default)]
 pub struct Gauge(Arc<AtomicI64>);
 
 impl Gauge {
     pub fn new() -> Gauge {
         Gauge::default()
-    }
-
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    #[inline]
-    pub fn dec(&self) {
-        self.add(-1);
-    }
-
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
     }
 
     #[inline]
@@ -83,116 +67,12 @@ impl Gauge {
     }
 }
 
-struct HistogramInner {
-    count: AtomicU64,
-    sum: AtomicU64,
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-}
-
-/// Log2-bucket histogram of `u64` observations (latencies in ns, depths).
-///
-/// `observe` is three relaxed `fetch_add`s; bucket selection is a
-/// leading-zeros count, no floating point, no search.
-#[derive(Clone)]
-pub struct Histogram(Arc<HistogramInner>);
-
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram(Arc::new(HistogramInner {
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }))
-    }
-}
-
-impl std::fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Histogram")
-            .field("count", &self.0.count.load(Ordering::Relaxed))
-            .field("sum", &self.0.sum.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
-}
-
-/// Index of the log2 bucket holding `value`.
-#[inline]
-pub fn bucket_index(value: u64) -> usize {
-    if value == 0 {
-        0
-    } else {
-        64 - value.leading_zeros() as usize
-    }
-}
-
-/// Inclusive upper bound of bucket `index` (the largest value it holds).
-pub fn bucket_upper_bound(index: usize) -> u64 {
-    match index {
-        0 => 0,
-        64 => u64::MAX,
-        i => (1u64 << i) - 1,
-    }
-}
-
-impl Histogram {
-    pub fn new() -> Histogram {
-        Histogram::default()
-    }
-
-    /// Records one observation.
-    #[inline]
-    pub fn observe(&self, value: u64) {
-        let inner = &self.0;
-        inner.count.fetch_add(1, Ordering::Relaxed);
-        inner.sum.fetch_add(value, Ordering::Relaxed);
-        inner.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
-    }
-
-    pub fn sum(&self) -> u64 {
-        self.0.sum.load(Ordering::Relaxed)
-    }
-
-    /// Point-in-time copy. Under concurrent `observe` the fields are read
-    /// independently, so `count`/`sum`/bucket totals may differ by the few
-    /// observations in flight; once writers quiesce they agree exactly.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let inner = &self.0;
-        let buckets = (0..HISTOGRAM_BUCKETS)
-            .filter_map(|i| {
-                let n = inner.buckets[i].load(Ordering::Relaxed);
-                (n > 0).then(|| (bucket_upper_bound(i), n))
-            })
-            .collect();
-        HistogramSnapshot {
-            count: inner.count.load(Ordering::Relaxed),
-            sum: inner.sum.load(Ordering::Relaxed),
-            buckets,
-        }
-    }
-}
-
-/// Frozen histogram state.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    pub count: u64,
-    pub sum: u64,
-    /// `(inclusive upper bound, count)` for each non-empty log2 bucket,
-    /// in ascending bound order.
-    pub buckets: Vec<(u64, u64)>,
-}
-
 /// One named metric's frozen value.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MetricValue {
     Counter(u64),
     Gauge(i64),
     Histogram(HistogramSnapshot),
-    /// HDR-style tail histogram ([`crate::latency::TailHistogram`]).
-    Tail(TailSnapshot),
 }
 
 /// A named metric captured by [`Registry::snapshot`].
@@ -203,7 +83,7 @@ pub struct MetricSnapshot {
 }
 
 /// Point-in-time view of a whole registry, name-sorted (counters, then
-/// gauges, then histograms, then tail histograms).
+/// gauges, then histograms).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Snapshot {
     pub metrics: Vec<MetricSnapshot>,
@@ -241,14 +121,6 @@ impl Snapshot {
             _ => None,
         }
     }
-
-    /// Convenience: a tail-histogram metric's snapshot, if present.
-    pub fn tail(&self, name: &str) -> Option<&TailSnapshot> {
-        match self.get(name)? {
-            MetricValue::Tail(t) => Some(t),
-            _ => None,
-        }
-    }
 }
 
 /// Name → handle table for export. One per runtime (not per process), so
@@ -258,7 +130,6 @@ pub struct Registry {
     counters: Mutex<BTreeMap<String, Counter>>,
     gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
-    tails: Mutex<BTreeMap<String, TailHistogram>>,
 }
 
 impl Registry {
@@ -301,26 +172,21 @@ impl Registry {
             .clone()
     }
 
-    /// Gets or creates the histogram `name`.
-    pub fn histogram(&self, name: &str) -> Histogram {
+    /// Gets or creates the histogram `name`, created with `sub_bits` of
+    /// precision ([`crate::histogram::LOG2_BITS`] or
+    /// [`crate::histogram::TAIL_BITS`]). Every caller of one name must
+    /// ask for the same precision.
+    pub fn histogram(&self, name: &str, sub_bits: u32) -> Histogram {
         tally::note_global_lock();
-        self.histograms
+        let h = self
+            .histograms
             .lock()
             .expect("metrics registry poisoned")
             .entry(name.to_string())
-            .or_default()
-            .clone()
-    }
-
-    /// Gets or creates the tail histogram `name`.
-    pub fn tail(&self, name: &str) -> TailHistogram {
-        tally::note_global_lock();
-        self.tails
-            .lock()
-            .expect("metrics registry poisoned")
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+            .or_insert_with(|| Histogram::new(sub_bits))
+            .clone();
+        debug_assert_eq!(h.sub_bits(), sub_bits, "{name} asked at two precisions");
+        h
     }
 
     /// Adopts an externally-owned gauge under `name`.
@@ -330,6 +196,27 @@ impl Registry {
             .lock()
             .expect("metrics registry poisoned")
             .insert(name.to_string(), gauge);
+    }
+
+    /// Sets swept gauge families from a sweep's `(name, value)` readings:
+    /// each named gauge to the sum of its readings, and every other gauge
+    /// whose name starts with one of `families`, and whose structure is
+    /// gone, to 0.
+    pub fn set_gauges(&self, families: &[&str], readings: Vec<(String, i64)>) {
+        let mut sums = BTreeMap::new();
+        for (name, value) in readings {
+            *sums.entry(name).or_default() += value;
+        }
+        tally::note_global_lock();
+        let mut gauges = self.gauges.lock().expect("metrics registry poisoned");
+        for (name, gauge) in gauges.iter() {
+            if families.iter().any(|family| name.starts_with(family)) {
+                gauge.set(sums.remove(name).unwrap_or(0));
+            }
+        }
+        for (name, value) in sums {
+            gauges.entry(name).or_default().set(value);
+        }
     }
 
     /// Freezes every registered metric.
@@ -358,14 +245,6 @@ impl Registry {
             .iter()
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
-        tally::note_global_lock();
-        let tails: Vec<(String, TailHistogram)> = self
-            .tails
-            .lock()
-            .expect("metrics registry poisoned")
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
 
         let mut metrics = Vec::new();
         for (name, c) in counters {
@@ -386,12 +265,6 @@ impl Registry {
                 value: MetricValue::Histogram(h.snapshot()),
             });
         }
-        for (name, t) in tails {
-            metrics.push(MetricSnapshot {
-                name,
-                value: MetricValue::Tail(t.snapshot()),
-            });
-        }
         Snapshot { metrics }
     }
 }
@@ -405,32 +278,6 @@ impl std::fmt::Debug for Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bucket_index_boundaries() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(u64::MAX), 64);
-        for i in 0..HISTOGRAM_BUCKETS {
-            assert_eq!(bucket_index(bucket_upper_bound(i)), i);
-        }
-    }
-
-    #[test]
-    fn histogram_counts_and_sums() {
-        let h = Histogram::new();
-        for v in [0u64, 1, 3, 4, 1000] {
-            h.observe(v);
-        }
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 5);
-        assert_eq!(snap.sum, 1008);
-        let bucket_total: u64 = snap.buckets.iter().map(|&(_, n)| n).sum();
-        assert_eq!(bucket_total, snap.count);
-    }
 
     #[test]
     fn registry_get_or_create_shares_handles() {
@@ -456,11 +303,33 @@ mod tests {
     #[test]
     fn registry_adopts_external_handles() {
         let reg = Registry::new();
-        let busy = Gauge::new();
-        busy.set(4);
-        reg.register_gauge("estack_busy", busy.clone());
-        assert_eq!(reg.snapshot().gauge("estack_busy"), Some(4));
-        busy.dec();
-        assert_eq!(reg.snapshot().gauge("estack_busy"), Some(3));
+        let state = Gauge::new();
+        state.set(4);
+        reg.register_gauge("breaker_state", state.clone());
+        assert_eq!(reg.snapshot().gauge("breaker_state"), Some(4));
+        state.set(3);
+        assert_eq!(reg.snapshot().gauge("breaker_state"), Some(3));
+    }
+
+    #[test]
+    fn a_swept_gauge_family_zeroes_what_the_sweep_no_longer_reads() {
+        let reg = Registry::new();
+        reg.gauge("other").set(9);
+        let read = |pairs: &[(&str, i64)]| pairs.iter().map(|&(n, v)| (n.to_string(), v)).collect();
+        reg.set_gauges(&["busy:"], read(&[("busy:A", 2), ("busy:B", 1)]));
+        let snap = reg.snapshot();
+        assert_eq!(
+            (snap.gauge("busy:A"), snap.gauge("busy:B")),
+            (Some(2), Some(1))
+        );
+        // A structure gone since the last sweep reads 0; two readings of
+        // one name (two bindings of an interface) sum.
+        reg.set_gauges(&["busy:"], read(&[("busy:B", 1), ("busy:B", 2)]));
+        let snap = reg.snapshot();
+        assert_eq!(
+            (snap.gauge("busy:A"), snap.gauge("busy:B")),
+            (Some(0), Some(3))
+        );
+        assert_eq!(snap.gauge("other"), Some(9), "other families untouched");
     }
 }

@@ -147,7 +147,9 @@ fn assert_no_leaks(rt: &Arc<LrpcRuntime>, server: &Arc<Domain>, binding: &Bindin
     }
     let pool = rt.estack_pool(server);
     assert_eq!(pool.busy_count(), 0, "E-stack left associated with a call");
-    assert_eq!(pool.busy_gauge().get(), 0, "gauge reports an E-stack leak");
+    let snap = rt.collect_metrics();
+    let busy = snap.gauge(&format!("lrpc_estacks_busy:{}", server.name()));
+    assert_eq!(busy, Some(0), "gauge reports an E-stack leak");
     assert_eq!(
         rt.kernel().snapshot().threads_in_calls,
         0,
@@ -159,6 +161,8 @@ fn assert_no_leaks(rt: &Arc<LrpcRuntime>, server: &Arc<Domain>, binding: &Bindin
         .as_ref()
         .expect("local binding has a ring");
     assert_eq!(ring.occupancy_now(), 0, "ring slot leaked");
+    let occupancy = format!("lrpc_ring_occupancy:{}", binding.state().interface.name);
+    assert_eq!(snap.gauge(&occupancy), Some(0), "gauge reports a ring leak");
 }
 
 #[test]

@@ -110,15 +110,18 @@ fn assert_no_leaks(rt: &Arc<LrpcRuntime>, server: &Arc<Domain>, binding: &Bindin
         0,
         "no E-stack may stay associated with an in-progress call"
     );
-    // The exported metrics gauge is maintained incrementally on the call
-    // path; if it ever disagrees with the pool's own count, the leak
-    // detector the dashboard sees is lying.
+    // The exported gauge is read from the pool by the metrics sweep; if
+    // it ever disagrees with the pool's own count, the leak detector the
+    // dashboard sees is lying.
+    let busy = rt
+        .collect_metrics()
+        .gauge(&format!("lrpc_estacks_busy:{}", server.name()));
     assert_eq!(
-        pool.busy_gauge().get(),
-        pool.busy_count() as i64,
+        busy,
+        Some(pool.busy_count() as i64),
         "the lrpc_estacks_busy gauge must track the pool exactly"
     );
-    assert_eq!(pool.busy_gauge().get(), 0, "gauge reports an E-stack leak");
+    assert_eq!(busy, Some(0), "gauge reports an E-stack leak");
     assert_eq!(
         rt.kernel().snapshot().threads_in_calls,
         0,

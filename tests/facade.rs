@@ -3,15 +3,19 @@
 //! procedure, with kernel diagnostics, binding statistics and the
 //! runtime's metrics watching.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use firefly::cost::CostModel;
 use firefly::cpu::Machine;
+use firefly::fault::{FaultConfig, FaultPlan};
 use idl::stubvm::StubError;
 use idl::wire::{Value, WireError};
 use kernel::kernel::Kernel;
-use lrpc::{CallError, Handler, LrpcRuntime, Reply, ServerCtx, TestRuntime};
+use lrpc::{
+    CallError, Handler, LrpcRuntime, RecoveryConfig, Reply, ResilientClient, ServerCtx, TestRuntime,
+};
 
 #[test]
 fn the_quickstart_boot_builds_consistent_components() {
@@ -358,4 +362,64 @@ fn the_call_totals_keep_a_terminated_bindings_counts() {
     binding.call(0, &thread, "Null", &[]).unwrap_err();
     assert_eq!(binding.state().stats.failures(), 2);
     assert_eq!(totals(), (3, 2), "calls / failures after the termination");
+}
+
+/// The backticked names in the first cell of every row of
+/// OBSERVABILITY.md's metric tables (those whose header starts
+/// `| Metric |`), their `:<…>` suffixes stripped.
+fn documented_metrics() -> BTreeSet<String> {
+    let doc = include_str!("../OBSERVABILITY.md");
+    let mut names = BTreeSet::new();
+    let mut tables = 0;
+    let mut lines = doc.lines();
+    while let Some(line) = lines.next() {
+        if !line.starts_with("| Metric |") {
+            continue;
+        }
+        tables += 1;
+        lines.next(); // the `|---|` separator
+        for row in lines.by_ref().take_while(|l| l.starts_with('|')) {
+            let first_cell = row.split('|').nth(1).unwrap_or("");
+            for name in first_cell.split('`').skip(1).step_by(2) {
+                names.insert(name.split(':').next().unwrap_or(name).to_string());
+            }
+        }
+    }
+    assert_eq!(tables, 2, "the live and the swept metric tables");
+    names
+}
+
+#[test]
+fn observability_md_lists_exactly_what_a_runtime_exports() {
+    // A workload that touches every metric family: serial, batched and
+    // out-of-band calls, a resilient client, a fault plan, then a sweep.
+    let rt = TestRuntime::new().domain_caching(false).build();
+    let server = rt.kernel().create_domain("server");
+    let ok = || Box::new(|_: &ServerCtx, _: &[Value]| Ok(Reply::none())) as Handler;
+    let idl = "interface Obs { procedure Null(); procedure Put(data: in var bytes[8192]); }";
+    rt.export(&server, idl, vec![ok(), ok()]).unwrap();
+    let client = rt.kernel().create_domain("client");
+    let thread = rt.kernel().spawn_thread(&client);
+    let binding = rt.import(&client, "Obs").unwrap();
+    binding.call(0, &thread, "Null", &[]).unwrap();
+    binding
+        .call(0, &thread, "Put", &[Value::Var(vec![7; 4096])])
+        .unwrap();
+    let batch = (0..4).map(|_| (0, vec![])).collect();
+    binding.call_batch(0, &thread, batch).unwrap();
+    let resilient =
+        ResilientClient::import(&rt, &client, "Obs", RecoveryConfig::default()).unwrap();
+    resilient.call("Null", &[]).unwrap();
+    rt.set_fault_plan(Some(FaultPlan::new(FaultConfig::with_seed(1))));
+
+    let exported: BTreeSet<String> = (rt.collect_metrics().metrics.iter())
+        .map(|m| m.name.split(':').next().unwrap_or(&m.name).to_string())
+        .collect();
+    let documented = documented_metrics();
+    assert!(
+        exported == documented,
+        "exported but not documented: {:?}; documented but not exported: {:?}",
+        exported.difference(&documented).collect::<Vec<_>>(),
+        documented.difference(&exported).collect::<Vec<_>>()
+    );
 }

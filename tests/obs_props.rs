@@ -8,15 +8,14 @@
 //!    two different writes together (`obs::flight` module docs point
 //!    here).
 //! 2. A histogram's per-bucket counts always sum to its observation
-//!    count, and every observation lands in the log2 bucket that
-//!    `bucket_index` names.
+//!    count, and every observation lands in the bucket that
+//!    `bucket_index` names — at 0 sub-bucket bits, the log2 bucket.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use obs::flight::{FlightRing, SpanRecord};
-use obs::latency::{tail_bucket_bounds, tail_bucket_index, TailHistogram};
-use obs::metrics::{bucket_index, bucket_upper_bound, Histogram};
+use obs::histogram::{bucket_bounds, bucket_index, Histogram, LOG2_BITS, TAIL_BITS};
 use obs::TraceId;
 use proptest::prelude::*;
 
@@ -91,14 +90,14 @@ proptest! {
         prop_assert_eq!(ring.pushed(), writes);
     }
 
-    /// Histogram bucket counts sum to the observation count, the sum field
-    /// is the exact total, and each value is counted by the bucket whose
-    /// bounds contain it.
+    /// Log2 histogram bucket counts sum to the observation count, the sum
+    /// field is the exact total, and each value is counted by the bucket
+    /// whose bounds contain it.
     #[test]
     fn histogram_buckets_sum_to_observation_count(
         values in proptest::collection::vec(any::<u64>(), 0..200),
     ) {
-        let h = Histogram::new();
+        let h = Histogram::new(LOG2_BITS);
         for &v in &values {
             h.observe(v);
         }
@@ -110,24 +109,29 @@ proptest! {
         let expected_sum = values.iter().fold(0u64, |a, &v| a.wrapping_add(v));
         prop_assert_eq!(snap.sum, expected_sum);
 
-        // Recompute the expected bucket occupancy independently.
+        // Recompute the expected bucket occupancy independently, from
+        // the log2 bucket (the value's bit length) rather than the
+        // histogram's own index function.
         let mut expect = std::collections::BTreeMap::new();
         for &v in &values {
-            *expect.entry(bucket_upper_bound(bucket_index(v))).or_insert(0u64) += 1;
+            let log2 = 64 - v.leading_zeros();
+            *expect.entry(log2).or_insert(0u64) += 1;
         }
-        let got: std::collections::BTreeMap<u64, u64> = snap.buckets.iter().copied().collect();
+        let got: std::collections::BTreeMap<u32, u64> = snap.buckets.iter().copied().collect();
         prop_assert_eq!(got, expect);
     }
 
-    /// `bucket_index` sends every value to a bucket whose bounds hold it:
-    /// value ≤ upper(bucket) and (for non-first buckets) value > upper of
-    /// the bucket below.
+    /// At 0 sub-bucket bits `bucket_index` sends every value to a bucket
+    /// whose bounds hold it: value ≤ upper(bucket) and (for non-first
+    /// buckets) value > upper of the bucket below, which is `2^i - 1`.
     #[test]
     fn bucket_bounds_bracket_every_value(v in any::<u64>()) {
-        let i = bucket_index(v);
-        prop_assert!(v <= bucket_upper_bound(i));
+        let i = bucket_index(LOG2_BITS, v);
+        let upper = |i: usize| bucket_bounds(LOG2_BITS, i).1;
+        prop_assert!(v <= upper(i));
         if i > 0 {
-            prop_assert!(v > bucket_upper_bound(i - 1));
+            prop_assert!(v > upper(i - 1));
+            prop_assert_eq!(upper(i - 1), (1u64 << (i - 1)) - 1);
         }
     }
 
@@ -142,7 +146,7 @@ proptest! {
         c in proptest::collection::vec(any::<u64>(), 0..120),
     ) {
         let snap = |values: &[u64]| {
-            let h = TailHistogram::new();
+            let h = Histogram::new(TAIL_BITS);
             for &v in values {
                 h.observe(v);
             }
@@ -165,7 +169,7 @@ proptest! {
         q1_millis in 0u32..=1000,
         q2_millis in 0u32..=1000,
     ) {
-        let h = TailHistogram::new();
+        let h = Histogram::new(TAIL_BITS);
         for &v in &values {
             h.observe(v);
         }
@@ -179,8 +183,8 @@ proptest! {
             "the top quantile is the exact max");
         // Every reported quantile is a reachable bucket bound: some
         // observed value lands in its bucket.
-        let idx = tail_bucket_index(lo);
-        prop_assert!(values.iter().any(|&v| tail_bucket_index(v.min(snap.max)) == idx),
+        let idx = bucket_index(TAIL_BITS, lo);
+        prop_assert!(values.iter().any(|&v| bucket_index(TAIL_BITS, v.min(snap.max)) == idx),
             "quantile names an occupied bucket");
     }
 
@@ -193,19 +197,19 @@ proptest! {
         a in proptest::collection::vec(any::<u64>(), 0..200),
         b in proptest::collection::vec(any::<u64>(), 0..200),
     ) {
-        let ha = TailHistogram::new();
+        let ha = Histogram::new(TAIL_BITS);
         for &v in &a {
             ha.observe(v);
-            let (lo, hi) = tail_bucket_bounds(tail_bucket_index(v));
+            let (lo, hi) = bucket_bounds(TAIL_BITS, bucket_index(TAIL_BITS, v));
             prop_assert!(lo <= v && v <= hi, "{v} outside bucket [{lo}, {hi}]");
         }
-        let hb = TailHistogram::new();
+        let hb = Histogram::new(TAIL_BITS);
         for &v in &b {
             hb.observe(v);
         }
         let merged = ha.snapshot().merge(&hb.snapshot());
 
-        let all = TailHistogram::new();
+        let all = Histogram::new(TAIL_BITS);
         for &v in a.iter().chain(b.iter()) {
             all.observe(v);
         }
