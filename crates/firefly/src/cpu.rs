@@ -18,7 +18,7 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::Mutex;
 
 use crate::cost::CostModel;
-use crate::mem::PhysMem;
+use crate::mem::{PageId, PhysMem};
 use crate::meter::{Meter, Phase};
 use crate::time::Nanos;
 use crate::tlb::{Tlb, TlbMode};
@@ -44,6 +44,11 @@ pub struct Cpu {
 /// Sentinel for "not idling". Context ids are allocated from a counter
 /// starting at 0, so `u64::MAX` can never collide with a real context.
 const NO_IDLE_CTX: u64 = u64::MAX;
+
+/// The length of the run of pages `first..=last` of one region.
+fn run_len(first: PageId, last: PageId) -> usize {
+    (last.0 - first.0) as usize + 1
+}
 
 impl Cpu {
     fn new(id: usize, tlb_mode: TlbMode) -> Cpu {
@@ -109,20 +114,29 @@ impl Cpu {
         self.current_ctx.store(ctx.0, Ordering::Release);
     }
 
-    /// Touches pages through the TLB in the current context; returns the
-    /// number of misses and reports them to the meter.
-    pub fn touch_pages(
-        &self,
-        pages: impl IntoIterator<Item = crate::mem::PageId>,
-        meter: &mut Meter,
-    ) -> u64 {
+    /// Touches pages through the TLB in the current context, in order;
+    /// returns the number of misses and reports them to the meter. Each
+    /// run of consecutive pages of one region goes to the TLB as one
+    /// [`Tlb::touch_run`]; a page repeated right after itself is a hit.
+    pub fn touch_pages(&self, pages: impl IntoIterator<Item = PageId>, meter: &mut Meter) -> u64 {
         let ctx = self.current_context();
+        let mut pages = pages.into_iter();
         let mut tlb = self.tlb.lock();
         let mut misses = 0;
-        for p in pages {
-            if tlb.touch(ctx, p) {
-                misses += 1;
+        if let Some(mut first) = pages.next() {
+            let (mut last, mut repeats) = (first, 0);
+            for p in pages {
+                if p == last {
+                    repeats += 1;
+                } else if p.follows(last) {
+                    last = p;
+                } else {
+                    misses += tlb.touch_run(ctx, first, run_len(first, last));
+                    (first, last) = (p, p);
+                }
             }
+            misses += tlb.touch_run(ctx, first, run_len(first, last));
+            tlb.repeat_hits(repeats);
         }
         drop(tlb);
         meter.add_tlb_misses(misses);

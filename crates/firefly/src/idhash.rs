@@ -1,22 +1,22 @@
 //! One multiplicative hasher for simulator-generated ids.
 //!
 //! The per-call lookups (a domain's mapping table, the kernel's handle
-//! shards, a server's E-stack associations) and the TLB index are all
-//! keyed by ids the simulator itself hands out: region, context and
-//! handle counters, and A-stack keys built from them. None of those keys
-//! comes from outside the program, so the maps need no defence against
-//! chosen-key flooding, and SipHash's cost buys nothing. [`IdHasher`]
-//! instead multiplies each word into the state by the 64-bit golden-ratio
-//! constant (Fibonacci hashing), the mix the TLB index uses.
+//! shards, a server's E-stack associations) are all keyed by ids the
+//! simulator itself hands out: region, context and handle counters, and
+//! A-stack keys built from them. None of those keys comes from outside
+//! the program, so the maps need no defence against chosen-key flooding,
+//! and SipHash's cost buys nothing. [`IdHasher`] instead multiplies each
+//! word into the state by the 64-bit golden-ratio constant (Fibonacci
+//! hashing).
 //!
 //! A product's high bits depend on every bit of the key, its low bits
-//! only on the key's low bits. The TLB index takes its slot from the high
-//! bits; `std`'s `HashMap` takes its bucket from the low bits and a tag
-//! from the top seven, so [`IdHasher::finish`] folds the high half into
-//! the low half, multiplies once more and folds again. Without the first
-//! fold, keys that differ only above their low bits would share buckets;
-//! without the second round, strided keys would still crowd: the handle
-//! shards hold ids 16 apart, and an E-stack key is `region << 24 | index`.
+//! only on the key's low bits. `std`'s `HashMap` takes its bucket from the
+//! low bits and a tag from the top seven, so [`IdHasher::finish`] folds
+//! the high half into the low half, multiplies once more and folds again.
+//! Without the first fold, keys that differ only above their low bits
+//! would share buckets; without the second round, strided keys would
+//! still crowd: the handle shards hold ids 16 apart, and an E-stack key is
+//! `region << 24 | index`.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -26,7 +26,7 @@ const K: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Mixes one word into a hash state.
 #[inline]
-pub fn mix(state: u64, word: u64) -> u64 {
+fn mix(state: u64, word: u64) -> u64 {
     (state ^ word).wrapping_mul(K)
 }
 

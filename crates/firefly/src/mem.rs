@@ -30,14 +30,35 @@ impl fmt::Debug for RegionId {
     }
 }
 
-/// Identity of one page of one region, as seen by the TLB.
+/// Identity of one page of one region, as seen by the TLB: the region id
+/// above the low 32 bits, the page's number within the region in them.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PageId(pub u64);
+
+/// Bits of a [`PageId`] that number the page within its region: 2^32
+/// pages of 512 bytes, 2 TiB, so no region a machine can hold has a page
+/// that reads as another region's.
+const PAGE_BITS: u32 = 32;
 
 impl PageId {
     /// The page covering byte `offset` of region `region`.
     pub fn of(region: RegionId, offset: usize) -> PageId {
-        PageId(region.0 << 20 | (offset / PAGE_SIZE) as u64)
+        PageId(region.0 << PAGE_BITS | (offset / PAGE_SIZE) as u64)
+    }
+
+    /// The region the page belongs to.
+    pub(crate) fn region(self) -> RegionId {
+        RegionId(self.0 >> PAGE_BITS)
+    }
+
+    /// The page's number within its region.
+    pub(crate) fn index(self) -> u64 {
+        self.0 & ((1 << PAGE_BITS) - 1)
+    }
+
+    /// True if `self` is the page right after `prev` in the same region.
+    pub(crate) fn follows(self, prev: PageId) -> bool {
+        self.0 == prev.0.wrapping_add(1) && self.index() != 0
     }
 }
 
@@ -86,7 +107,7 @@ impl Region {
             (offset + len - 1) / PAGE_SIZE + 1
         };
         let id = self.id;
-        (first..last).map(move |p| PageId(id.0 << 20 | p as u64))
+        (first..last).map(move |p| PageId(id.0 << PAGE_BITS | p as u64))
     }
 
     /// The end of the byte range `offset..offset + len`, or
@@ -324,6 +345,35 @@ mod tests {
         let a = mem.alloc("a", PAGE_SIZE);
         let b = mem.alloc("b", PAGE_SIZE);
         assert_ne!(PageId::of(a.id(), 0), PageId::of(b.id(), 0));
+    }
+
+    #[test]
+    fn page_ids_of_adjacent_regions_do_not_alias() {
+        // With a 20-bit page field, page 2^20 of a region (byte 512 MiB)
+        // read as page 0 of the next region. `pages_for` does not
+        // range-check its offset, so two one-page regions show it.
+        let far = 512 << 20;
+        assert_ne!(PageId::of(RegionId(1), far), PageId::of(RegionId(2), 0));
+        let mem = PhysMem::new();
+        let a = mem.alloc("a", PAGE_SIZE);
+        let b = mem.alloc("b", PAGE_SIZE);
+        assert_eq!(b.id(), RegionId(a.id().0 + 1));
+        let far_page = a.pages_for(far, 1).next().unwrap();
+        assert_ne!(far_page, b.pages_for(0, 1).next().unwrap());
+        assert_eq!(far_page, PageId::of(a.id(), far));
+        assert_eq!((far_page.region(), far_page.index()), (a.id(), 1 << 20));
+    }
+
+    #[test]
+    fn a_page_follows_its_predecessor_in_its_region_only() {
+        let p = |r, page: u64| PageId::of(RegionId(r), page as usize * PAGE_SIZE);
+        assert!(p(3, 8).follows(p(3, 7)));
+        assert!(!p(3, 7).follows(p(3, 7)));
+        assert!(!p(3, 9).follows(p(3, 7)));
+        assert!(
+            !p(4, 0).follows(PageId(p(4, 0).0 - 1)),
+            "last page of region 3"
+        );
     }
 
     #[test]

@@ -142,7 +142,9 @@ proptest! {
 
 /// The TLB as a `HashSet` of resident entries plus a `VecDeque` of their
 /// FIFO order: the plain statement of the replacement policy. The
-/// library's ring-and-index TLB must agree with it touch for touch.
+/// library's stamp-table TLB must agree with it touch for touch, whether
+/// it is handed single pages, runs of pages, or whole page sequences
+/// through `Cpu::touch_pages`.
 struct ReferenceTlb {
     mode: TlbMode,
     capacity: usize,
@@ -183,6 +185,11 @@ impl ReferenceTlb {
         true
     }
 
+    /// Touches each page in turn; returns the misses.
+    fn touch_all(&mut self, ctx: ContextId, pages: impl IntoIterator<Item = PageId>) -> u64 {
+        pages.into_iter().filter(|&p| self.touch(ctx, p)).count() as u64
+    }
+
     fn on_context_switch(&mut self) {
         if self.mode == TlbMode::InvalidateOnSwitch {
             self.flush();
@@ -196,9 +203,16 @@ impl ReferenceTlb {
     }
 }
 
+/// Page `page` of region `region`.
+fn page_of(region: u64, page: u64) -> PageId {
+    PageId::of(RegionId(region), page as usize * PAGE_SIZE)
+}
+
 #[derive(Clone, Copy, Debug)]
 enum TlbOp {
     Touch(ContextId, PageId),
+    /// `Tlb::touch_run` from the page for the given number of pages.
+    Run(ContextId, PageId, usize),
     Switch,
     Flush,
 }
@@ -206,9 +220,10 @@ enum TlbOp {
 /// One random TLB workload: a capacity (small, eviction-heavy ones as
 /// often as any), a mode and a step sequence. Touches draw from up to
 /// four contexts and three regions of about two thirds of the capacity
-/// each, so both hits and evictions are common. `gap` sets how many
-/// steps fall between switches or flushes on average, from every few
-/// steps to hardly ever.
+/// each, so both hits and evictions are common. A quarter of them are
+/// runs of up to three times the capacity, so a run's first misses often
+/// evict pages further on in it. `gap` sets how many steps fall between
+/// switches or flushes on average, from every few steps to hardly ever.
 fn tlb_workload() -> impl Strategy<Value = (usize, TlbMode, Vec<TlbOp>)> {
     (
         prop_oneof![1usize..=8, 1usize..=256],
@@ -217,17 +232,20 @@ fn tlb_workload() -> impl Strategy<Value = (usize, TlbMode, Vec<TlbOp>)> {
         prop_oneof![Just(4u32), Just(40), Just(400)],
     )
         .prop_flat_map(|(capacity, tagged, contexts, gap)| {
-            let pages = (capacity * 2 / 3).max(1);
-            let op = (0..gap, 0..contexts, 1u64..=3, 0..pages).prop_map(
-                move |(kind, ctx, region, page)| match kind {
-                    0 => TlbOp::Switch,
-                    1 => TlbOp::Flush,
-                    _ => TlbOp::Touch(
-                        ContextId(ctx),
-                        PageId::of(RegionId(region), page * PAGE_SIZE),
-                    ),
-                },
-            );
+            let pages = (capacity * 2 / 3).max(1) as u64;
+            let op = (
+                (0..gap, 0..contexts, 1u64..=3, 0..pages),
+                (0u32..4, 1..=3 * capacity),
+            )
+                .prop_map(move |((kind, ctx, region, page), (run, len))| {
+                    let (ctx, page) = (ContextId(ctx), page_of(region, page));
+                    match (kind, run) {
+                        (0, _) => TlbOp::Switch,
+                        (1, _) => TlbOp::Flush,
+                        (_, 0) => TlbOp::Run(ctx, page, len),
+                        _ => TlbOp::Touch(ctx, page),
+                    }
+                });
             let mode = if tagged {
                 TlbMode::Tagged
             } else {
@@ -256,6 +274,12 @@ proptest! {
                     "step {}: {:?} hit or miss differs (capacity {}, {:?})",
                     step, op, capacity, mode
                 ),
+                TlbOp::Run(ctx, first, len) => prop_assert_eq!(
+                    tlb.touch_run(ctx, first, len),
+                    reference.touch_all(ctx, (0..len as u64).map(|i| PageId(first.0 + i))),
+                    "step {}: {:?} misses differ (capacity {}, {:?})",
+                    step, op, capacity, mode
+                ),
                 TlbOp::Switch => {
                     tlb.on_context_switch();
                     reference.on_context_switch();
@@ -266,15 +290,103 @@ proptest! {
                 }
             }
             prop_assert_eq!(
-                tlb.resident_count(),
-                reference.resident.len(),
-                "step {}: resident count differs after {:?}",
+                (tlb.hits(), tlb.misses(), tlb.invalidations(), tlb.resident_count()),
+                (reference.hits, reference.misses, reference.invalidations, reference.resident.len()),
+                "step {}: (hits, misses, invalidations, resident) differ after {:?}",
                 step, op
             );
         }
-        prop_assert_eq!(tlb.hits(), reference.hits);
-        prop_assert_eq!(tlb.misses(), reference.misses);
-        prop_assert_eq!(tlb.invalidations(), reference.invalidations);
+    }
+}
+
+// ----------------------------------------------------------------------
+// Page sequences through `Cpu::touch_pages` against the same reference.
+// ----------------------------------------------------------------------
+
+/// One `touch_pages` call's worth of pages, or a context switch.
+#[derive(Clone, Debug)]
+enum CpuOp {
+    Pages(Vec<PageId>),
+    Switch(ContextId),
+}
+
+/// Last page number a region's page field holds.
+const TOP_PAGE: u64 = u32::MAX as u64;
+
+/// A page sequence: one to three pieces, each either consecutive pages of
+/// region 1–3 (up to 600, so more than the CPU's 256 entries, each page
+/// repeated one to three times in a row) or pages that cross from the
+/// last pages of region 0 to the first of region 1, whose page ids are
+/// consecutive numbers. (Only region 0's last pages are touched, so no
+/// stamp table spans a whole region's page numbers.)
+fn page_sequence() -> impl Strategy<Value = Vec<PageId>> {
+    let piece = (
+        (0u32..5, 1u64..=3, 0u64..400),
+        (
+            prop_oneof![1u64..=8, 1u64..=600],
+            prop_oneof![Just(1usize), 1usize..=3],
+        ),
+    )
+        .prop_map(|((kind, region, start), (len, repeat))| {
+            if kind == 0 {
+                let tail = len.min(300);
+                let head = (start % 300) + 1;
+                let top = (TOP_PAGE + 1 - tail..=TOP_PAGE).map(|p| page_of(0, p));
+                return top.chain((0..head).map(|p| page_of(1, p))).collect();
+            }
+            (start..start + len)
+                .flat_map(|p| std::iter::repeat_n(page_of(region, p), repeat))
+                .collect::<Vec<_>>()
+        });
+    proptest::collection::vec(piece, 1..=3).prop_map(|pieces| pieces.concat())
+}
+
+fn cpu_workload() -> impl Strategy<Value = (TlbMode, Vec<CpuOp>)> {
+    let op = (0u32..4, 1u64..=3, page_sequence()).prop_map(|(kind, ctx, pages)| match kind {
+        0 => CpuOp::Switch(ContextId(ctx)),
+        _ => CpuOp::Pages(pages),
+    });
+    let mode = any::<bool>().prop_map(|tagged| {
+        if tagged {
+            TlbMode::Tagged
+        } else {
+            TlbMode::InvalidateOnSwitch
+        }
+    });
+    (mode, proptest::collection::vec(op, 1..40))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn page_sequences_agree_with_the_fifo_set_reference((mode, ops) in cpu_workload()) {
+        let machine = Machine::with_tlb_mode(1, CostModel::cvax_firefly(), mode);
+        let cpu = machine.cpu(0);
+        let mut reference = ReferenceTlb::new(mode, 256);
+        for (step, op) in ops.iter().enumerate() {
+            match op {
+                CpuOp::Pages(pages) => {
+                    let mut meter = Meter::enabled();
+                    let misses = cpu.touch_pages(pages.iter().copied(), &mut meter);
+                    let expected = reference.touch_all(cpu.current_context(), pages.iter().copied());
+                    prop_assert_eq!(misses, expected, "step {}: misses differ ({:?})", step, mode);
+                    prop_assert_eq!(meter.tlb_misses(), expected);
+                }
+                &CpuOp::Switch(ctx) => {
+                    if ctx != cpu.current_context() {
+                        reference.on_context_switch();
+                    }
+                    cpu.switch_context(ctx, machine.cost(), &mut Meter::disabled());
+                }
+            }
+            prop_assert_eq!(
+                (cpu.tlb_hits(), cpu.tlb_misses()),
+                (reference.hits, reference.misses),
+                "step {}: (hits, misses) differ ({:?})",
+                step, mode
+            );
+        }
     }
 }
 

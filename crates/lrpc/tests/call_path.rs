@@ -912,6 +912,49 @@ fn mapping_changes_after_warm_calls_take_effect_at_once() {
 }
 
 #[test]
+fn large_out_of_band_calls_keep_their_tlb_counts() {
+    // A 64 KB Echo puts 129 argument and 129 result pages on the server
+    // side, more than the 256 entries one context can hold. Pins the
+    // CPU's steady-state (hits, misses) per call, the out-of-band pages
+    // included, while the call's meter counts the 43 misses of the touch
+    // plan and the A-stack alone.
+    let rt = TestRuntime::new().domain_caching(false).build();
+    let server = rt.kernel().create_domain("bulk-server");
+    let handlers: Vec<Handler> = vec![
+        Box::new(|_: &ServerCtx, _: &[Value]| Ok(Reply::none())),
+        Box::new(|_: &ServerCtx, args: &[Value]| Ok(Reply::none().with_out(0, args[0].clone()))),
+    ];
+    let idl = "interface Bulk {
+        procedure Send(data: in var bytes[65536] noninterpreted);
+        procedure Echo(data: inout var bytes[65536] noninterpreted);
+    }";
+    rt.export(&server, idl, handlers).expect("export");
+    let client = rt.kernel().create_domain("bulk-client");
+    let thread = rt.kernel().spawn_thread(&client);
+    let binding = rt.import(&client, "Bulk").expect("import");
+    let cpu = rt.kernel().machine().cpu(0);
+    let mut counts = Vec::new();
+    for (proc, len) in [
+        ("Echo", 65536),
+        ("Send", 65536),
+        ("Echo", 2048),
+        ("Send", 64),
+    ] {
+        let args = [Value::Var(vec![9; len])];
+        for _ in 0..3 {
+            binding.call(0, &thread, proc, &args).expect("warm call");
+        }
+        let (hits, misses) = (cpu.tlb_hits(), cpu.tlb_misses());
+        let out = binding
+            .call(0, &thread, proc, &args)
+            .expect("measured call");
+        assert_eq!(out.meter.tlb_misses(), 43, "{proc} {len}: metered misses");
+        counts.push((cpu.tlb_hits() - hits, cpu.tlb_misses() - misses));
+    }
+    assert_eq!(counts, [(263, 301), (3, 301), (15, 53), (3, 45)]);
+}
+
+#[test]
 fn an_out_of_band_argument_that_cannot_encode_leases_nothing() {
     // Sizing the arguments finds the error first: the call leases no
     // chunk and observes no bulk bytes, and the push raises the error the

@@ -30,6 +30,10 @@
 # run" for a lower-is-better metric). A layer moved only when that count
 # is all or nearly all the change's runs; overlapping ranges are noise.
 #
+# Each invocation writes its run logs to a directory of its own,
+# runs/<first seed> under AB_DIR, prints its path, and summarizes only
+# those runs, so invocations that share AB_DIR keep each other's logs.
+#
 # Needs git, cargo, jq and awk. Environment:
 #   AB_DIR   where builds and run logs go; default: a new directory
 #            under ${TMPDIR:-/tmp}, kept after the run
@@ -72,9 +76,16 @@ fi
 seed0=$(date +%s)
 dir=${AB_DIR:-$(mktemp -d "${TMPDIR:-/tmp}/hostbench-ab.XXXXXX")}
 mkdir -p "$dir/runs"
+# An invocation started in the same second as another one sharing
+# AB_DIR moves on to the next free first seed.
+while [ -e "$dir/runs/$seed0" ]; do
+    seed0=$((seed0 + 1))
+done
+runs=$dir/runs/$seed0
+mkdir "$runs"
 
 parent_sha=$(git -C "$root" rev-parse --verify "$rev^{commit}")
-echo "parent $rev ($parent_sha) vs working tree; $pairs pairs x ${workloads[*]}; ${seconds} s runs (trace $trace); seeds from $seed0; logs in $dir"
+echo "parent $rev ($parent_sha) vs working tree; $pairs pairs x ${workloads[*]}; ${seconds} s runs (trace $trace); seeds from $seed0; builds in $dir; logs in $runs"
 
 # Builds.
 rm -rf "$dir/parent-src"
@@ -89,12 +100,12 @@ declare -A bin=(
     [change]=$dir/change-target/release/hostbench
 )
 
-# One run: its full output goes to runs/<workload>-<side>-<pair>.out and
-# its figures (the metrics of the JSON line, then the printed
+# One run: its full output goes to <runs>/<workload>-<side>-<pair>.out
+# and its figures (the metrics of the JSON line, then the printed
 # taos_p50_ns and op_p50_ns) to a "name value" list beside it.
 run_one() {
     local w=$1 side=$2 i=$3 seed=$4
-    local out=$dir/runs/$w-$side-$i.out
+    local out=$runs/$w-$side-$i.out
     "${bin[$side]}" --workload "$w" --seed "$seed" --seconds "$seconds" --trace "$trace" >"$out"
     local json
     json=$(tail -n 1 "$out")
@@ -127,7 +138,7 @@ done
 figure() {
     local w=$1 side=$2 name=$3 i
     for ((i = 0; i < pairs; i++)); do
-        awk -v n="$name" '$1 == n { print $2 }' "$dir/runs/$w-$side-$i.out.fig"
+        awk -v n="$name" '$1 == n { print $2 }' "$runs/$w-$side-$i.out.fig"
     done
 }
 
